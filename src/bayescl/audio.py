@@ -134,17 +134,26 @@ def load_wav(path):
     if codec == 1:  # integer PCM
         if bits != 16:
             raise AudioFormatError(f"{path}: unsupported PCM bit depth {bits} (expected 16)")
-        raw = np.frombuffer(data, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        samples = _samples(path, data, "<i2").astype(np.float64) / 32768.0
     elif codec == 3:  # IEEE float
         if bits != 32:
             raise AudioFormatError(f"{path}: unsupported float bit depth {bits} (expected 32)")
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        samples = _samples(path, data, "<f4").astype(np.float64)
         if samples.size and np.max(np.abs(samples)) > 1.0:
             raise AudioFormatError(f"{path}: float samples outside [-1, 1]")
     else:
         raise AudioFormatError(f"{path}: unsupported codec (format tag {codec})")
     return Waveform(samples, rate)
+
+
+def _samples(path, data, dtype):
+    width = np.dtype(dtype).itemsize
+    if len(data) % width:
+        raise AudioFormatError(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number "
+            f"of {width}-byte samples"
+        )
+    return np.frombuffer(data, dtype=dtype)
 
 
 def _hz_to_mel(f):

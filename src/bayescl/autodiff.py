@@ -126,7 +126,7 @@ class DiffGraph:
 
     def _register(self, data, parents, vjp, op, name=None):
         data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise GraphError(
                 f"non-finite value produced by op {op!r} at node {len(self._nodes)}"
             )
@@ -165,6 +165,18 @@ class DiffGraph:
     @property
     def input_names(self):
         return list(self._inputs)
+
+    def release(self):
+        """Drop every node and input binding; the graph is empty afterwards.
+
+        Each Tensor points back at its graph, so a tape is a reference
+        cycle that only the cyclic garbage collector would free. Releasing
+        a throwaway graph frees its intermediates as soon as the caller
+        drops the tensors it still holds.
+        """
+        self._nodes = []
+        self._inputs = {}
+        self._output = None
 
     def backward(self, output=None, seed=None):
         """Accumulate adjoints from ``output`` back to every named input.

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    DiffGraph,
     GraphError,
     Tensor,
     concat,
@@ -217,7 +218,13 @@ def embed(features, params, graph):
 
 
 def embed_batch_values(features, params):
-    """Plain-ndarray embeddings via a throwaway graph (evaluation path)."""
-    from .autodiff import DiffGraph
+    """Plain-ndarray embeddings via a throwaway graph (evaluation path).
 
-    return embed_batch(features, params, DiffGraph()).data
+    The graph is released before returning, so its intermediates are
+    freed at once instead of waiting for the cyclic garbage collector.
+    """
+    graph = DiffGraph()
+    try:
+        return embed_batch(features, params, graph).data
+    finally:
+        graph.release()

@@ -2,14 +2,23 @@
 
 Per episode, ``max_classes`` test classes are drawn and introduced
 ``increment`` at a time. At each checkpoint every introduced word's
-query shots are classified against all classes seen so far. Head state
-persists across checkpoints, so earlier classes are never recomputed,
-and a query that goes wrong can never recover (the set of competitors
-only grows while existing densities stay fixed).
+query shots are classified against all classes seen so far.
+
+A class density is fixed once its support shots are added, and the
+query shots are drawn up front, so a query's score against a class does
+not depend on the checkpoint. Each episode therefore embeds all its
+support and query shots in one batch each, adds every class to the
+head, and computes one (max_classes * query_shots, max_classes) score
+matrix. The accuracy at checkpoint n is the argmax over the first n
+columns of the rows of the first n words. argmax takes the first
+maximum, so ties go to the earliest-inserted class, and a query that
+goes wrong can never recover: its competitors only grow while the
+existing scores stay fixed.
 """
 
 import csv
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -99,66 +108,72 @@ class EvalReport:
     runtime: dict
 
 
-def _run_episode(args):
-    params, prior, registry, cfg, episode_seed = args
+def _run_episode(params, prior, registry, cfg, episode_seed):
     rng = np.random.default_rng(episode_seed)
-    ids = registry.class_ids
-    if len(ids) < cfg.max_classes:
-        raise ValueError(
-            f"registry has {len(ids)} classes, protocol needs {cfg.max_classes}"
-        )
     registry.require(cfg.max_classes, cfg.shots + cfg.query_shots)
+    ids = registry.class_ids
     order = [ids[i] for i in rng.choice(len(ids), size=cfg.max_classes, replace=False)]
-
     enc = {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
-    checkpoints = cfg.checkpoints
-    n_cp = len(checkpoints)
-    acc = np.full((cfg.max_classes, n_cp), np.nan)
-    correct = np.full((cfg.max_classes, n_cp, cfg.query_shots), -1, dtype=np.int8)
-    introduced_at = np.empty(cfg.max_classes, dtype=np.int64)
+    k, q = cfg.shots, cfg.query_shots
 
+    t0 = time.perf_counter()
+    support, queries = [], []
+    for cid in order:
+        refs = registry.classes[cid]
+        picks = rng.choice(len(refs), size=k + q, replace=False)
+        support += [resolve_sample(refs[j]) for j in picks[:k]]
+        queries += [resolve_sample(refs[j]) for j in picks[k:]]
+    support_z = embed_batch_values(support, enc)
+    query_z = embed_batch_values(queries, enc)
     head = HeadState(prior)
-    query_emb = {}  # word index -> (query_shots, d) cached embeddings
-    support_time = 0.0
-    query_time = 0.0
-    for t, n_classes in enumerate(checkpoints):
-        t0 = time.perf_counter()
-        for w in range(t * cfg.increment, n_classes):
-            cid = order[w]
-            introduced_at[w] = n_classes
-            refs = registry.classes[cid]
-            picks = rng.choice(len(refs), size=cfg.shots + cfg.query_shots, replace=False)
-            support = [resolve_sample(refs[j]) for j in picks[: cfg.shots]]
-            queries = [resolve_sample(refs[j]) for j in picks[cfg.shots :]]
-            head.add_class(cid, embed_batch_values(support, enc))
-            query_emb[w] = embed_batch_values(queries, enc)
-        t1 = time.perf_counter()
-        support_time += t1 - t0
-        introduced = range(n_classes)
-        stacked = np.concatenate([query_emb[w] for w in introduced])
-        scores = class_scores(head, stacked)
-        class_list = head.class_ids
-        winners = np.argmax(scores, axis=1)
-        for k, w in enumerate(introduced):
-            rows = winners[k * cfg.query_shots : (k + 1) * cfg.query_shots]
-            ok = np.array([class_list[r] == order[w] for r in rows], dtype=np.int8)
-            correct[w, t] = ok
-            acc[w, t] = 100.0 * float(ok.mean())
-        query_time += time.perf_counter() - t1
-    trace = EpisodeTrace(order, introduced_at, acc, correct)
-    return trace, support_time, query_time
+    for w, cid in enumerate(order):
+        head.add_class(cid, support_z[w * k : (w + 1) * k])
+    t1 = time.perf_counter()
+
+    # row w*q + j is query j of word w; column w is word w's class
+    scores = class_scores(head, query_z)
+    truth = np.repeat(np.arange(cfg.max_classes), q)
+    checkpoints = cfg.checkpoints
+    correct = np.full((cfg.max_classes, len(checkpoints), q), -1, dtype=np.int8)
+    for t, n in enumerate(checkpoints):
+        hits = np.argmax(scores[: n * q, :n], axis=1) == truth[: n * q]
+        correct[:n, t] = hits.reshape(n, q)
+    acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct.mean(axis=2), np.nan)
+    introduced_at = np.repeat(checkpoints, cfg.increment)
+    query_time = time.perf_counter() - t1
+    return EpisodeTrace(order, introduced_at, acc, correct), t1 - t0, query_time
+
+
+_worker_job = None  # (params, prior, registry, cfg) inside a protocol worker process
+
+
+def _init_worker(params, prior, registry, cfg):
+    global _worker_job
+    _worker_job = (params, prior, registry, cfg)
+
+
+def _worker_episode(episode_seed):
+    return _run_episode(*_worker_job, episode_seed)
 
 
 def run_protocol(params, prior, registry, cfg):
-    """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport)."""
+    """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
+
+    With ``cfg.workers > 1`` episodes run in worker processes; the model
+    and registry are sent to each worker once, and each job is a seed.
+    """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
-    jobs = [(params, prior, registry, cfg, s) for s in seeds]
     t_start = time.perf_counter()
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_episode, jobs))
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(params, prior, registry, cfg),
+        ) as pool:
+            results = list(pool.map(_worker_episode, seeds))
     else:
-        results = [_run_episode(j) for j in jobs]
+        results = [_run_episode(params, prior, registry, cfg, s) for s in seeds]
     matrix = AccuracyMatrix(cfg.checkpoints, cfg.query_shots, [r[0] for r in results])
     support_time = sum(r[1] for r in results)
     query_time = sum(r[2] for r in results)
@@ -192,18 +207,16 @@ def run_protocol(params, prior, registry, cfg):
 
 
 def _volatility(matrix):
+    # masked diffs flatten in (episode, word, checkpoint) order
     diffs = []
     for tr in matrix.episodes:
         a = tr.acc
-        for w in range(a.shape[0]):
-            row = a[w]
-            for t in range(a.shape[1] - 1):
-                if not (np.isnan(row[t]) or np.isnan(row[t + 1])):
-                    diffs.append(abs(row[t + 1] - row[t]))
-    if not diffs:
+        both = ~np.isnan(a[:, :-1]) & ~np.isnan(a[:, 1:])
+        diffs.append(np.abs(a[:, 1:] - a[:, :-1])[both])
+    d = np.concatenate(diffs)
+    if not d.size:
         raise ValueError("no consecutive checkpoint pairs to compare")
-    d = np.array(diffs)
-    return float(d.mean()), float(d.std(ddof=0)), len(diffs)
+    return float(d.mean()), float(d.std(ddof=0)), int(d.size)
 
 
 def per_word_volatility(matrix):
@@ -222,19 +235,13 @@ def monotone_violations(matrix):
     """
     bad = 0
     for tr in matrix.episodes:
-        c = tr.correct
-        for w in range(c.shape[0]):
-            for q in range(c.shape[2]):
-                seen_wrong = False
-                for t in range(c.shape[1]):
-                    v = c[w, t, q]
-                    if v < 0:
-                        continue
-                    if v == 0:
-                        seen_wrong = True
-                    elif seen_wrong:
-                        bad += 1
-                        seen_wrong = False
+        c = np.moveaxis(tr.correct, 1, -1)  # (word, query, checkpoint)
+        # index of the latest defined checkpoint up to each one (-1: none)
+        seen = np.maximum.accumulate(
+            np.where(c >= 0, np.arange(c.shape[-1]), -1), axis=-1
+        )[..., :-1]
+        before = np.take_along_axis(c, np.maximum(seen, 0), axis=-1)
+        bad += int(np.count_nonzero((c[..., 1:] > 0) & (seen >= 0) & (before == 0)))
     return bad
 
 

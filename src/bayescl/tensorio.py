@@ -8,6 +8,7 @@ detectable on load.
 """
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -74,19 +75,34 @@ def read_tensors(path):
         header = json.loads(blob[12 : 12 + header_len].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: corrupt container header: {exc}") from None
+    if not (isinstance(header, dict) and "config" in header
+            and isinstance(header.get("tensors"), list)):
+        raise ContainerError(f"{path}: container header lacks a config or tensor directory")
     payload = blob[12 + header_len :]
     tensors = {}
     for entry in header["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
+        name, shape, start, nbytes, crc = _directory_entry(path, entry)
         if start + nbytes > len(payload):
-            raise ContainerError(
-                f"{path}: truncated payload for tensor {entry['name']!r}"
-            )
+            raise ContainerError(f"{path}: truncated payload for tensor {name!r}")
         raw = payload[start : start + nbytes]
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise ContainerError(
-                f"{path}: checksum mismatch for tensor {entry['name']!r}"
-            )
+        if zlib.crc32(raw) != crc:
+            raise ContainerError(f"{path}: checksum mismatch for tensor {name!r}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        tensors[entry["name"]] = arr.reshape(entry["shape"])
+        tensors[name] = arr.reshape(shape)
     return header["config"], tensors
+
+
+def _directory_entry(path, entry):
+    """(name, shape, offset, nbytes, crc32) of one directory entry, checked."""
+    keys = ("name", "shape", "offset", "nbytes", "crc32")
+    if not isinstance(entry, dict) or any(k not in entry for k in keys):
+        raise ContainerError(f"{path}: malformed tensor directory entry {entry!r}")
+    name, shape, start, nbytes, crc = (entry[k] for k in keys)
+    counts = [start, nbytes, crc, *shape] if isinstance(shape, list) else [None]
+    if not isinstance(name, str) or not all(isinstance(v, int) and v >= 0 for v in counts):
+        raise ContainerError(f"{path}: malformed tensor directory entry {entry!r}")
+    if 8 * math.prod(shape) != nbytes:
+        raise ContainerError(
+            f"{path}: tensor {name!r} has shape {shape} but {nbytes} payload bytes"
+        )
+    return name, shape, start, nbytes, crc

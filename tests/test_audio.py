@@ -1,3 +1,4 @@
+import re
 import struct
 import wave
 
@@ -25,9 +26,8 @@ def write_float32(path, samples, rate=16000):
         fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
 
-def write_codec(path, codec_tag, rate=16000, bits=16, channels=1):
+def write_codec(path, codec_tag, rate=16000, bits=16, channels=1, data=b"\x00" * 64):
     fmt = struct.pack("<HHIIHH", codec_tag, channels, rate, rate * 2, 2, bits)
-    data = b"\x00" * 64
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(data)) + data
     with open(path, "wb") as fh:
@@ -58,6 +58,12 @@ class TestLoadWav:
         p = tmp_path / "st.wav"
         write_pcm16(p, np.zeros(1600, dtype=np.int16), channels=2)
         with pytest.raises(audio.AudioFormatError, match="mono"):
+            audio.load_wav(p)
+
+    def test_odd_length_pcm16_data_rejected(self, tmp_path):
+        p = tmp_path / "odd.wav"
+        write_codec(p, codec_tag=1, data=b"\x00" * 63)
+        with pytest.raises(audio.AudioFormatError, match=re.escape(str(p)) + ".*whole number"):
             audio.load_wav(p)
 
     def test_unknown_codec_rejected(self, tmp_path):

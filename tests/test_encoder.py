@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,27 @@ class TestEmbed:
         params = E.init_params(self.CFG)
         out = E.embed(rng.normal(scale=50.0, size=(20, 4)), params, fresh_graph())
         assert np.all(np.isfinite(out.data))
+
+    def test_embed_batch_values_frees_its_graph_without_the_collector(self, monkeypatch):
+        graphs = []
+
+        class RecordedGraph(ad.DiffGraph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
+        rng = np.random.default_rng(11)
+        params = E.init_params(self.CFG)
+        mats = [rng.normal(size=(6, 4)) for _ in range(3)]
+        gc.disable()
+        try:
+            out = E.embed_batch_values(mats, params)
+            assert len(graphs) == 1
+            assert graphs[0]() is None
+        finally:
+            gc.enable()
+        assert out.shape == (3, self.CFG.embed_dim)
 
 
 class TestGradients:

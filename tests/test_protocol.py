@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bayescl import encoder as E
 from bayescl import episodes as Ep
 from bayescl import protocol as P
-from bayescl.head import PriorParams
+from bayescl.head import HeadState, PriorParams, class_scores
 
 
 def tiny_model(latent_dim=6, seed=0):
@@ -83,10 +84,12 @@ class TestRunProtocol:
         reg = tiny_registry(30)
         cfg = P.ProtocolConfig(increment=10, max_classes=30, shots=3, query_shots=3, episodes=2, seed=5)
         m1, _ = P.run_protocol(params, prior, reg, cfg)
-        m2, _ = P.run_protocol(params, prior, reg, cfg)
+        m2, _ = P.run_protocol(params, prior, reg, dataclasses.replace(cfg, workers=2))
+        assert len(m1.episodes) == len(m2.episodes) == 2
         for a, b in zip(m1.episodes, m2.episodes):
             assert a.words == b.words
             assert a.acc.tobytes() == b.acc.tobytes()
+            assert a.correct.tobytes() == b.correct.tobytes()
 
     def test_insufficient_classes_rejected(self):
         params, prior = tiny_model()
@@ -101,6 +104,79 @@ class TestRunProtocol:
         cfg = P.ProtocolConfig(increment=10, max_classes=20, shots=3, query_shots=3, episodes=1, seed=6)
         _, report = P.run_protocol(params, prior, reg, cfg)
         assert report.ci_low == report.mean_accuracy == report.ci_high
+
+
+def rescore_each_checkpoint(params, prior, registry, cfg, episode_seed):
+    """Reference episode: embed word by word, re-score every checkpoint."""
+    rng = np.random.default_rng(episode_seed)
+    ids = registry.class_ids
+    order = [ids[i] for i in rng.choice(len(ids), size=cfg.max_classes, replace=False)]
+    enc = {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
+    n_cp = len(cfg.checkpoints)
+    acc = np.full((cfg.max_classes, n_cp), np.nan)
+    correct = np.full((cfg.max_classes, n_cp, cfg.query_shots), -1, dtype=np.int8)
+    introduced_at = np.empty(cfg.max_classes, dtype=np.int64)
+    head = HeadState(prior)
+    query_emb = []
+    for t, n_classes in enumerate(cfg.checkpoints):
+        for w in range(t * cfg.increment, n_classes):
+            introduced_at[w] = n_classes
+            refs = registry.classes[order[w]]
+            picks = rng.choice(len(refs), size=cfg.shots + cfg.query_shots, replace=False)
+            support = [Ep.resolve_sample(refs[j]) for j in picks[: cfg.shots]]
+            queries = [Ep.resolve_sample(refs[j]) for j in picks[cfg.shots :]]
+            head.add_class(order[w], E.embed_batch_values(support, enc))
+            query_emb.append(E.embed_batch_values(queries, enc))
+        winners = np.argmax(class_scores(head, np.concatenate(query_emb)), axis=1)
+        class_list = head.class_ids
+        for w in range(n_classes):
+            rows = winners[w * cfg.query_shots : (w + 1) * cfg.query_shots]
+            ok = np.array([class_list[r] == order[w] for r in rows], dtype=np.int8)
+            correct[w, t] = ok
+            acc[w, t] = 100.0 * float(ok.mean())
+    return P.EpisodeTrace(order, introduced_at, acc, correct)
+
+
+def assert_matches_rescoring(params, prior, registry, cfg):
+    matrix, _ = P.run_protocol(params, prior, registry, cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
+    for tr, seed in zip(matrix.episodes, seeds):
+        ref = rescore_each_checkpoint(params, prior, registry, cfg, seed)
+        assert tr.words == ref.words
+        assert tr.introduced_at.dtype == ref.introduced_at.dtype
+        assert tr.introduced_at.tobytes() == ref.introduced_at.tobytes()
+        assert tr.acc.tobytes() == ref.acc.tobytes()
+        assert tr.correct.tobytes() == ref.correct.tobytes()
+    return matrix
+
+
+class TestScoreMatrix:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(increment=10, max_classes=40, shots=3, query_shots=3),
+            dict(increment=5, max_classes=20, shots=2, query_shots=4),
+            dict(increment=20, max_classes=20, shots=4, query_shots=2),
+        ],
+    )
+    def test_matches_rescoring_at_every_checkpoint(self, shape):
+        params, prior = tiny_model()
+        reg = tiny_registry(45, sep=2.0)  # hard enough to produce errors
+        cfg = P.ProtocolConfig(**shape, episodes=2, seed=8)
+        matrix = assert_matches_rescoring(params, prior, reg, cfg)
+        assert any((tr.correct == 0).any() for tr in matrix.episodes)
+
+    def test_ties_go_to_the_first_inserted_class(self):
+        # an encoder with all-zero weights maps every clip to the same
+        # embedding, so both classes have identical support and every
+        # query ties; the class inserted first must win each tie
+        params, prior = tiny_model()
+        params = {k: np.zeros_like(v) for k, v in params.items()}
+        reg = tiny_registry(2)
+        cfg = P.ProtocolConfig(increment=1, max_classes=2, shots=3, query_shots=3, episodes=3, seed=9)
+        matrix = assert_matches_rescoring(params, prior, reg, cfg)
+        for tr in matrix.episodes:
+            np.testing.assert_array_equal(tr.acc, [[100.0, 100.0], [np.nan, 0.0]])
 
 
 def matrix_from_rows(rows_by_episode, checkpoints, query_shots=5):
@@ -142,6 +218,35 @@ class TestVolatility:
         m = matrix_from_rows([[[np.nan, 50.0]]], [10, 20])
         with pytest.raises(ValueError, match="pairs"):
             P.per_word_volatility(m)
+
+
+class TestMonotoneViolations:
+    def _matrix(self, sequences):
+        # one word per sequence, one query shot; -1 marks "not yet scored"
+        correct = np.array(sequences, dtype=np.int8)[:, :, None]
+        acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct[:, :, 0], np.nan)
+        intro = np.full(len(sequences), 10, dtype=np.int64)
+        trace = P.EpisodeTrace([f"w{i}" for i in range(len(sequences))], intro, acc, correct)
+        return P.AccuracyMatrix([10, 20, 30, 40], 1, [trace])
+
+    @pytest.mark.parametrize(
+        "sequence, expected",
+        [
+            ([1, 1, 1, 1], 0),
+            ([1, 0, 0, 0], 0),
+            ([0, 1, 1, 1], 1),
+            ([0, 1, 0, 1], 2),
+            ([-1, 0, -1, 1], 1),
+            ([-1, -1, 0, 0], 0),
+            ([-1, -1, -1, -1], 0),
+        ],
+    )
+    def test_hand_cases(self, sequence, expected):
+        assert P.monotone_violations(self._matrix([sequence])) == expected
+
+    def test_counts_pool_over_words(self):
+        m = self._matrix([[0, 1, 0, 1], [-1, 0, -1, 1], [1, 1, 0, 0]])
+        assert P.monotone_violations(m) == 3
 
 
 class TestEmitReport:
