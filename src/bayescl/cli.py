@@ -68,9 +68,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("version", help="print the package version")
+    sub.add_parser("version", help="print the package version").set_defaults(func=cmd_version)
 
     p = sub.add_parser("prepare", help="extract MFCC feature dumps from a wav manifest")
+    p.set_defaults(func=cmd_prepare)
     p.add_argument("--manifest", required=True, help="newline-delimited JSON manifest")
     p.add_argument("--audio-root", help="base directory for relative wav paths")
     p.add_argument("--features-dir", required=True, help="output directory")
@@ -79,6 +80,7 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("train", help="meta-train on prepared features")
+    p.set_defaults(func=cmd_train)
     p.add_argument("--manifest", required=True, help="feature manifest from prepare")
     p.add_argument("--features-dir", help="base directory for relative feature paths")
     p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
@@ -86,6 +88,7 @@ def build_parser():
     _add_common_train_flags(p)
 
     p = sub.add_parser("eval", help="run the class-incremental protocol on prepared features")
+    p.set_defaults(func=cmd_eval)
     p.add_argument("--manifest", required=True, help="feature manifest from prepare")
     p.add_argument("--features-dir", help="base directory for relative feature paths")
     p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
@@ -93,6 +96,7 @@ def build_parser():
     _add_common_eval_flags(p)
 
     p = sub.add_parser("synth-train", help="meta-train on synthetic Gaussian tasks")
+    p.set_defaults(func=cmd_synth_train)
     p.add_argument("--latent-dim", type=int)
     p.add_argument("--class-sep", type=float)
     p.add_argument("--within-std", type=float)
@@ -102,11 +106,13 @@ def build_parser():
     _add_common_train_flags(p)
 
     p = sub.add_parser("synth-eval", help="run the protocol on synthetic test classes")
+    p.set_defaults(func=cmd_synth_eval)
     p.add_argument("--test-classes", type=int, help="synthetic test classes (default max-classes)")
     p.add_argument("--samples-per-class", type=int)
     _add_common_eval_flags(p)
 
     p = sub.add_parser("inspect-checkpoint", help="print checkpoint header information")
+    p.set_defaults(func=cmd_inspect)
     p.add_argument("--ckpt", required=True)
     return parser
 
@@ -168,6 +174,16 @@ EVAL_DEFAULTS = {
 }
 
 SYNTH_EVAL_DEFAULTS = dict(EVAL_DEFAULTS, test_classes=None, samples_per_class=None)
+
+
+def _protocol_config(values):
+    # the EVAL_DEFAULTS keys are exactly ProtocolConfig's fields
+    return ProtocolConfig(**{k: values[k] for k in EVAL_DEFAULTS})
+
+
+def cmd_version(args):
+    print(__version__)
+    return 0
 
 
 def _extract_one(job):
@@ -240,12 +256,10 @@ def _train_common(cfg_values, encoder_cfg, registry, val_registry, out, data_con
         learning_rate=cfg_values["learning_rate"],
         seed=cfg_values["seed"],
         validation_every=cfg_values["validation_every"],
-        checkpoint_path=None,
     )
     params, prior, history = training.train(tcfg, registry, encoder_cfg, val_registry)
-    training.save_checkpoint(params, encoder_cfg, out, extra_config=data_config)
+    training.save_run(out, params, encoder_cfg, history, extra_config=data_config)
     best_acc = history.best_accuracy if history.val_accuracy else float("nan")
-    history.write_csv(str(out) + ".log.csv")
     _log(
         f"trained {tcfg.steps} steps; final loss {history.losses[-1]:.4f}; "
         f"best validation accuracy {best_acc:.3f} (step {history.best_step})"
@@ -297,15 +311,7 @@ def cmd_synth_eval(args):
     )
     n_test = v["test_classes"] or v["max_classes"]
     per_class = v["samples_per_class"] or (v["shots"] + v["query_shots"])
-    pcfg = ProtocolConfig(
-        increment=v["increment"],
-        max_classes=v["max_classes"],
-        shots=v["shots"],
-        query_shots=v["query_shots"],
-        episodes=v["episodes"],
-        seed=v["seed"],
-        workers=v["workers"],
-    )
+    pcfg = _protocol_config(v)
     test_rng = np.random.default_rng(np.random.SeedSequence(v["seed"] + 1).spawn(1)[0])
     registry = synth_registry(synth_cfg, n_test, per_class, test_rng, prefix="test")
     matrix, report = run_protocol(params, prior, registry, pcfg)
@@ -359,15 +365,7 @@ def cmd_eval(args):
         _log(f"warning: {len(missing)} meta-test words have no test-split samples")
     usable = [w for w in test_words if w in reg_test_split.classes]
     registry = reg_test_split.subset(usable)
-    pcfg = ProtocolConfig(
-        increment=v["increment"],
-        max_classes=v["max_classes"],
-        shots=v["shots"],
-        query_shots=v["query_shots"],
-        episodes=v["episodes"],
-        seed=v["seed"],
-        workers=v["workers"],
-    )
+    pcfg = _protocol_config(v)
     matrix, report = run_protocol(params, prior, registry, pcfg)
     emit_report(report, matrix, args.out)
     _log(
@@ -397,26 +395,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "version":
-            print(__version__)
-            return 0
-        if args.command == "prepare":
-            return cmd_prepare(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "synth-train":
-            return cmd_synth_train(args)
-        if args.command == "synth-eval":
-            return cmd_synth_eval(args)
-        if args.command == "inspect-checkpoint":
-            return cmd_inspect(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except Exception as exc:  # runtime errors -> exit 1 with a message
         _log(f"error: {exc}")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ __all__ = [
     "SynthTaskConfig",
     "split_classes",
     "sample_episode",
-    "synth_task",
     "synth_registry",
     "resolve_sample",
     "read_manifest",
@@ -202,19 +201,6 @@ def _synth_sample(cfg, mean, rng):
         return np.asarray(vec, dtype=np.float64)
     frame = np.resize(vec, cfg.n_ceps)
     return np.tile(frame, (cfg.frames, 1))
-
-
-def synth_task(cfg, spec, rng):
-    """A fresh episode of Gaussian clusters (class ids local to the episode)."""
-    means = rng.normal(0.0, cfg.class_sep, size=(spec.ways, cfg.latent_dim))
-    class_ids = [f"c{i:03d}" for i in range(spec.ways)]
-    support, query = [], []
-    for cid, mean in zip(class_ids, means):
-        for _ in range(spec.shots):
-            support.append((_synth_sample(cfg, mean, rng), cid))
-        for _ in range(spec.query_shots):
-            query.append((_synth_sample(cfg, mean, rng), cid))
-    return Episode(class_ids, support, query)
 
 
 def synth_registry(cfg, n_classes, samples_per_class, rng, prefix="w"):

@@ -17,6 +17,13 @@ per dimension:
 
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
+One kernel, ``_log_t``, evaluates this density everywhere: on plain
+arrays for ``log_predictive`` and ``class_scores``, and on DiffGraph
+tensors for the differentiable paths. It sums over the last axis and
+broadcasts the rest, so ``episode_loss`` scores an (M, 1, d) query
+batch against (N, d) class parameters in one call and its tape does
+not grow with the number of ways.
+
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
 unconstrained gradient descent.
@@ -34,10 +41,8 @@ from .autodiff import (
     lgamma,
     log,
     mean_reduce,
-    reciprocal,
-    rows,
+    reshape,
     softmax_cross_entropy,
-    stack,
     sum_reduce,
 )
 
@@ -172,29 +177,31 @@ def predictive_params(post, prior):
     return nu, post.mean(), scale2
 
 
-def _sum_generic(x, axis=None):
-    if isinstance(x, Tensor):
-        return sum_reduce(x, axis=axis)
-    return np.sum(x, axis=axis)
+def _log_t(z, nu, mean, scale2):
+    """Student's t log density summed over the last axis.
 
-
-def _log_t_sum(z, nu, mean, scale2, dim, axis=None):
-    """Sum over dimensions of the Student's t log density.
-
-    Written against the generic ops, so the identical formula evaluates
-    on plain arrays and on DiffGraph tensors. With ``axis=1``, ``z`` is a
-    (M, dim) batch and the result is an (M,) vector.
+    Written against the generic ops, so the one formula evaluates on
+    plain arrays and on DiffGraph tensors. ``mean`` and ``scale2`` share
+    the trailing dimension d of ``z`` and broadcast against it: a (M, d)
+    batch under one class gives (M,), and a (M, 1, d) batch under (C, d)
+    class parameters gives the (M, C) matrix.
     """
+    d = float(z.shape[-1])
     half_nu1 = 0.5 * (nu + 1.0)
     const = (
-        float(dim) * (lgamma(half_nu1) - lgamma(0.5 * nu))
-        - 0.5 * float(dim) * log(math.pi * nu)
-        - 0.5 * _sum_generic(log(scale2))
+        d * (lgamma(half_nu1) - lgamma(0.5 * nu))
+        - 0.5 * d * log(math.pi * nu)
+        - 0.5 * _sum_last(log(scale2))
     )
     dev = z - mean
     q = dev * dev / (nu * scale2)
-    tail = _sum_generic(log(1.0 + q), axis=axis)
-    return const - half_nu1 * tail
+    return const - half_nu1 * _sum_last(log(1.0 + q))
+
+
+def _sum_last(x):
+    if isinstance(x, Tensor):
+        return sum_reduce(x, axis=-1)
+    return np.sum(x, axis=-1)
 
 
 def _rho_tensors(prior, graph):
@@ -211,6 +218,15 @@ def _rho_tensors(prior, graph):
     return ra, rb
 
 
+def _graph_predictive(prior, graph, n, var):
+    """(nu, scale^2) Tensors for classes of ``n`` shots with variance ``var``."""
+    ra, rb = _rho_tensors(prior, graph)
+    alpha = exp(ra) + 0.5 * n
+    # rounding can leave var a hair negative; beta_0 > 0 keeps beta positive
+    scale2 = (exp(rb) + 0.5 * n * var) * ((n + 1.0) / n) / alpha
+    return 2.0 * alpha, scale2
+
+
 def log_predictive(post, prior, z, graph=None):
     """Log posterior-predictive density of ``z`` under one class.
 
@@ -225,17 +241,13 @@ def log_predictive(post, prior, z, graph=None):
         if zz.shape != (d,):
             raise ValueError(f"query has shape {zz.shape}, expected ({d},)")
         nu, m, s2 = predictive_params(post, prior)
-        return float(_log_t_sum(zz, nu, m, s2, d))
+        return float(_log_t(zz, nu, m, s2))
     n = float(post.n)
-    ra, rb = _rho_tensors(prior, graph)
     zbar = post.sum_z / n
     var = np.maximum(post.sum_z2 / n - zbar * zbar, 0.0)
-    alpha = exp(ra) + 0.5 * n
-    beta = exp(rb) + graph.constant(0.5 * n * var)
-    nu = 2.0 * alpha
-    scale2 = beta * ((n + 1.0) / n) / alpha
+    nu, scale2 = _graph_predictive(prior, graph, n, var)
     zt = z if isinstance(z, Tensor) else graph.constant(np.asarray(z, dtype=np.float64))
-    return _log_t_sum(zt, nu, graph.constant(zbar), scale2, d)
+    return _log_t(zt, nu, graph.constant(zbar), scale2)
 
 
 def class_scores(head, Z):
@@ -244,9 +256,10 @@ def class_scores(head, Z):
         raise ValueError("head has no classes")
     Z = np.asarray(Z, dtype=np.float64)
     scores = np.empty((Z.shape[0], len(head.posteriors)))
+    # per class: one (M, C, d) broadcast needs 102 MB at protocol scale and was slower
     for j, post in enumerate(head.posteriors.values()):
         nu, m, s2 = predictive_params(post, head.prior)
-        scores[:, j] = _log_t_sum(Z, nu, m, s2, post.dim, axis=1)
+        scores[:, j] = _log_t(Z, nu, m, s2)
     return scores
 
 
@@ -304,32 +317,12 @@ def episode_loss(prior, support_z, support_labels, query_z, query_labels, graph)
         raise ValueError(f"query labels {missing} absent from support")
 
     d = support_z.shape[1]
-    ra, rb = _rho_tensors(prior, graph)
-    # same density as _log_t_sum; the class-independent pieces are hoisted
-    # out of the loop (every class has the same shot count n)
-    n = float(next(iter(shot_counts.values())))
-    alpha = exp(ra) + 0.5 * n
-    beta0 = exp(rb)
-    nu = 2.0 * alpha
-    half_nu1 = 0.5 * (nu + 1.0)
-    shared = float(d) * (lgamma(half_nu1) - lgamma(0.5 * nu)) - 0.5 * float(d) * log(
-        math.pi * nu
-    )
-    scale_factor = ((n + 1.0) / n) * reciprocal(alpha)
-    logit_cols = []
-    for cid, start, stop in blocks:
-        block = rows(support_z, start, stop)
-        mu = mean_reduce(block, axis=0)
-        gbar = mean_reduce(block * block, axis=0)
-        # rounding can leave var a hair negative; beta_0 > 0 keeps beta positive
-        var = gbar - mu * mu
-        scale2 = (beta0 + 0.5 * n * var) * scale_factor
-        dev = query_z - mu
-        q = dev * dev / (nu * scale2)
-        tail = sum_reduce(log(1.0 + q), axis=1)
-        const = shared - 0.5 * sum_reduce(log(scale2))
-        logit_cols.append(const - half_nu1 * tail)
-    logits = stack(logit_cols, axis=1)
+    shots = support_z.shape[0] // len(blocks)
+    per_class = reshape(support_z, (len(blocks), shots, d))  # (N, K, d)
+    mu = mean_reduce(per_class, axis=1)
+    var = mean_reduce(per_class * per_class, axis=1) - mu * mu
+    nu, scale2 = _graph_predictive(prior, graph, float(shots), var)
+    logits = _log_t(reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
     y = np.array([col[lab] for lab in query_labels], dtype=np.int64)
     return softmax_cross_entropy(logits, y)
 

@@ -28,6 +28,7 @@ import numpy as np
 from .encoder import embed_batch_values
 from .episodes import resolve_sample
 from .head import HeadState, class_scores
+from .training import encoder_params
 
 __all__ = [
     "ProtocolConfig",
@@ -113,7 +114,7 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     registry.require(cfg.max_classes, cfg.shots + cfg.query_shots)
     ids = registry.class_ids
     order = [ids[i] for i in rng.choice(len(ids), size=cfg.max_classes, replace=False)]
-    enc = {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
+    enc = encoder_params(params)
     k, q = cfg.shots, cfg.query_shots
 
     t0 = time.perf_counter()

@@ -4,8 +4,8 @@ Meta-parameters are the encoder weights plus the unconstrained prior
 parameters rho_alpha and rho_beta. Each step samples a batch of
 episodes, averages the episode losses' gradients (deterministic ordered
 summation), and applies one Adam update. Validation periodically scores
-a fixed set of held-out-class episodes; best and final parameters are
-checkpointed.
+a fixed set of held-out-class episodes; ``save_run`` checkpoints the
+final and best parameters.
 """
 
 import csv
@@ -25,7 +25,9 @@ __all__ = [
     "TrainHistory",
     "adam_step",
     "train",
+    "encoder_params",
     "episode_accuracy",
+    "save_run",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -48,7 +50,6 @@ class TrainConfig:
     seed: int = 0
     validation_every: int = 100
     validation_episodes: int = 20
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -78,6 +79,7 @@ class TrainHistory:
     val_accuracy: list = field(default_factory=list)
     best_step: int = -1
     best_accuracy: float = -1.0
+    best_params: dict | None = None  # parameters at best_step
 
     def write_csv(self, path):
         val = dict(zip(self.val_steps, self.val_accuracy))
@@ -114,20 +116,28 @@ def _episode_arrays(episode):
     return support_x, support_y, query_x, query_y
 
 
+def encoder_params(params):
+    """The encoder's weights: ``params`` without the prior's rho entries."""
+    return {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
+
+
 def _batch_gradients(meta, episodes_batch):
     """Mean loss and mean gradients over a batch, one graph per episode."""
     total_loss = 0.0
     grad_sum = None
+    enc = encoder_params(meta)
     for episode in episodes_batch:
         graph = DiffGraph()
         support_x, support_y, query_x, query_y = _episode_arrays(episode)
-        enc = {k: v for k, v in meta.items() if k not in ("rho_alpha", "rho_beta")}
-        sz = embed_batch(support_x, enc, graph)
-        qz = embed_batch(query_x, enc, graph)
-        ra = graph.input("rho_alpha", meta["rho_alpha"])
-        rb = graph.input("rho_beta", meta["rho_beta"])
-        loss = episode_loss((ra, rb), sz, support_y, qz, query_y, graph)
-        grads = graph.backward(loss)
+        try:
+            sz = embed_batch(support_x, enc, graph)
+            qz = embed_batch(query_x, enc, graph)
+            ra = graph.input("rho_alpha", meta["rho_alpha"])
+            rb = graph.input("rho_beta", meta["rho_beta"])
+            loss = episode_loss((ra, rb), sz, support_y, qz, query_y, graph)
+            grads = graph.backward(loss)
+        finally:
+            graph.release()  # free the tape now, not at the next collection
         total_loss += float(loss.data)
         if grad_sum is None:
             grad_sum = {k: grads.get(k, np.zeros_like(v)).copy() for k, v in meta.items()}
@@ -141,7 +151,7 @@ def _batch_gradients(meta, episodes_batch):
 def episode_accuracy(params, prior, episode):
     """Query accuracy of one episode under frozen parameters."""
     support_x, support_y, query_x, query_y = _episode_arrays(episode)
-    enc = {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
+    enc = encoder_params(params)
     sz = embed_batch_values(support_x, enc)
     qz = embed_batch_values(query_x, enc)
     head = HeadState(prior)
@@ -156,7 +166,9 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     """Meta-train encoder and prior; returns (params, prior, history).
 
     ``params`` maps names to arrays and includes the 0-d ``rho_alpha``
-    and ``rho_beta`` entries. Validation episodes are drawn once from
+    and ``rho_beta`` entries; ``history.best_params`` holds the
+    parameters of the best validation point. Nothing is written to disk
+    (see ``save_run``). Validation episodes are drawn once from
     ``val_registry`` (held-out classes) and reused at every validation
     point so the accuracy curve is comparable across steps.
     """
@@ -176,7 +188,6 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
         for _ in range(cfg.validation_episodes):
             val_episodes.append(sample_episode(val_registry, cfg.spec, val_rng))
 
-    best = None
     for step in range(1, cfg.steps + 1):
         batch = [
             sample_episode(registry, cfg.spec, episode_rng)
@@ -206,15 +217,23 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
             if acc > history.best_accuracy:
                 history.best_accuracy = acc
                 history.best_step = step
-                best = {k: v.copy() for k, v in meta.items()}
+                history.best_params = {k: v.copy() for k, v in meta.items()}
 
     prior = PriorParams(float(meta["rho_alpha"]), float(meta["rho_beta"]))
-    if cfg.checkpoint_path is not None:
-        save_checkpoint(meta, encoder_cfg, cfg.checkpoint_path)
-        if best is not None:
-            save_checkpoint(best, encoder_cfg, str(cfg.checkpoint_path) + ".best")
-        history.write_csv(str(cfg.checkpoint_path) + ".log.csv")
     return meta, prior, history
+
+
+def save_run(path, params, encoder_cfg, history, extra_config=None):
+    """Write a training run's files.
+
+    The final parameters go to ``path``, the best validation parameters
+    to ``<path>.best`` when validation ran, both with ``extra_config`` in
+    their header, and the per-step log to ``<path>.log.csv``.
+    """
+    save_checkpoint(params, encoder_cfg, path, extra_config)
+    if history.best_params is not None:
+        save_checkpoint(history.best_params, encoder_cfg, f"{path}.best", extra_config)
+    history.write_csv(f"{path}.log.csv")
 
 
 def expected_param_shapes(encoder_cfg):

@@ -72,12 +72,24 @@ def test_synth_train_then_eval_smoke(tmp_path, capsys):
     assert (report / "volatility.csv").exists()
     assert (report / "summary.json").exists()
     assert (str(ckpt) + ".log.csv") and (tmp_path / "ckpt.log.csv").exists()
+    # the best-validation checkpoint carries the data header, so it evaluates too
+    code, _, err = run_cli(
+        capsys,
+        "synth-eval",
+        "--ckpt", str(ckpt) + ".best", "--max-classes", "25", "--increment", "25",
+        "--episodes", "1", "--out", str(tmp_path / "best_report"),
+    )
+    assert code == 0, err
 
 
 def test_seeded_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     ckpt1, rep1 = synth_pipeline(tmp_path / "a", capsys)
     ckpt2, rep2 = synth_pipeline(tmp_path / "b", capsys)
-    assert ckpt1.read_bytes() == ckpt2.read_bytes()
+    for suffix in ("", ".best", ".log.csv"):
+        assert (
+            (ckpt1.parent / (ckpt1.name + suffix)).read_bytes()
+            == (ckpt2.parent / (ckpt2.name + suffix)).read_bytes()
+        )
     for name in ("curve.csv", "volatility.csv", "per_word.csv"):
         assert (rep1 / name).read_bytes() == (rep2 / name).read_bytes()
 

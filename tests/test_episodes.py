@@ -114,11 +114,17 @@ class TestSampleEpisode:
         assert chi2 < 160.0
 
 
+def synth_episode(cfg, spec, rng):
+    """An episode over a fresh synthetic registry of exactly ``spec.ways`` classes."""
+    reg = Ep.synth_registry(cfg, spec.ways, spec.samples_per_class, rng)
+    return Ep.sample_episode(reg, spec, rng)
+
+
 class TestSynth:
     def test_zero_within_std_gives_identical_samples(self):
         cfg = Ep.SynthTaskConfig(latent_dim=4, class_sep=5.0, within_std=0.0)
         spec = Ep.EpisodeSpec(3, 4, 2)
-        ep = Ep.synth_task(cfg, spec, np.random.default_rng(0))
+        ep = synth_episode(cfg, spec, np.random.default_rng(0))
         by_class = {}
         for ref, y in ep.support + ep.query:
             by_class.setdefault(y, []).append(ref)
@@ -129,7 +135,7 @@ class TestSynth:
     def test_zero_within_std_nearest_mean_is_perfect(self):
         cfg = Ep.SynthTaskConfig(latent_dim=4, class_sep=5.0, within_std=0.0)
         spec = Ep.EpisodeSpec(5, 3, 3)
-        ep = Ep.synth_task(cfg, spec, np.random.default_rng(1))
+        ep = synth_episode(cfg, spec, np.random.default_rng(1))
         means = {}
         for ref, y in ep.support:
             means.setdefault(y, []).append(ref)
@@ -143,7 +149,7 @@ class TestSynth:
         spec = Ep.EpisodeSpec(5, 3, 3)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            ep = Ep.synth_task(cfg, spec, rng)
+            ep = synth_episode(cfg, spec, rng)
             sums, counts = {}, {}
             for ref, y in ep.support:
                 sums[y] = sums.get(y, 0) + ref
@@ -156,15 +162,15 @@ class TestSynth:
     def test_same_seed_identical_episode(self):
         cfg = Ep.SynthTaskConfig(latent_dim=3, class_sep=2.0, within_std=0.5)
         spec = Ep.EpisodeSpec(3, 2, 2)
-        a = Ep.synth_task(cfg, spec, np.random.default_rng(7))
-        b = Ep.synth_task(cfg, spec, np.random.default_rng(7))
+        a = synth_episode(cfg, spec, np.random.default_rng(7))
+        b = synth_episode(cfg, spec, np.random.default_rng(7))
         for (ra, ya), (rb, yb) in zip(a.support + a.query, b.support + b.query):
             assert ya == yb and ra.tobytes() == rb.tobytes()
 
     def test_pseudo_mfcc_mode_tiles_to_coefficient_matrices(self):
         cfg = Ep.SynthTaskConfig(latent_dim=5, mode="pseudo-mfcc", frames=7)
         spec = Ep.EpisodeSpec(2, 1, 1)
-        ep = Ep.synth_task(cfg, spec, np.random.default_rng(3))
+        ep = synth_episode(cfg, spec, np.random.default_rng(3))
         ref, _ = ep.support[0]
         assert ref.shape == (7, 13)
         assert all(row.tobytes() == ref[0].tobytes() for row in ref[1:])

@@ -344,6 +344,72 @@ class TestEpisodeLoss:
         }
         assert ad.grad_check(builder, point, step=4e-4) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "n,k,q,d", [(2, 1, 1, 1), (3, 1, 4, 5), (5, 4, 1, 3), (10, 5, 5, 16), (4, 7, 3, 2)]
+    )
+    def test_matches_per_class_loop_oracle(self, n, k, q, d):
+        rng = np.random.default_rng(100 * n + 10 * k + q)
+        support = rng.normal(size=(n * k, d))
+        query = rng.normal(size=(n * q, d))
+        sup_y, qry_y = self._labels(n, k), self._labels(n, q)
+        point = {
+            "rho_alpha": np.asarray(0.3),
+            "rho_beta": np.asarray(-0.4),
+            "s": support,
+            "q": query,
+        }
+
+        def run(loss_fn):
+            g = ad.DiffGraph()
+            t = {name: g.input(name, v) for name, v in point.items()}
+            loss = loss_fn((t["rho_alpha"], t["rho_beta"]), t["s"], sup_y, t["q"], qry_y, g)
+            return float(loss.data), g.backward(loss)
+
+        loss, grads = run(H.episode_loss)
+        ref_loss, ref_grads = run(_loop_episode_loss)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, ref in ref_grads.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_head_tape_size_does_not_grow_with_ways(self):
+        def head_nodes(n):
+            rng = np.random.default_rng(n)
+            g = ad.DiffGraph()
+            s = g.input("s", rng.normal(size=(n * 5, 8)))
+            q = g.input("q", rng.normal(size=(n * 5, 8)))
+            before = len(g)
+            H.episode_loss(PRIOR, s, self._labels(n, 5), q, self._labels(n, 5), g)
+            return len(g) - before
+
+        assert head_nodes(5) == head_nodes(25)
+
+
+def _loop_episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
+    """Reference: the Student-t logits built one class at a time."""
+    ra, rb = prior
+    labels = list(dict.fromkeys(support_labels))
+    n = float(len(support_labels) // len(labels))
+    d = support_z.shape[1]
+    alpha = ad.exp(ra) + 0.5 * n
+    nu = 2.0 * alpha
+    half_nu1 = 0.5 * (nu + 1.0)
+    shared = float(d) * (ad.lgamma(half_nu1) - ad.lgamma(0.5 * nu)) - 0.5 * float(d) * ad.log(
+        math.pi * nu
+    )
+    scale_factor = ((n + 1.0) / n) * ad.reciprocal(alpha)
+    cols = []
+    for j in range(len(labels)):
+        block = ad.rows(support_z, int(j * n), int((j + 1) * n))
+        mu = ad.mean_reduce(block, axis=0)
+        var = ad.mean_reduce(block * block, axis=0) - mu * mu
+        scale2 = (ad.exp(rb) + 0.5 * n * var) * scale_factor
+        dev = query_z - mu
+        tail = ad.sum_reduce(ad.log(1.0 + dev * dev / (nu * scale2)), axis=1)
+        const = shared - 0.5 * ad.sum_reduce(ad.log(scale2))
+        cols.append(const - half_nu1 * tail)
+    y = np.array([labels.index(lab) for lab in query_labels], dtype=np.int64)
+    return ad.softmax_cross_entropy(ad.stack(cols, axis=1), y)
+
 
 def test_head_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(14)

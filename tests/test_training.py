@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,37 @@ class TestTrain:
         assert grads["rho_beta"] != 0.0
         assert loss > 0.0
 
+    def test_no_best_checkpoint_without_validation(self, tmp_path):
+        reg, _ = synth_setup(class_sep=2.0)
+        cfg = T.TrainConfig(steps=2, batch_episodes=1, spec=Ep.EpisodeSpec(4, 3, 2), seed=8)
+        enc = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=8, vector_input=True, seed=8)
+        params, _, hist = T.train(cfg, reg, enc)
+        assert hist.best_params is None
+        T.save_run(tmp_path / "ck", params, enc, hist)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck", "ck.log.csv"]
+
+    def test_batch_gradients_free_every_tape_without_the_collector(self, monkeypatch):
+        graphs = []
+
+        class RecordedGraph(ad.DiffGraph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
+        reg, _ = synth_setup(class_sep=2.0)
+        rng = np.random.default_rng(9)
+        batch = [Ep.sample_episode(reg, Ep.EpisodeSpec(4, 3, 2), rng) for _ in range(3)]
+        enc_cfg = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=8, vector_input=True, seed=9)
+        meta = dict(E.init_params(enc_cfg), rho_alpha=np.asarray(0.0), rho_beta=np.asarray(0.0))
+        gc.disable()
+        try:
+            T._batch_gradients(meta, batch)
+            assert len(graphs) == 3
+            assert all(g() is None for g in graphs)
+        finally:
+            gc.enable()
+
     def test_full_run_determinism(self):
         def run():
             reg, val = synth_setup(class_sep=3.0)
@@ -173,14 +207,18 @@ class TestTrain:
         cfg = T.TrainConfig(
             steps=20, batch_episodes=2, spec=Ep.EpisodeSpec(4, 3, 2), seed=7,
             validation_every=5, validation_episodes=3,
-            checkpoint_path=str(tmp_path / "ck"),
         )
         enc = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=8, vector_input=True, seed=7)
-        _, _, hist = T.train(cfg, reg, enc, val)
+        params, _, hist = T.train(cfg, reg, enc, val)
         assert hist.val_steps == [5, 10, 15, 20]
         assert hist.best_step in hist.val_steps
-        assert (tmp_path / "ck").exists()
-        assert (tmp_path / "ck.best").exists()
+        data = {"data": {"kind": "synthetic"}}
+        T.save_run(tmp_path / "ck", params, enc, hist, extra_config=data)
+        final, _, _, config = T.load_checkpoint(tmp_path / "ck")
+        best, _, _, best_config = T.load_checkpoint(tmp_path / "ck.best")
+        assert config["data"] == best_config["data"] == data["data"]
+        assert all(final[k].tobytes() == params[k].tobytes() for k in params)
+        assert all(best[k].tobytes() == hist.best_params[k].tobytes() for k in params)
         log = (tmp_path / "ck.log.csv").read_text().splitlines()
         assert log[0] == "step,loss,val_accuracy"
         assert len(log) == 21
