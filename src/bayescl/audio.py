@@ -178,25 +178,26 @@ def mel_filterbank(config, fft_size):
     nyquist = REQUIRED_SAMPLE_RATE / 2.0
     edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(nyquist), config.n_mels + 2))
     bin_freqs = np.arange(n_bins) * (REQUIRED_SAMPLE_RATE / fft_size)
-    bank = np.zeros((config.n_mels, n_bins))
-    for m in range(config.n_mels):
-        lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
-        rising = (bin_freqs - lo) / (center - lo)
-        falling = (hi - bin_freqs) / (hi - center)
-        tri = np.maximum(0.0, np.minimum(rising, falling))
-        peak = tri.max()
-        if peak <= 0.0:
-            raise ValueError(
-                f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
-                f"filter {m} has empty support"
-            )
-        bank[m] = tri / peak
-    for m in range(config.n_mels - 1):
-        if not np.any((bank[m] > 0) & (bank[m + 1] > 0)):
-            raise ValueError(
-                f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
-                f"filters {m} and {m + 1} do not overlap"
-            )
+    # one row per filter: lo, center and hi are (n_mels, 1) columns
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bin_freqs - lo) / (center - lo)
+    falling = (hi - bin_freqs) / (hi - center)
+    tri = np.maximum(0.0, np.minimum(rising, falling))
+    peak = tri.max(axis=1)
+    empty = np.flatnonzero(peak <= 0.0)
+    if empty.size:
+        raise ValueError(
+            f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
+            f"filter {empty[0]} has empty support"
+        )
+    bank = tri / peak[:, None]
+    apart = np.flatnonzero(~np.any((bank[:-1] > 0) & (bank[1:] > 0), axis=1))
+    if apart.size:
+        m = apart[0]
+        raise ValueError(
+            f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
+            f"filters {m} and {m + 1} do not overlap"
+        )
     return bank
 
 

@@ -3,12 +3,14 @@
 Subcommands: prepare, train, eval, synth-train, synth-eval,
 inspect-checkpoint, version. Flags override values from an optional JSON
 config file (--config), which overrides built-in defaults. Exit codes:
-0 success, 2 usage error, 1 runtime error. Diagnostics go to stderr.
+0 success, 2 usage error, 1 runtime error. Diagnostics go to stderr;
+``bayescl --verbose <command>`` adds the traceback of a runtime error.
 """
 
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -65,6 +67,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="bayescl",
         description="few-shot continual word classification: meta-training and evaluation",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true", help="print the traceback of a runtime error"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -397,6 +402,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except Exception as exc:  # runtime errors -> exit 1 with a message
+        if args.verbose:
+            traceback.print_exc()
         _log(f"error: {exc}")
         return 1
 

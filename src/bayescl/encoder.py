@@ -20,14 +20,12 @@ from .autodiff import (
     DiffGraph,
     GraphError,
     Tensor,
-    concat,
     matmul,
     mean_reduce,
     reshape,
     rows,
     softmax,
     softplus,
-    sqrt,
     stack,
     transpose,
 )
@@ -145,12 +143,14 @@ def _mlp(x, bound, n_layers):
     return h
 
 
-def _pooled_stats(mat, graph):
-    """Mean and population std per coefficient over frames; shape (2F,)."""
-    m = mean_reduce(mat, axis=0)
-    dev = mat - m
-    var = mean_reduce(dev * dev, axis=0)
-    return concat([m, sqrt(var)])
+def _frame_stats(a):
+    """Mean and population std per coefficient over frames; shape (2F,).
+
+    Frames are graph constants, so the pooling needs no tape nodes.
+    """
+    m = a.mean(axis=0)
+    dev = a - m
+    return np.concatenate([m, np.sqrt((dev * dev).mean(axis=0))])
 
 
 def _attention_pool(mat, bound, graph):
@@ -174,7 +174,9 @@ def embed_batch(features, params, graph):
     """Embed a list of feature matrices/vectors; returns a (B, d) Tensor.
 
     Row i equals ``embed(features[i])``: vectors of equal length share a
-    single MLP pass, frame matrices are pooled per sample first.
+    single MLP pass, frame matrices are pooled per sample first. The
+    stats-mlp pooling is computed off the tape and enters the graph as one
+    (B, 2F) constant.
     """
     if not features:
         raise ValueError("embed_batch of an empty list")
@@ -194,16 +196,13 @@ def embed_batch(features, params, graph):
         x = graph.constant(np.stack(arrays))
         return _mlp(x, bound, n_layers)
 
-    pooled = []
     for a in arrays:
         if a.ndim != 2 or a.shape[0] < 1:
             raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
-        mat = graph.constant(a)
-        if attention:
-            pooled.append(_attention_pool(mat, bound, graph))
-        else:
-            pooled.append(_pooled_stats(mat, graph))
-    x = stack(pooled, axis=0)
+    if attention:  # depends on the weights, so it stays on the tape
+        x = stack([_attention_pool(graph.constant(a), bound, graph) for a in arrays], axis=0)
+    else:
+        x = graph.constant(np.stack([_frame_stats(a) for a in arrays]))
     if x.shape[1] != in_dim:
         raise GraphError(
             f"pooled width {x.shape[1]} does not match encoder input dimension {in_dim}"

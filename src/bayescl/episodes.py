@@ -79,6 +79,14 @@ class SampleRegistry:
             {c: self.classes[c] for c in class_ids}, metadata=self.metadata
         )
 
+    def resolved(self):
+        """A copy whose references are feature arrays, each loaded once;
+        array references pass through as the same objects."""
+        return SampleRegistry(
+            {c: [resolve_sample(r) for r in refs] for c, refs in self.classes.items()},
+            metadata=self.metadata,
+        )
+
     def require(self, ways, per_class):
         """Raise with a named deficit if an episode spec cannot be satisfied."""
         if self.n_classes < ways:

@@ -160,11 +160,14 @@ def _worker_episode(episode_seed):
 def run_protocol(params, prior, registry, cfg):
     """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
 
-    With ``cfg.workers > 1`` episodes run in worker processes; the model
-    and registry are sent to each worker once, and each job is a seed.
+    The registry's files are read once, before any episode. With
+    ``cfg.workers > 1`` episodes run in worker processes; the model and
+    the resolved registry are sent to each worker once, and each job is
+    a seed.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()
+    registry = registry.resolved()
     if cfg.workers > 1:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,

@@ -170,9 +170,14 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     parameters of the best validation point. Nothing is written to disk
     (see ``save_run``). Validation episodes are drawn once from
     ``val_registry`` (held-out classes) and reused at every validation
-    point so the accuracy curve is comparable across steps.
+    point so the accuracy curve is comparable across steps. Both
+    registries are resolved once up front, so every file is read once and
+    a malformed one fails before the first step.
     """
     registry.require(cfg.spec.ways, cfg.spec.samples_per_class)
+    registry = registry.resolved()
+    if val_registry is not None:
+        val_registry = val_registry.resolved()
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     episode_rng = np.random.default_rng(seeds[0])
     val_rng = np.random.default_rng(seeds[1])

@@ -118,8 +118,65 @@ class TestMfccConfig:
             audio.MfccConfig(fft_size=256)
 
 
+def loop_mel_filterbank(config, fft_size):
+    """Reference filterbank: one filter per loop step, then each adjacent pair."""
+    n_bins = fft_size // 2 + 1
+    nyquist = audio.REQUIRED_SAMPLE_RATE / 2.0
+    edges = audio._mel_to_hz(np.linspace(0.0, audio._hz_to_mel(nyquist), config.n_mels + 2))
+    bin_freqs = np.arange(n_bins) * (audio.REQUIRED_SAMPLE_RATE / fft_size)
+    bank = np.zeros((config.n_mels, n_bins))
+    for m in range(config.n_mels):
+        lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+        tri = np.maximum(0.0, np.minimum(rising, falling))
+        peak = tri.max()
+        if peak <= 0.0:
+            raise ValueError(
+                f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
+                f"filter {m} has empty support"
+            )
+        bank[m] = tri / peak
+    for m in range(config.n_mels - 1):
+        if not np.any((bank[m] > 0) & (bank[m + 1] > 0)):
+            raise ValueError(
+                f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
+                f"filters {m} and {m + 1} do not overlap"
+            )
+    return bank
+
+
+def filterbank_outcome(fn, config, fft_size):
+    try:
+        return fn(config, fft_size).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestMelFilterbank:
     CFG = audio.MfccConfig()
+
+    @pytest.mark.parametrize("fft_size", [512, 1024, 2048, 4096])
+    @pytest.mark.parametrize("n_mels", [1, 2, 13, 26, 40, 64, 80, 100, 128, 200, 300])
+    def test_matches_per_filter_loop(self, n_mels, fft_size):
+        cfg = audio.MfccConfig(n_mels=n_mels, n_ceps=1, fft_size=fft_size)
+        assert filterbank_outcome(audio.mel_filterbank, cfg, fft_size) == (
+            filterbank_outcome(loop_mel_filterbank, cfg, fft_size)
+        )
+
+    @pytest.mark.parametrize(
+        "n_mels, fft_size, message",
+        [
+            (80, 512, "filters 2 and 3 do not overlap"),
+            (300, 2048, "filters 3 and 4 do not overlap"),
+            (128, 512, "filter 0 has empty support"),
+        ],
+    )
+    def test_errors_name_the_first_bad_filter(self, n_mels, fft_size, message):
+        cfg = audio.MfccConfig(n_mels=n_mels, n_ceps=1, fft_size=fft_size)
+        for fn in (audio.mel_filterbank, loop_mel_filterbank):
+            with pytest.raises(ValueError, match=message):
+                fn(cfg, fft_size)
 
     def test_every_row_peaks_at_exactly_one(self):
         bank = audio.mel_filterbank(self.CFG, 512)

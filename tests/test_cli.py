@@ -239,3 +239,60 @@ def test_real_train_and_eval_pipeline(tmp_path, capsys, wav_dataset):
     assert code == 0, err
     curve = (report / "curve.csv").read_text().splitlines()
     assert len(curve) == 3
+
+
+def test_truncated_dump_fails_train_and_eval_before_any_step(tmp_path, capsys, wav_dataset):
+    root, manifest = wav_dataset
+    feat = tmp_path / "features"
+    code, _, err = run_cli(
+        capsys,
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(feat), "--shots", "2", "--query-shots", "2",
+    )
+    assert code == 0, err
+    features = str(feat / "features.jsonl")
+    train_args = (
+        "train", "--manifest", features, "--steps", "2", "--ways", "2", "--shots", "2",
+        "--query-shots", "2", "--batch-episodes", "1", "--embed-dim", "8",
+        "--split-ratio", "0.75", "--val-ratio", "0.34", "--validation-every", "2",
+    )
+    ckpt = tmp_path / "ck"
+    code, _, err = run_cli(capsys, *train_args, "--out", str(ckpt))
+    assert code == 0, err
+
+    # clip 0 of every word is in the train split, clip 7 in the test split
+    truncated = sorted(feat.glob("*/0.mfcc")) + sorted(feat.glob("*/7.mfcc"))
+    for path in truncated:
+        path.write_bytes(path.read_bytes()[:40])
+    eval_args = (
+        "eval", "--ckpt", str(ckpt), "--manifest", features, "--increment", "1",
+        "--max-classes", "2", "--episodes", "1", "--shots", "2", "--query-shots", "1",
+        "--out", str(tmp_path / "report"),
+    )
+    for args in ((*train_args, "--out", str(tmp_path / "ck2")), eval_args):
+        code, _, err = run_cli(capsys, "--verbose", *args)
+        assert code == 1
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error: ") and last.endswith(": truncated feature dump")
+        assert last[len("error: ") : -len(": truncated feature dump")] in map(str, truncated)
+        assert "bayescl.audio.AudioFormatError" in err
+    assert not (tmp_path / "ck2").exists()
+    assert not (tmp_path / "report").exists()
+
+
+def test_runtime_error_is_one_line_without_verbose(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, "inspect-checkpoint", "--ckpt", missing)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and missing in err
+
+
+def test_verbose_prints_the_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code, _, err = run_cli(capsys, "--verbose", "inspect-checkpoint", "--ckpt", missing)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert "FileNotFoundError" in err
+    assert lines[-1].startswith("error: ") and missing in lines[-1]

@@ -69,11 +69,10 @@ class TestEmbed:
             assert out.shape == (6,)
 
     def test_single_frame_std_half_is_zero(self):
-        g = fresh_graph()
-        mat = g.constant(np.array([[1.0, -2.0, 3.0, 0.5]]))
-        stats = E._pooled_stats(mat, g)
-        np.testing.assert_array_equal(stats.data[4:], np.zeros(4))
-        np.testing.assert_array_equal(stats.data[:4], mat.data[0])
+        mat = np.array([[1.0, -2.0, 3.0, 0.5]])
+        stats = E._frame_stats(mat)
+        np.testing.assert_array_equal(stats[4:], np.zeros(4))
+        np.testing.assert_array_equal(stats[:4], mat[0])
 
     def test_stats_mlp_invariant_to_frame_permutation(self):
         # integer-valued frames make the pooled sums exact, so the
@@ -173,6 +172,63 @@ class TestEmbed:
         finally:
             gc.enable()
         assert out.shape == (3, self.CFG.embed_dim)
+
+
+def graph_pooled_embed_batch(mats, params, graph):
+    """Reference stats-mlp batch: each clip pooled on the tape, then stacked."""
+    bound = E._bind(params, graph)
+    pooled = []
+    for a in mats:
+        mat = graph.constant(a)
+        m = ad.mean_reduce(mat, axis=0)
+        dev = mat - m
+        var = ad.mean_reduce(dev * dev, axis=0)
+        pooled.append(ad.concat([m, ad.sqrt(var)]))
+    return E._mlp(ad.stack(pooled, axis=0), bound, E._n_layers(params))
+
+
+def embed_and_grads(embed_fn, mats, params, w):
+    graph = fresh_graph()
+    out = embed_fn(mats, params, graph)
+    grads = graph.backward(ad.sum_reduce(out * graph.constant(w)))
+    return out.data, grads, len(graph)
+
+
+class TestPoolingOffTape:
+    CFG = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=13, seed=12)
+
+    @pytest.mark.parametrize("frames", [(1,), (4,), (1, 7, 3), tuple(range(1, 26))])
+    def test_rows_and_gradients_match_graph_pooling(self, frames):
+        rng = np.random.default_rng(len(frames))
+        params = E.init_params(self.CFG)
+        mats = [rng.normal(scale=4.0, size=(t, 13)) for t in frames]
+        w = rng.normal(size=(len(mats), self.CFG.embed_dim))
+        out, grads, _ = embed_and_grads(E.embed_batch, mats, params, w)
+        ref, ref_grads, _ = embed_and_grads(graph_pooled_embed_batch, mats, params, w)
+        assert out.tobytes() == ref.tobytes()
+        assert grads.keys() == ref_grads.keys() == params.keys()
+        for name in params:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_tape_size_does_not_grow_with_clips(self):
+        rng = np.random.default_rng(13)
+        params = E.init_params(self.CFG)
+        sizes = []
+        for n in (10, 100):
+            mats = [rng.normal(size=(int(t), 13)) for t in rng.integers(1, 30, size=n)]
+            sizes.append(embed_and_grads(E.embed_batch, mats, params, np.ones((n, 6)))[2])
+        assert sizes[0] == sizes[1]
+
+    def test_non_finite_frames_rejected(self):
+        params = E.init_params(self.CFG)
+        mats = [np.ones((3, 13)), np.full((2, 13), np.nan)]
+        with pytest.raises(ad.GraphError, match="non-finite"):
+            E.embed_batch(mats, params, fresh_graph())
+
+    def test_vector_among_matrices_rejected(self):
+        params = E.init_params(self.CFG)
+        with pytest.raises(ad.GraphError, match="frames, coeffs"):
+            E.embed_batch([np.ones((3, 13)), np.ones(13)], params, fresh_graph())
 
 
 class TestGradients:

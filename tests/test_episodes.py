@@ -238,3 +238,19 @@ def test_resolve_sample_passthrough_and_dump(tmp_path):
     audio.write_feature_dump(p, np.full((2, 13), 0.5))
     out = Ep.resolve_sample(str(p))
     assert out.shape == (2, 13)
+
+
+def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path):
+    from bayescl import audio
+
+    arr = np.ones((3, 2))
+    reg = Ep.SampleRegistry({"a": [arr]}, metadata="m")
+    for j in range(2):
+        p = tmp_path / f"{j}.mfcc"
+        audio.write_feature_dump(p, np.full((2, 13), float(j)))
+        reg.add("b", str(p))
+    out = reg.resolved()
+    assert out.metadata == "m" and out.class_ids == ["a", "b"]
+    assert out.classes["a"][0] is arr
+    assert [r[0, 0] for r in out.classes["b"]] == [0.0, 1.0]
+    assert reg.classes["b"] == [str(tmp_path / "0.mfcc"), str(tmp_path / "1.mfcc")]

@@ -4,9 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bayescl import audio
 from bayescl import encoder as E
 from bayescl import episodes as Ep
 from bayescl import protocol as P
+from bayescl import training as T
 from bayescl.head import HeadState, PriorParams, class_scores
 
 
@@ -104,6 +106,58 @@ class TestRunProtocol:
         cfg = P.ProtocolConfig(increment=10, max_classes=20, shots=3, query_shots=3, episodes=1, seed=6)
         _, report = P.run_protocol(params, prior, reg, cfg)
         assert report.ci_low == report.mean_accuracy == report.ci_high
+
+
+@pytest.fixture
+def dump_registries(tmp_path):
+    """Train and test registries of feature-dump paths, 6 words each."""
+    rng = np.random.default_rng(21)
+    regs = {"train": Ep.SampleRegistry(), "test": Ep.SampleRegistry()}
+    for split, reg in regs.items():
+        for w in range(6):
+            center = rng.normal(scale=3.0, size=13)
+            for j in range(6):
+                path = tmp_path / f"{split}-w{w}-{j}.mfcc"
+                frames = center + rng.normal(size=(int(rng.integers(3, 9)), 13))
+                audio.write_feature_dump(path, frames)
+                reg.add(f"{split}{w}", str(path))
+    return regs
+
+
+class TestReadOnce:
+    def test_each_dump_is_read_once_per_call(self, dump_registries, monkeypatch):
+        reads = []
+        read = audio.read_feature_dump
+
+        def counted(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(audio, "read_feature_dump", counted)
+        train_reg = dump_registries["train"]
+        core, val = train_reg.subset(train_reg.class_ids[:4]), train_reg.subset(train_reg.class_ids[4:])
+        tcfg = T.TrainConfig(
+            steps=4, batch_episodes=2, spec=Ep.EpisodeSpec(2, 2, 2),
+            validation_every=2, validation_episodes=2,
+        )
+        ecfg = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=13, seed=0)
+        params, prior, _ = T.train(tcfg, core, ecfg, val)
+        assert sorted(reads) == sorted(p for refs in train_reg.classes.values() for p in refs)
+
+        reads.clear()
+        test_reg = dump_registries["test"]
+        pcfg = P.ProtocolConfig(increment=2, max_classes=6, shots=3, query_shots=3, episodes=3, seed=4)
+        test_paths = sorted(p for refs in test_reg.classes.values() for p in refs)
+        m1, _ = P.run_protocol(params, prior, test_reg, pcfg)
+        assert sorted(reads) == test_paths
+
+        reads.clear()
+        m2, _ = P.run_protocol(params, prior, test_reg, dataclasses.replace(pcfg, workers=2))
+        assert sorted(reads) == test_paths  # read in this process, before the pool starts
+        for a, b in zip(m1.episodes, m2.episodes, strict=True):
+            assert a.words == b.words
+            assert a.acc.tobytes() == b.acc.tobytes()
+            assert a.correct.tobytes() == b.correct.tobytes()
 
 
 def rescore_each_checkpoint(params, prior, registry, cfg, episode_seed):
