@@ -24,6 +24,7 @@ __all__ = [
     "MfccMatrix",
     "load_wav",
     "mel_filterbank",
+    "mfcc_matrices",
     "extract_mfcc",
     "dct_matrix",
     "write_feature_dump",
@@ -210,32 +211,43 @@ def dct_matrix(n):
     return d
 
 
-def frame_count(n_samples, config):
-    return (n_samples - config.frame_length) // config.frame_shift + 1
+def mfcc_matrices(config):
+    """The (Hamming window, mel filterbank, DCT) that ``extract_mfcc`` applies.
+
+    They depend only on ``config``: build them once and pass them to every
+    ``extract_mfcc`` call that uses the same config.
+    """
+    return (
+        np.hamming(config.frame_length),
+        mel_filterbank(config, config.fft_size),
+        dct_matrix(config.n_mels).T[:, : config.n_ceps],
+    )
 
 
-def extract_mfcc(wave, config):
-    """MFCC matrix of shape (T, n_ceps) with T = (len-frame)/shift + 1."""
+def extract_mfcc(wave, config, matrices=None):
+    """MFCC matrix of shape (T, n_ceps) with T = (len-frame)/shift + 1.
+
+    ``matrices`` is ``mfcc_matrices(config)``; it is built here when omitted.
+    """
     x = wave.samples
     if len(x) < config.frame_length:
         raise ValueError(
             f"clip has {len(x)} samples, shorter than one frame ({config.frame_length})"
         )
+    window, bank, dct = mfcc_matrices(config) if matrices is None else matrices
     # pre-emphasis with per-clip memory reset: y[0] = x[0]
     y = np.empty_like(x)
     y[0] = x[0]
     y[1:] = x[1:] - config.pre_emphasis * x[:-1]
 
-    t = frame_count(len(x), config)
-    idx = np.arange(config.frame_length)[None, :] + config.frame_shift * np.arange(t)[:, None]
-    frames = y[idx] * np.hamming(config.frame_length)
+    # frame t is y[t*shift : t*shift + frame_length], a view, not a copy
+    starts = np.lib.stride_tricks.sliding_window_view(y, config.frame_length)
+    frames = starts[:: config.frame_shift] * window
 
     power = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1)) ** 2
-    bank = mel_filterbank(config, config.fft_size)
     energies = power @ bank.T
     logmel = np.log(np.maximum(energies, config.log_floor))
-    ceps = logmel @ dct_matrix(config.n_mels).T[:, : config.n_ceps]
-    return MfccMatrix(ceps)
+    return MfccMatrix(logmel @ dct)
 
 
 # --- feature dump files -----------------------------------------------------

@@ -183,6 +183,7 @@ class DiffGraph:
 
         Returns a dict name -> gradient ndarray (zeros for unused inputs).
         Each call starts from a clean adjoint state; nothing is retained.
+        Two gradients may share memory, so copy one before writing to it.
         """
         out = output if output is not None else self._output
         if out is None:
@@ -211,10 +212,10 @@ class DiffGraph:
                         f"adjoint shape {pg.shape} != value shape "
                         f"{parent.data.shape} at node {node.index} ({node.op})"
                     )
-                if adjoints[parent.index] is None:
-                    adjoints[parent.index] = pg.copy()
-                else:
-                    adjoints[parent.index] += pg
+                # never in place: add and reshape hand the same array (or a
+                # view of it) to several parents
+                a = adjoints[parent.index]
+                adjoints[parent.index] = pg if a is None else a + pg
         grads = {}
         for name, t in self._inputs.items():
             g = adjoints[t.index]
@@ -444,13 +445,10 @@ def softplus(x):
     out = softplus_value(x.data)
 
     def vjp(g):
-        # derivative is the logistic sigmoid, computed stably
-        s = np.where(
-            x.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(x.data))),
-            np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-        )
-        return (g * s,)
+        # derivative is the logistic sigmoid, computed stably; e is built
+        # here, not kept in the closure, so the tape holds no extra array
+        e = np.exp(-np.abs(x.data))
+        return (g * np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),)
 
     return x.graph._register(out, (x,), vjp, "softplus")
 

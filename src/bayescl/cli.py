@@ -9,6 +9,7 @@ config file (--config), which overrides built-in defaults. Exit codes:
 
 import argparse
 import json
+import multiprocessing
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -191,12 +192,22 @@ def cmd_version(args):
     return 0
 
 
-def _extract_one(job):
+_worker_mfcc = None  # (config, mfcc_matrices) inside a prepare worker process
+
+
+def _init_extract_worker(config):
+    global _worker_mfcc
+    _worker_mfcc = (config, audio.mfcc_matrices(config))
+
+
+def _worker_extract(job):
+    _extract_one(job, *_worker_mfcc)
+
+
+def _extract_one(job, config, matrices):
     wav_path, dump_path = job
-    wave = audio.load_wav(wav_path)
-    feats = audio.extract_mfcc(wave, audio.MfccConfig())
+    feats = audio.extract_mfcc(audio.load_wav(wav_path), config, matrices)
     audio.write_feature_dump(dump_path, feats.frames)
-    return dump_path
 
 
 def cmd_prepare(args):
@@ -220,6 +231,8 @@ def cmd_prepare(args):
             kept_words.add(word)
     if not kept_words:
         raise ValueError("no word has enough samples for the requested shots")
+    for word in kept_words:
+        (out_dir / word).mkdir(parents=True, exist_ok=True)
 
     jobs = []
     entries = []
@@ -230,16 +243,22 @@ def cmd_prepare(args):
         if root is not None and not src.is_absolute():
             src = root / src
         dump = out_dir / rec["word"] / (src.stem + ".mfcc")
-        dump.parent.mkdir(parents=True, exist_ok=True)
         entries.append({"word": rec["word"], "path": str(dump), "split": rec["split"]})
         if not dump.exists():  # idempotent re-runs reuse the cache
             jobs.append((str(src), str(dump)))
+    config = audio.MfccConfig()
     if args.workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(_extract_one, jobs))
+        with ProcessPoolExecutor(
+            max_workers=args.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_extract_worker,
+            initargs=(config,),
+        ) as pool:
+            list(pool.map(_worker_extract, jobs))
     else:
+        matrices = audio.mfcc_matrices(config)
         for job in jobs:
-            _extract_one(job)
+            _extract_one(job, config, matrices)
 
     manifest_out = out_dir / "features.jsonl"
     with open(manifest_out, "w", encoding="utf-8") as fh:
@@ -389,6 +408,10 @@ def cmd_inspect(args):
         ],
         "parameters": int(sum(v.size for v in tensors.values())),
     }
+    if "rho_alpha" in tensors and "rho_beta" in tensors:
+        prior = PriorParams(float(tensors["rho_alpha"]), float(tensors["rho_beta"]))
+        names = ("rho_alpha", "rho_beta", "alpha0", "beta0")
+        info["prior"] = {k: getattr(prior, k) for k in names}
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 

@@ -144,13 +144,33 @@ def _mlp(x, bound, n_layers):
 
 
 def _frame_stats(a):
-    """Mean and population std per coefficient over frames; shape (2F,).
-
-    Frames are graph constants, so the pooling needs no tape nodes.
-    """
+    """Mean and population std per coefficient over frames; shape (2F,)."""
     m = a.mean(axis=0)
     dev = a - m
     return np.concatenate([m, np.sqrt((dev * dev).mean(axis=0))])
+
+
+def _check_frames(a):
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
+
+
+def pool_frames(features, params):
+    """``features`` with each frame matrix pooled to its (2F,) statistics if
+    ``params`` is a stats-mlp; vectors and attention-mlp frames pass through.
+
+    The pooling does not depend on the weights, so a clip pooled once embeds
+    to the same bytes as its frames, however often it is embedded.
+    """
+    if "attn.wq" in params:
+        return list(features)
+    out = []
+    for a in map(_features_array, features):
+        if a.ndim != 1:
+            _check_frames(a)
+            a = _frame_stats(a)
+        out.append(a)
+    return out
 
 
 def _attention_pool(mat, bound, graph):
@@ -174,40 +194,37 @@ def embed_batch(features, params, graph):
     """Embed a list of feature matrices/vectors; returns a (B, d) Tensor.
 
     Row i equals ``embed(features[i])``: vectors of equal length share a
-    single MLP pass, frame matrices are pooled per sample first. The
-    stats-mlp pooling is computed off the tape and enters the graph as one
-    (B, 2F) constant.
+    single MLP pass, frame matrices are pooled per sample first. A
+    stats-mlp pools off the tape through ``pool_frames``, and its pooled
+    rows enter the graph as one (B, 2F) constant, like vector inputs.
     """
     if not features:
         raise ValueError("embed_batch of an empty list")
     bound = _bind(params, graph)
     n_layers = _n_layers(params)
     in_dim = params["mlp.0.w"].shape[0]
-    attention = "attn.wq" in params
     arrays = [_features_array(x) for x in features]
 
-    if all(a.ndim == 1 for a in arrays):
-        widths = {a.shape[0] for a in arrays}
-        if widths != {in_dim}:
-            raise GraphError(
-                f"vector inputs of width {sorted(widths)} do not match "
-                f"encoder input dimension {in_dim}"
-            )
-        x = graph.constant(np.stack(arrays))
-        return _mlp(x, bound, n_layers)
+    if not all(a.ndim == 1 for a in arrays):
+        for a in arrays:
+            _check_frames(a)
+        if "attn.wq" in params:  # depends on the weights, so it stays on the tape
+            x = stack([_attention_pool(graph.constant(a), bound, graph) for a in arrays])
+            if x.shape[1] != in_dim:
+                raise GraphError(
+                    f"pooled width {x.shape[1]} does not match "
+                    f"encoder input dimension {in_dim}"
+                )
+            return _mlp(x, bound, n_layers)
+        arrays = pool_frames(arrays, params)
 
-    for a in arrays:
-        if a.ndim != 2 or a.shape[0] < 1:
-            raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
-    if attention:  # depends on the weights, so it stays on the tape
-        x = stack([_attention_pool(graph.constant(a), bound, graph) for a in arrays], axis=0)
-    else:
-        x = graph.constant(np.stack([_frame_stats(a) for a in arrays]))
-    if x.shape[1] != in_dim:
+    widths = {a.shape[0] for a in arrays}
+    if widths != {in_dim}:
         raise GraphError(
-            f"pooled width {x.shape[1]} does not match encoder input dimension {in_dim}"
+            f"vector or pooled inputs of width {sorted(widths)} do not match "
+            f"encoder input dimension {in_dim}"
         )
-    return _mlp(x, bound, n_layers)
+    return _mlp(graph.constant(np.stack(arrays)), bound, n_layers)
 
 
 def embed(features, params, graph):

@@ -28,7 +28,7 @@ import numpy as np
 from .encoder import embed_batch_values
 from .episodes import resolve_sample
 from .head import HeadState, class_scores
-from .training import encoder_params
+from .training import encoder_inputs, encoder_params
 
 __all__ = [
     "ProtocolConfig",
@@ -160,14 +160,14 @@ def _worker_episode(episode_seed):
 def run_protocol(params, prior, registry, cfg):
     """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
 
-    The registry's files are read once, before any episode. With
-    ``cfg.workers > 1`` episodes run in worker processes; the model and
-    the resolved registry are sent to each worker once, and each job is
-    a seed.
+    The registry's files are read, and its stats-mlp clips pooled, once
+    before any episode (``encoder_inputs``). With ``cfg.workers > 1``
+    episodes run in worker processes; the model and that registry are
+    sent to each worker once, and each job is a seed.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()
-    registry = registry.resolved()
+    registry = encoder_inputs(registry, params)
     if cfg.workers > 1:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import tensorio
 from .autodiff import DiffGraph
-from .encoder import EncoderConfig, embed_batch, embed_batch_values, init_params
-from .episodes import EpisodeSpec, resolve_sample, sample_episode
+from .encoder import EncoderConfig, embed_batch, embed_batch_values, init_params, pool_frames
+from .episodes import EpisodeSpec, SampleRegistry, resolve_sample, sample_episode
 from .head import HeadState, PriorParams, episode_loss, predict_batch
 
 __all__ = [
@@ -121,6 +121,16 @@ def encoder_params(params):
     return {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
 
 
+def encoder_inputs(registry, params):
+    """A copy of ``registry`` holding what the encoder ``params`` read: each
+    file loaded once and, for a stats-mlp, each clip's frames pooled once."""
+    resolved = registry.resolved()
+    return SampleRegistry(
+        {c: pool_frames(refs, params) for c, refs in resolved.classes.items()},
+        metadata=resolved.metadata,
+    )
+
+
 def _batch_gradients(meta, episodes_batch):
     """Mean loss and mean gradients over a batch, one graph per episode."""
     total_loss = 0.0
@@ -171,20 +181,21 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     (see ``save_run``). Validation episodes are drawn once from
     ``val_registry`` (held-out classes) and reused at every validation
     point so the accuracy curve is comparable across steps. Both
-    registries are resolved once up front, so every file is read once and
-    a malformed one fails before the first step.
+    registries go through ``encoder_inputs`` up front, so every file is
+    read and every stats-mlp clip pooled once, and a malformed file fails
+    before the first step.
     """
     registry.require(cfg.spec.ways, cfg.spec.samples_per_class)
-    registry = registry.resolved()
+    meta = dict(init_params(encoder_cfg))
+    meta["rho_alpha"] = np.asarray(0.0)
+    meta["rho_beta"] = np.asarray(0.0)
+    registry = encoder_inputs(registry, meta)
     if val_registry is not None:
-        val_registry = val_registry.resolved()
+        val_registry = encoder_inputs(val_registry, meta)
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     episode_rng = np.random.default_rng(seeds[0])
     val_rng = np.random.default_rng(seeds[1])
 
-    meta = dict(init_params(encoder_cfg))
-    meta["rho_alpha"] = np.asarray(0.0)
-    meta["rho_beta"] = np.asarray(0.0)
     state = OptState.for_params(meta)
     history = TrainHistory()
 

@@ -260,6 +260,30 @@ class TestExtractMfcc:
         d = audio.dct_matrix(40)
         np.testing.assert_allclose(d.T @ (d @ v), v, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [400, 401, 559, 560, 561, 8000, 16000])
+    def test_matches_per_clip_matrices_and_gathered_frames(self, n):
+        sig = np.random.default_rng(n).uniform(-1, 1, size=n)
+        cfg = self.CFG
+        matrices = audio.mfcc_matrices(cfg)
+        once = audio.extract_mfcc(audio.Waveform(sig), cfg, matrices).frames
+        per_clip = audio.extract_mfcc(audio.Waveform(sig), cfg).frames
+        ref = gathered_mfcc(sig, cfg)
+        assert once.tobytes() == per_clip.tobytes() == ref.tobytes()
+
+
+def gathered_mfcc(x, config):
+    """Reference MFCC: frames cut with an index gather, matrices built per clip."""
+    y = np.empty_like(x)
+    y[0] = x[0]
+    y[1:] = x[1:] - config.pre_emphasis * x[:-1]
+    t = (len(x) - config.frame_length) // config.frame_shift + 1
+    idx = np.arange(config.frame_length)[None, :] + config.frame_shift * np.arange(t)[:, None]
+    frames = y[idx] * np.hamming(config.frame_length)
+    power = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1)) ** 2
+    energies = power @ audio.mel_filterbank(config, config.fft_size).T
+    logmel = np.log(np.maximum(energies, config.log_floor))
+    return logmel @ audio.dct_matrix(config.n_mels).T[:, : config.n_ceps]
+
 
 class TestFeatureDump:
     def test_round_trip(self, tmp_path):

@@ -256,3 +256,93 @@ def test_sqrt_subgradient_zero_at_zero():
     assert out.data == 0.0
     grads = out.graph.backward(out)
     np.testing.assert_array_equal(grads["x"], np.zeros((4, 3)))
+
+
+def copying_backward(graph, out):
+    """Reference backward: copies each parent's first adjoint and adds the
+    later ones in place."""
+    adjoints = [None] * len(graph)
+    adjoints[out.index] = np.ones_like(out.data)
+    for node in reversed(graph._nodes[: out.index + 1]):
+        g = adjoints[node.index]
+        if g is None or node.vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None:
+                continue
+            if adjoints[parent.index] is None:
+                adjoints[parent.index] = pg.copy()
+            else:
+                adjoints[parent.index] += pg
+    return {
+        name: np.zeros_like(t.data) if adjoints[t.index] is None else adjoints[t.index]
+        for name, t in graph._inputs.items()
+    }
+
+
+def three_exp_softplus(x):
+    """Reference softplus whose vjp computes exp(-|x|) three times."""
+
+    def vjp(g):
+        s = np.where(
+            x.data >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(x.data))),
+            np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
+        )
+        return (g * s,)
+
+    return x.graph._register(ad.softplus_value(x.data), (x,), vjp, "softplus")
+
+
+def mlp_loss(softplus):
+    def build(g, t):
+        h = softplus(ad.matmul(t["x"], t["w1"]) + t["b1"])
+        z = softplus(ad.matmul(h, t["w2"]) + t["b2"])
+        return ad.sum_reduce(z * g.constant(np.linspace(-2.0, 2.0, 5)))
+
+    return build
+
+
+def fan_out_loss(g, t):
+    # p and q each feed a mul, then an add created after it: backward
+    # reaches the add first, and it hands one adjoint array to both
+    p = t["a"] * 2.0
+    q = t["b"] + 1.0
+    d = p * q
+    c = p + q
+    r = ad.reshape(ad.reshape(c, (4, 3)), (3, 4))
+    loss = ad.sum_reduce(r * g.constant(np.arange(12.0).reshape(3, 4)))
+    return loss + ad.sum_reduce(d) + ad.sum_reduce(t["a"])
+
+
+class TestAdjointsNotChangedInPlace:
+    def point(self):
+        rng = np.random.default_rng(17)
+        return {
+            "x": rng.normal(scale=20.0, size=(9, 6)),  # softplus on both sides of 0
+            "w1": rng.normal(size=(6, 7)), "b1": rng.normal(size=7),
+            "w2": rng.normal(size=(7, 5)), "b2": rng.normal(size=5),
+            "a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4)),
+        }
+
+    def test_mlp_gradients_match_the_copying_reference(self):
+        pt = self.point()
+        mlp = {k: pt[k] for k in ("x", "w1", "b1", "w2", "b2")}
+        out = ad.forward_eval(mlp_loss(ad.softplus), mlp)
+        ref = ad.forward_eval(mlp_loss(three_exp_softplus), mlp)
+        assert out.data.tobytes() == ref.data.tobytes()
+        grads, ref_grads = out.graph.backward(out), copying_backward(ref.graph, ref)
+        for name in mlp:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_fan_out_gradients_match_the_copying_reference(self):
+        pt = self.point()
+        ab = {"a": pt["a"], "b": pt["b"]}
+        out = ad.forward_eval(fan_out_loss, ab)
+        grads, ref_grads = out.graph.backward(out), copying_backward(out.graph, out)
+        for name in ab:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        # d loss/da = 2*(w + q) + 1 and d loss/db = w + p, with w = arange(12)
+        w = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_allclose(grads["a"], 2 * (w + pt["b"] + 1.0) + 1.0)
+        np.testing.assert_allclose(grads["b"], w + 2 * pt["a"])

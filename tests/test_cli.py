@@ -1,11 +1,13 @@
 import json
+import math
 import wave
 
 import numpy as np
 import pytest
 
-from bayescl import __version__
+from bayescl import __version__, audio
 from bayescl.cli import main
+from bayescl.tensorio import read_tensors
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,15 @@ def test_inspect_checkpoint(tmp_path, capsys):
     info = json.loads(out)
     assert info["config"]["kind"] == "meta-checkpoint"
     assert any(t["name"] == "rho_alpha" for t in info["tensors"])
+    _, tensors = read_tensors(ckpt)
+    rho_alpha, rho_beta = float(tensors["rho_alpha"]), float(tensors["rho_beta"])
+    assert info["prior"] == {
+        "rho_alpha": rho_alpha,
+        "rho_beta": rho_beta,
+        "alpha0": math.exp(rho_alpha),
+        "beta0": math.exp(rho_beta),
+    }
+    assert info["prior"]["alpha0"] != 1.0  # training moved rho_alpha off 0
 
 
 def test_eval_rejects_wrong_checkpoint_kind(tmp_path, capsys):
@@ -208,6 +219,42 @@ def test_prepare_extracts_and_rejects_short_words(tmp_path, capsys, wav_dataset)
     assert "64 cached" in err
     after = sorted(p.stat().st_mtime_ns for p in feat.rglob("*.mfcc"))
     assert before == after
+
+
+def test_prepare_builds_the_mfcc_matrices_once(tmp_path, capsys, wav_dataset, monkeypatch):
+    root, manifest = wav_dataset
+    built = []
+    for name in ("mel_filterbank", "dct_matrix"):
+        fn = getattr(audio, name)
+        monkeypatch.setattr(audio, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+    code, _, err = run_cli(
+        capsys,
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(tmp_path / "features"), "--shots", "3", "--query-shots", "2",
+    )
+    assert code == 0, err
+    assert "64 extracted" in err
+    assert sorted(built) == ["dct_matrix", "mel_filterbank"]
+
+
+def test_prepare_with_workers_writes_the_same_dumps(tmp_path, capsys, wav_dataset):
+    root, manifest = wav_dataset
+    dumps = {}
+    for workers in ("1", "2"):
+        feat = tmp_path / f"features-{workers}"
+        code, _, err = run_cli(
+            capsys,
+            "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+            "--features-dir", str(feat), "--shots", "3", "--query-shots", "2",
+            "--workers", workers,
+        )
+        assert code == 0, err
+        assert "64 extracted" in err
+        dumps[workers] = {
+            str(p.relative_to(feat)): p.read_bytes() for p in sorted(feat.rglob("*.mfcc"))
+        }
+    assert len(dumps["1"]) == 64
+    assert dumps["1"] == dumps["2"]
 
 
 def test_real_train_and_eval_pipeline(tmp_path, capsys, wav_dataset):

@@ -230,6 +230,32 @@ class TestPoolingOffTape:
         with pytest.raises(ad.GraphError, match="frames, coeffs"):
             E.embed_batch([np.ones((3, 13)), np.ones(13)], params, fresh_graph())
 
+    def test_pooling_once_embeds_like_pooling_per_use(self):
+        rng = np.random.default_rng(14)
+        params = E.init_params(self.CFG)
+        mats = [rng.normal(scale=3.0, size=(int(t), 13)) for t in rng.integers(1, 30, size=7)]
+        pooled = E.pool_frames(mats, params)
+        assert [p.shape for p in pooled] == [(26,)] * 7
+        w = rng.normal(size=(7, self.CFG.embed_dim))
+        out, grads, _ = embed_and_grads(E.embed_batch, pooled, params, w)
+        ref, ref_grads, _ = embed_and_grads(graph_pooled_embed_batch, mats, params, w)
+        assert out.tobytes() == ref.tobytes()
+        for name in params:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_vectors_and_attention_frames_pass_through(self):
+        rng = np.random.default_rng(15)
+        vecs = [rng.normal(size=26) for _ in range(3)]
+        assert all(a is b for a, b in zip(E.pool_frames(vecs, E.init_params(self.CFG)), vecs))
+        cfg = E.EncoderConfig("attention-mlp", 6, (8,), 13, seed=1)
+        mats = [rng.normal(size=(4, 13)) for _ in range(3)]
+        assert all(a is b for a, b in zip(E.pool_frames(mats, E.init_params(cfg)), mats))
+
+    def test_pooling_an_empty_matrix_rejected(self):
+        params = E.init_params(self.CFG)
+        with pytest.raises(ad.GraphError, match="frames, coeffs"):
+            E.pool_frames([np.ones((3, 13)), np.ones((0, 13))], params)
+
 
 class TestGradients:
     @pytest.mark.parametrize("arch", ["stats-mlp", "attention-mlp"])

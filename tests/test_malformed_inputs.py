@@ -1,0 +1,84 @@
+"""Flipped and truncated bytes of every file format the package reads.
+
+Each reader must either return or raise its module's typed error naming
+the file; any other exception is a reader bug.
+"""
+
+import io
+import wave
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bayescl import audio
+from bayescl.tensorio import ContainerError, read_tensors, write_tensors
+
+HEADER_BYTES = 64  # most flips land here, where the readers parse fields
+
+
+def container_bytes(path):
+    rng = np.random.default_rng(0)
+    tensors = {"w": rng.normal(size=(3, 4)), "b": np.zeros(4), "rho": np.asarray(0.5)}
+    write_tensors(path, {"kind": "meta-checkpoint", "encoder": {"embed_dim": 4}}, tensors)
+    return path.read_bytes()
+
+
+def dump_bytes(path):
+    audio.write_feature_dump(path, np.random.default_rng(1).normal(size=(20, 13)))
+    return path.read_bytes()
+
+
+def wav_bytes(path):
+    pcm = (np.random.default_rng(2).uniform(-0.5, 0.5, 1600) * 32767).astype("<i2")
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(pcm.tobytes())
+    return buf.getvalue()
+
+
+FORMATS = {
+    "container": (container_bytes, read_tensors, ContainerError),
+    "feature dump": (dump_bytes, audio.read_feature_dump, audio.AudioFormatError),
+    "wav": (wav_bytes, audio.load_wav, audio.AudioFormatError),
+}
+
+
+@st.composite
+def mutations(draw, size):
+    """(flips, keep): byte positions to XOR with a mask, then a length cut."""
+    pos = st.one_of(st.integers(0, min(size, HEADER_BYTES) - 1), st.integers(0, size - 1))
+    flips = draw(st.lists(st.tuples(pos, st.integers(1, 255)), max_size=4))
+    keep = draw(st.one_of(st.just(size), st.integers(0, size)))
+    return flips, keep
+
+
+def mutate(blob, flips, keep):
+    out = bytearray(blob)
+    for i, mask in flips:
+        out[i] ^= mask
+    return bytes(out[:keep])
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_mutated_file_raises_only_the_typed_error_naming_it(fmt, tmp_path_factory):
+    make, read, error = FORMATS[fmt]
+    path = tmp_path_factory.mktemp("fuzz") / "sample.bin"
+    blob = make(path)
+    path.write_bytes(blob)
+    read(path)  # the unmutated file reads
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutations(len(blob)))
+    def check(mutation):
+        path.write_bytes(mutate(blob, *mutation))
+        try:
+            read(path)
+        except error as exc:
+            assert str(path) in str(exc)
+
+    check()
