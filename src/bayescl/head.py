@@ -17,12 +17,19 @@ per dimension:
 
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
-One kernel, ``_log_t``, evaluates this density everywhere: on plain
-arrays for ``log_predictive`` and ``class_scores``, and on DiffGraph
-tensors for the differentiable paths. It sums over the last axis and
-broadcasts the rest, so ``episode_loss`` scores an (M, 1, d) query
-batch against (N, d) class parameters in one call and its tape does
-not grow with the number of ways.
+One kernel, ``_log_t``, evaluates this density on plain arrays for
+``log_predictive`` and on DiffGraph tensors for the differentiable
+paths. It sums over the last axis and broadcasts the rest, so
+``episode_loss`` scores an (M, 1, d) query batch against (N, d) class
+parameters in one call and its tape does not grow with the number of
+ways. Its normalising constant comes from ``_log_t_const``.
+
+``class_scores`` stacks every class's parameters once ((C, 1) counts,
+(C, d) means and nu * scale^2 denominators, (C,) constants from
+``_log_t_const``) and walks the classes in blocks that fill one reused
+buffer of 2**16 elements (one class per block when a class needs more).
+It keeps ``_log_t``'s arithmetic and order, so its scores are
+byte-identical to ``_log_t`` called once per class.
 
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
@@ -177,6 +184,21 @@ def predictive_params(post, prior):
     return nu, post.mean(), scale2
 
 
+def _log_t_const(nu, scale2, d):
+    """(nu + 1) / 2 and the log normalising constant of ``_log_t``.
+
+    ``scale2`` is summed over its last axis, so (C,) ``nu`` with (C, d)
+    ``scale2`` gives one constant per class.
+    """
+    half_nu1 = 0.5 * (nu + 1.0)
+    const = (
+        d * (lgamma(half_nu1) - lgamma(0.5 * nu))
+        - 0.5 * d * log(math.pi * nu)
+        - 0.5 * _sum_last(log(scale2))
+    )
+    return half_nu1, const
+
+
 def _log_t(z, nu, mean, scale2):
     """Student's t log density summed over the last axis.
 
@@ -186,13 +208,7 @@ def _log_t(z, nu, mean, scale2):
     batch under one class gives (M,), and a (M, 1, d) batch under (C, d)
     class parameters gives the (M, C) matrix.
     """
-    d = float(z.shape[-1])
-    half_nu1 = 0.5 * (nu + 1.0)
-    const = (
-        d * (lgamma(half_nu1) - lgamma(0.5 * nu))
-        - 0.5 * d * log(math.pi * nu)
-        - 0.5 * _sum_last(log(scale2))
-    )
+    half_nu1, const = _log_t_const(nu, scale2, float(z.shape[-1]))
     dev = z - mean
     q = dev * dev / (nu * scale2)
     return const - half_nu1 * _sum_last(log(1.0 + q))
@@ -250,16 +266,62 @@ def log_predictive(post, prior, z, graph=None):
     return _log_t(zt, nu, graph.constant(zbar), scale2)
 
 
+_BLOCK_ELEMENTS = 2**16  # class_scores buffer: 512 KB of float64
+
+
+def _stacked_predictive(head, d):
+    """(C,) (nu + 1) / 2 and log constants, (C, d) means and nu * scale^2.
+
+    Element for element the arithmetic of ``ClassPosterior.beta`` and
+    ``predictive_params`` in the same order, so each row holds the bits
+    a per-class call would.
+    """
+    posts = list(head.posteriors.values())
+    for post in posts:
+        if post.n < 1:
+            raise ValueError(f"class {post.class_id!r} has no observations")
+    n = np.array([[post.n] for post in posts], dtype=np.float64)  # (C, 1)
+    zbar = np.stack([post.sum_z for post in posts]) / n
+    gbar = np.stack([post.sum_z2 for post in posts]) / n
+    beta = head.prior.beta0 + 0.5 * n * np.maximum(gbar - zbar * zbar, 0.0)
+    a = head.prior.alpha0 + 0.5 * n
+    nu = 2.0 * a
+    scale2 = beta * (n + 1.0) / (a * n)
+    half_nu1, const = _log_t_const(nu[:, 0], scale2, d)
+    return half_nu1, const, zbar, nu * scale2
+
+
 def class_scores(head, Z):
-    """(M, C) matrix of log predictive densities, classes in insertion order."""
+    """(M, C) matrix of log predictive densities, classes in insertion order.
+
+    Classes go through ``_log_t``'s steps B at a time, in place on one
+    reused (M, B, d) buffer, B = max(1, min(C, 2**16 // (M d))). The
+    steps keep ``_log_t``'s order (no log1p, no multiplication by a
+    reciprocal, no float32), so the result is byte-identical to ``_log_t``
+    per class on ``np.ascontiguousarray(Z, dtype=np.float64)``, whatever
+    the layout or dtype of ``Z``.
+    """
     if not head.posteriors:
         raise ValueError("head has no classes")
-    Z = np.asarray(Z, dtype=np.float64)
-    scores = np.empty((Z.shape[0], len(head.posteriors)))
-    # per class: one (M, C, d) broadcast needs 102 MB at protocol scale and was slower
-    for j, post in enumerate(head.posteriors.values()):
-        nu, m, s2 = predictive_params(post, head.prior)
-        scores[:, j] = _log_t(Z, nu, m, s2)
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    M, d = Z.shape
+    half_nu1, const, mean, den = _stacked_predictive(head, float(d))
+    C = len(const)
+    B = max(1, min(C, _BLOCK_ELEMENTS // max(1, M * d)))
+    buf = np.empty(M * B * d)
+    scores = np.empty((M, C))
+    for c0 in range(0, C, B):
+        c1 = min(C, c0 + B)
+        # a contiguous prefix keeps every block, the last one too, on one code path
+        q = buf[: M * (c1 - c0) * d].reshape(M, c1 - c0, d)
+        np.subtract(Z[:, None, :], mean[c0:c1], out=q)
+        np.multiply(q, q, out=q)
+        np.divide(q, den[c0:c1], out=q)
+        np.add(1.0, q, out=q)
+        np.log(q, out=q)
+        s = np.sum(q, axis=-1)
+        np.multiply(half_nu1[c0:c1], s, out=s)
+        np.subtract(const[c0:c1], s, out=scores[:, c0:c1])
     return scores
 
 
@@ -342,13 +404,32 @@ def save_head(head, path):
 
 
 def load_head(path):
+    """Read a snapshot written by ``save_head``.
+
+    A header that does not describe a head (a missing or renamed field,
+    a value of the wrong type, a class without its two tensors) raises
+    ``ContainerError`` naming ``path``.
+    """
     config, tensors = tensorio.read_tensors(path)
-    if config.get("kind") != "head-snapshot":
+    if not isinstance(config, dict) or config.get("kind") != "head-snapshot":
         raise tensorio.ContainerError(f"{path}: not a head snapshot")
-    prior = PriorParams(**config["prior"])
-    head = HeadState(prior)
-    for i, rec in enumerate(config["classes"]):
-        head.posteriors[rec["id"]] = ClassPosterior(
-            rec["id"], rec["n"], tensors[f"class.{i}.sum_z"], tensors[f"class.{i}.sum_z2"]
-        )
+    # the tensor CRCs do not cover the header, so a damaged config gets here
+    try:
+        prior = config["prior"]
+        head = HeadState(PriorParams(float(prior["rho_alpha"]), float(prior["rho_beta"])))
+        for i, rec in enumerate(config["classes"]):
+            cid, n = rec["id"], rec["n"]
+            sum_z, sum_z2 = tensors[f"class.{i}.sum_z"], tensors[f"class.{i}.sum_z2"]
+            if cid in head.posteriors:
+                raise ValueError(f"class {cid!r} appears twice")
+            if not (isinstance(n, int) and n >= 0 and sum_z.ndim == 1
+                    and sum_z2.shape == sum_z.shape):
+                raise ValueError(f"class {cid!r} has malformed statistics")
+            head.posteriors[cid] = ClassPosterior(cid, n, sum_z, sum_z2)
+        if len({post.dim for post in head.posteriors.values()}) > 1:
+            raise ValueError("classes differ in dimension")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise tensorio.ContainerError(
+            f"{path}: malformed head snapshot ({type(exc).__name__}: {exc})"
+        ) from exc
     return head

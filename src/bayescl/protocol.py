@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import embed_batch_values
-from .episodes import resolve_sample
 from .head import HeadState, class_scores
 from .training import encoder_inputs, encoder_params
 
@@ -120,10 +119,10 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     t0 = time.perf_counter()
     support, queries = [], []
     for cid in order:
-        refs = registry.classes[cid]
+        refs = registry.classes[cid]  # arrays: run_protocol passes encoder_inputs
         picks = rng.choice(len(refs), size=k + q, replace=False)
-        support += [resolve_sample(refs[j]) for j in picks[:k]]
-        queries += [resolve_sample(refs[j]) for j in picks[k:]]
+        support += [refs[j] for j in picks[:k]]
+        queries += [refs[j] for j in picks[k:]]
     support_z = embed_batch_values(support, enc)
     query_z = embed_batch_values(queries, enc)
     head = HeadState(prior)

@@ -272,12 +272,19 @@ def load_checkpoint(path):
 
     Tensor shapes are validated against the stored encoder config, so a
     checkpoint whose architecture disagrees with its payload is rejected.
+    A missing or malformed encoder config raises ``ContainerError``.
     """
     config, tensors = tensorio.read_tensors(path)
-    if config.get("kind") != "meta-checkpoint":
+    if not isinstance(config, dict) or config.get("kind") != "meta-checkpoint":
         raise tensorio.ContainerError(f"{path}: not a meta-training checkpoint")
-    encoder_cfg = EncoderConfig.from_dict(config["encoder"])
-    expected = expected_param_shapes(encoder_cfg)
+    # the tensor CRCs do not cover the header, so a damaged config gets here
+    try:
+        encoder_cfg = EncoderConfig.from_dict(config["encoder"])
+        expected = expected_param_shapes(encoder_cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise tensorio.ContainerError(
+            f"{path}: malformed encoder config ({type(exc).__name__}: {exc})"
+        ) from exc
     if set(expected) != set(tensors):
         raise tensorio.ContainerError(
             f"{path}: tensor names do not match encoder architecture "

@@ -249,6 +249,85 @@ class TestPredict:
             was_wrong = was_wrong or not correct
 
 
+def loop_class_scores(head, Z):
+    """Reference: ``_log_t`` once per class on a C-ordered float64 copy."""
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    cols = [H._log_t(Z, *H.predictive_params(post, head.prior)) for post in head.posteriors.values()]
+    return np.stack(cols, axis=1)
+
+
+def random_head(rng, n_classes, d, max_shots=8):
+    head = H.HeadState(H.PriorParams(rng.normal() * 0.5, rng.normal() * 0.5))
+    for c in range(n_classes):
+        k = int(rng.integers(1, max_shots + 1))
+        head.add_class(c, rng.normal(rng.normal(0, 2, size=d), rng.uniform(0.5, 2), size=(k, d)))
+    return head
+
+
+def block_classes(m, d):
+    return max(1, H._BLOCK_ELEMENTS // (m * d))
+
+
+class TestClassScores:
+    """class_scores must be byte-equal to the per-class loop, so that no
+    argmax tie can resolve differently between the two."""
+
+    def assert_matches_loop(self, head, Z):
+        got = H.class_scores(head, Z)
+        assert got.shape == (len(Z), len(head.posteriors))
+        assert got.tobytes() == loop_class_scores(head, Z).tobytes()
+
+    def test_one_query_one_class_one_dimension(self):
+        head = H.HeadState(PRIOR)
+        head.add_class("w", np.array([[0.5], [2.0]]))
+        self.assert_matches_loop(head, np.array([[1.25]]))
+
+    @pytest.mark.parametrize("m, d, n_classes", [(50, 64, 47), (1100, 64, 3), (7, 3, 3200)])
+    def test_several_blocks_and_a_partial_last_block(self, m, d, n_classes):
+        b = block_classes(m, d)
+        assert n_classes > b and (b == 1 or n_classes % b)
+        rng = np.random.default_rng(15)
+        self.assert_matches_loop(random_head(rng, n_classes, d), rng.normal(0, 2, size=(m, d)))
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            m, d, n_classes = (int(rng.integers(1, hi)) for hi in (80, 70, 60))
+            self.assert_matches_loop(random_head(rng, n_classes, d), rng.normal(0, 3, size=(m, d)))
+
+    def test_unequal_shot_counts_and_single_shot_classes(self):
+        rng = np.random.default_rng(17)
+        d = 12
+        head = random_head(rng, 30, d)
+        for c in range(30, 40):  # n = 1: zero variance, beta = beta_0
+            head.add_class(c, rng.normal(size=(1, d)))
+        for c in rng.integers(0, 40, size=60):
+            head.update_class(int(c), rng.normal(size=d))
+        assert len({post.n for post in head.posteriors.values()}) > 5
+        assert min(post.n for post in head.posteriors.values()) == 1
+        self.assert_matches_loop(head, rng.normal(0, 2, size=(90, d)))
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda z: z.astype(np.float32)])
+    def test_query_layout_and_dtype_do_not_change_bits(self, layout):
+        rng = np.random.default_rng(18)
+        head = random_head(rng, 25, 40)
+        Z = layout(rng.normal(0, 2, size=(60, 40)))
+        self.assert_matches_loop(head, Z)
+        contiguous = np.ascontiguousarray(Z, dtype=np.float64)
+        assert H.class_scores(head, Z).tobytes() == H.class_scores(head, contiguous).tobytes()
+
+    def test_empty_head_rejected(self):
+        with pytest.raises(ValueError, match=r"^head has no classes$"):
+            H.class_scores(H.HeadState(PRIOR), np.zeros((3, 2)))
+
+    def test_class_without_observations_rejected(self):
+        head = H.HeadState(PRIOR)
+        head.add_class("ok", np.ones((2, 2)))
+        head.posteriors["w"] = H.empty_posterior("w", 2)
+        with pytest.raises(ValueError, match=r"^class 'w' has no observations$"):
+            H.class_scores(head, np.zeros((3, 2)))
+
+
 def test_prototypical_network_limit():
     # huge alpha_0 with beta_0 = alpha_0 * c and equal n turns the head into
     # a nearest-Euclidean-mean classifier

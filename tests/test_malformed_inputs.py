@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayescl import audio
+from bayescl import encoder as E
+from bayescl import head as H
+from bayescl import training as T
 from bayescl.tensorio import ContainerError, read_tensors, write_tensors
 
 HEADER_BYTES = 64  # most flips land here, where the readers parse fields
@@ -22,6 +25,21 @@ def container_bytes(path):
     rng = np.random.default_rng(0)
     tensors = {"w": rng.normal(size=(3, 4)), "b": np.zeros(4), "rho": np.asarray(0.5)}
     write_tensors(path, {"kind": "meta-checkpoint", "encoder": {"embed_dim": 4}}, tensors)
+    return path.read_bytes()
+
+
+def checkpoint_bytes(path):
+    cfg = E.EncoderConfig(embed_dim=3, hidden_dims=(4,), feature_dim=2, seed=0)
+    params = dict(E.init_params(cfg), rho_alpha=np.asarray(0.25), rho_beta=np.asarray(-0.5))
+    T.save_checkpoint(params, cfg, path)
+    return path.read_bytes()
+
+
+def head_bytes(path):
+    head = H.HeadState(H.PriorParams(0.25, -0.75))
+    head.add_class("a", np.random.default_rng(3).normal(size=(2, 3)))
+    head.add_class(7, np.ones((1, 3)))
+    H.save_head(head, path)
     return path.read_bytes()
 
 
@@ -43,6 +61,8 @@ def wav_bytes(path):
 
 FORMATS = {
     "container": (container_bytes, read_tensors, ContainerError),
+    "checkpoint": (checkpoint_bytes, T.load_checkpoint, ContainerError),
+    "head snapshot": (head_bytes, H.load_head, ContainerError),
     "feature dump": (dump_bytes, audio.read_feature_dump, audio.AudioFormatError),
     "wav": (wav_bytes, audio.load_wav, audio.AudioFormatError),
 }

@@ -6,6 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
+from bayescl import encoder as E
+from bayescl import head as H
+from bayescl import training as T
 from bayescl.tensorio import MAGIC, VERSION, ContainerError, read_tensors
 
 
@@ -56,3 +59,40 @@ def test_malformed_directory_entry_rejected(tmp_path, entry):
     write_raw(path, {"config": {}, "tensors": [entry]}, np.zeros(1).tobytes())
     with pytest.raises(ContainerError, match=re.escape(str(path)) + ".*malformed"):
         read_tensors(path)
+
+
+def save_checkpoint(path):
+    cfg = E.EncoderConfig(embed_dim=4, hidden_dims=(5,), feature_dim=3, seed=2)
+    params = dict(E.init_params(cfg), rho_alpha=np.asarray(0.25), rho_beta=np.asarray(-0.5))
+    T.save_checkpoint(params, cfg, path)
+
+
+def save_head(path):
+    head = H.HeadState(H.PriorParams(0.25, -0.75))
+    head.add_class("alpha", np.ones((2, 3)))
+    head.add_class("beta", np.zeros((3, 3)))
+    H.save_head(head, path)
+
+
+@pytest.mark.parametrize(
+    "save, load, old, new",
+    [
+        (save_checkpoint, T.load_checkpoint, b'"stats-mlp"', b'"stats-mlq"'),
+        (save_checkpoint, T.load_checkpoint, b'"embed_dim"', b'"embed_dia"'),
+        (save_checkpoint, T.load_checkpoint, b'"encoder"', b'"encodez"'),
+        (save_head, H.load_head, b'"rho_alpha"', b'"rho_alphz"'),
+        (save_head, H.load_head, b'"classes"', b'"classez"'),
+    ],
+    ids=["checkpoint-architecture", "checkpoint-embed_dim-key", "checkpoint-encoder-key",
+         "head-rho_alpha-key", "head-classes-key"],
+)
+def test_header_field_edit_raises_container_error_naming_path(tmp_path, save, load, old, new):
+    # the tensor CRCs do not cover the JSON header, so these edits reach the parsers
+    path = tmp_path / "file.bclt"
+    save(path)
+    load(path)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(ContainerError, match=re.escape(str(path))):
+        load(path)
