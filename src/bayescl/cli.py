@@ -5,14 +5,17 @@ inspect-checkpoint, version. Flags override values from an optional JSON
 config file (--config), which overrides built-in defaults. Exit codes:
 0 success, 2 usage error, 1 runtime error. Diagnostics go to stderr;
 ``bayescl --verbose <command>`` adds the traceback of a runtime error.
+
+A command re-run with the same inputs and seed writes the same bytes,
+whatever ``--workers``, on the same machine and numpy build. Across
+machines the bits can differ: numpy's float64 ``log`` rounds differently
+on its AVX-512 and AVX2/baseline paths.
 """
 
 import argparse
 import json
-import multiprocessing
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,9 @@ from .episodes import (
     synth_registry,
 )
 from .head import PriorParams
+from .pool import spawn_map
 from .protocol import ProtocolConfig, emit_report, run_protocol
-from .tensorio import read_tensors
+from .tensorio import ContainerError, read_tensors
 
 
 def _log(msg):
@@ -88,7 +92,6 @@ def build_parser():
     p = sub.add_parser("train", help="meta-train on prepared features")
     p.set_defaults(func=cmd_train)
     p.add_argument("--manifest", required=True, help="feature manifest from prepare")
-    p.add_argument("--features-dir", help="base directory for relative feature paths")
     p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
     p.add_argument("--val-ratio", type=float, help="fraction of meta-train classes held out for validation (default 0.1)")
     _add_common_train_flags(p)
@@ -96,7 +99,6 @@ def build_parser():
     p = sub.add_parser("eval", help="run the class-incremental protocol on prepared features")
     p.set_defaults(func=cmd_eval)
     p.add_argument("--manifest", required=True, help="feature manifest from prepare")
-    p.add_argument("--features-dir", help="base directory for relative feature paths")
     p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
     p.add_argument("--split-seed", type=int, help="seed used for the train/test class split")
     _add_common_eval_flags(p)
@@ -192,19 +194,7 @@ def cmd_version(args):
     return 0
 
 
-_worker_mfcc = None  # (config, mfcc_matrices) inside a prepare worker process
-
-
-def _init_extract_worker(config):
-    global _worker_mfcc
-    _worker_mfcc = (config, audio.mfcc_matrices(config))
-
-
-def _worker_extract(job):
-    _extract_one(job, *_worker_mfcc)
-
-
-def _extract_one(job, config, matrices):
+def _extract_one(config, matrices, job):
     wav_path, dump_path = job
     feats = audio.extract_mfcc(audio.load_wav(wav_path), config, matrices)
     audio.write_feature_dump(dump_path, feats.frames)
@@ -231,10 +221,8 @@ def cmd_prepare(args):
             kept_words.add(word)
     if not kept_words:
         raise ValueError("no word has enough samples for the requested shots")
-    for word in kept_words:
-        (out_dir / word).mkdir(parents=True, exist_ok=True)
 
-    jobs = []
+    sources = {}  # dump path -> the clip it is extracted from
     entries = []
     for rec in records:
         if rec["word"] not in kept_words:
@@ -242,23 +230,17 @@ def cmd_prepare(args):
         src = Path(rec["path"])
         if root is not None and not src.is_absolute():
             src = root / src
-        dump = out_dir / rec["word"] / (src.stem + ".mfcc")
-        entries.append({"word": rec["word"], "path": str(dump), "split": rec["split"]})
-        if not dump.exists():  # idempotent re-runs reuse the cache
-            jobs.append((str(src), str(dump)))
+        dump = str(out_dir / rec["word"] / (src.stem + ".mfcc"))
+        if dump in sources:
+            raise ValueError(f"{sources[dump]} and {src} would both be written to {dump}")
+        sources[dump] = str(src)
+        entries.append({"word": rec["word"], "path": dump, "split": rec["split"]})
+    for word in kept_words:
+        (out_dir / word).mkdir(parents=True, exist_ok=True)
+    # idempotent re-runs reuse the cache
+    jobs = [(src, dump) for dump, src in sources.items() if not Path(dump).exists()]
     config = audio.MfccConfig()
-    if args.workers > 1 and jobs:
-        with ProcessPoolExecutor(
-            max_workers=args.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_extract_worker,
-            initargs=(config,),
-        ) as pool:
-            list(pool.map(_worker_extract, jobs))
-    else:
-        matrices = audio.mfcc_matrices(config)
-        for job in jobs:
-            _extract_one(job, config, matrices)
+    spawn_map(_extract_one, (config, audio.mfcc_matrices(config)), jobs, args.workers)
 
     manifest_out = out_dir / "features.jsonl"
     with open(manifest_out, "w", encoding="utf-8") as fh:
@@ -291,11 +273,13 @@ def _train_common(cfg_values, encoder_cfg, registry, val_registry, out, data_con
     return 0
 
 
+# the SynthTaskConfig fields, which a synthetic checkpoint's data section records
+SYNTH_KEYS = ("latent_dim", "class_sep", "within_std")
+
+
 def cmd_synth_train(args):
     v = _merge_config(args, SYNTH_TRAIN_DEFAULTS)
-    synth_cfg = SynthTaskConfig(
-        latent_dim=v["latent_dim"], class_sep=v["class_sep"], within_std=v["within_std"]
-    )
+    synth_cfg = SynthTaskConfig(**{k: v[k] for k in SYNTH_KEYS})
     seeds = np.random.SeedSequence(v["seed"]).spawn(2)
     rng = np.random.default_rng(seeds[0])
     registry = synth_registry(synth_cfg, v["classes"], v["samples_per_class"], rng, prefix="train")
@@ -310,43 +294,49 @@ def cmd_synth_train(args):
         vector_input=True,
         seed=v["seed"],
     )
-    data_config = {
-        "data": {
-            "kind": "synthetic",
-            "latent_dim": v["latent_dim"],
-            "class_sep": v["class_sep"],
-            "within_std": v["within_std"],
-            "samples_per_class": v["samples_per_class"],
-        }
-    }
+    data = {k: v[k] for k in (*SYNTH_KEYS, "samples_per_class")}
+    data_config = {"data": {"kind": "synthetic", **data}}
     return _train_common(v, encoder_cfg, registry, val_registry, args.out, data_config)
 
 
-def cmd_synth_eval(args):
-    v = _merge_config(args, SYNTH_EVAL_DEFAULTS)
-    params, prior, encoder_cfg, config = training.load_checkpoint(args.ckpt)
-    data = config.get("data", {})
-    if data.get("kind") != "synthetic":
-        raise ValueError(f"{args.ckpt}: not a synthetic-task checkpoint; use 'eval'")
-    synth_cfg = SynthTaskConfig(
-        latent_dim=data["latent_dim"],
-        class_sep=data["class_sep"],
-        within_std=data["within_std"],
-    )
-    n_test = v["test_classes"] or v["max_classes"]
-    per_class = v["samples_per_class"] or (v["shots"] + v["query_shots"])
+def _evaluate(args, defaults, kind, keys, make_registry):
+    """The eval commands' shared steps.
+
+    Load the checkpoint ``args.ckpt`` and check that its ``data`` section
+    has the ``kind`` and the ``keys`` the command reads; the tensor CRCs
+    do not cover the header, so a damaged one gets here. Then run the
+    protocol on ``make_registry(data, values)`` and write the reports.
+    """
+    v = _merge_config(args, defaults)
     pcfg = _protocol_config(v)
-    test_rng = np.random.default_rng(np.random.SeedSequence(v["seed"] + 1).spawn(1)[0])
-    registry = synth_registry(synth_cfg, n_test, per_class, test_rng, prefix="test")
-    matrix, report = run_protocol(params, prior, registry, pcfg)
+    params, prior, _, config = training.load_checkpoint(args.ckpt)
+    data = config.get("data")
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        other = "eval" if kind == "synthetic" else "synth-eval"
+        raise ContainerError(f"{args.ckpt}: not a {kind!r} checkpoint; use '{other}'")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ContainerError(f"{args.ckpt}: data section lacks {missing}")
+    matrix, report = run_protocol(params, prior, make_registry(data, v), pcfg)
     emit_report(report, matrix, args.out)
     _log(
         f"protocol done: accuracy {report.mean_accuracy[0]:.2f}% at "
         f"{report.checkpoints[0]} classes -> {report.mean_accuracy[-1]:.2f}% at "
         f"{report.checkpoints[-1]}; volatility {report.volatility_mean:.3f} "
-        f"+/- {report.volatility_std:.3f}"
+        f"+/- {report.volatility_std:.3f}; reports in {args.out}"
     )
     return 0
+
+
+def cmd_synth_eval(args):
+    def registry(data, v):
+        synth_cfg = SynthTaskConfig(**{k: data[k] for k in SYNTH_KEYS})
+        n_test = v["test_classes"] or v["max_classes"]
+        per_class = v["samples_per_class"] or (v["shots"] + v["query_shots"])
+        test_rng = np.random.default_rng(np.random.SeedSequence(v["seed"] + 1).spawn(1)[0])
+        return synth_registry(synth_cfg, n_test, per_class, test_rng, prefix="test")
+
+    return _evaluate(args, SYNTH_EVAL_DEFAULTS, "synthetic", SYNTH_KEYS, registry)
 
 
 def _word_split(manifest, ratio, seed):
@@ -374,29 +364,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    v = _merge_config(args, EVAL_DEFAULTS)
-    params, prior, encoder_cfg, config = training.load_checkpoint(args.ckpt)
-    data = config.get("data", {})
-    if data.get("kind") != "mfcc":
-        raise ValueError(f"{args.ckpt}: not an audio checkpoint; use 'synth-eval'")
-    ratio = args.split_ratio if args.split_ratio is not None else data.get("split_ratio", 0.7)
-    split_seed = args.split_seed if args.split_seed is not None else data.get("split_seed", 0)
-    # evaluation uses test-split samples of meta-test words only
-    reg_train_split, _, test_words = _word_split(args.manifest, ratio, split_seed)
-    reg_test_split = registry_from_manifest(args.manifest, split="test")
-    missing = [w for w in test_words if w not in reg_test_split.classes]
-    if missing:
-        _log(f"warning: {len(missing)} meta-test words have no test-split samples")
-    usable = [w for w in test_words if w in reg_test_split.classes]
-    registry = reg_test_split.subset(usable)
-    pcfg = _protocol_config(v)
-    matrix, report = run_protocol(params, prior, registry, pcfg)
-    emit_report(report, matrix, args.out)
-    _log(
-        f"protocol done: mean accuracy {report.mean_accuracy[-1]:.2f}% at "
-        f"{report.checkpoints[-1]} classes; reports in {args.out}"
-    )
-    return 0
+    def registry(data, v):
+        ratio = args.split_ratio if args.split_ratio is not None else data["split_ratio"]
+        split_seed = args.split_seed if args.split_seed is not None else data["split_seed"]
+        # evaluation uses test-split samples of meta-test words only
+        _, _, test_words = _word_split(args.manifest, ratio, split_seed)
+        reg_test_split = registry_from_manifest(args.manifest, split="test")
+        missing = [w for w in test_words if w not in reg_test_split.classes]
+        if missing:
+            _log(f"warning: {len(missing)} meta-test words have no test-split samples")
+        return reg_test_split.subset([w for w in test_words if w in reg_test_split.classes])
+
+    return _evaluate(args, EVAL_DEFAULTS, "mfcc", ("split_ratio", "split_seed"), registry)
 
 
 def cmd_inspect(args):

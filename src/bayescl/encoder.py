@@ -117,8 +117,7 @@ def sinusoidal_positions(n_frames, width):
 
 
 def _features_array(x):
-    frames = getattr(x, "frames", x)
-    return np.asarray(frames, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def _bind(params, graph):

@@ -1,7 +1,7 @@
 """Sample registry, class splits, episode sampling, and synthetic tasks.
 
 A registry maps class ids to sample references: in-memory arrays for
-synthetic data, or file paths (feature dumps, wav clips) for real data.
+synthetic data, or paths of feature dumps for real data.
 Episodes draw N classes and K+Q samples per class without replacement
 within the episode; across episodes sampling is with replacement.
 """
@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from . import audio
 
 __all__ = [
     "EpisodeSpec",
@@ -36,10 +38,6 @@ class EpisodeSpec:
             raise ValueError("an episode needs at least 2 ways")
         if self.shots < 1 or self.query_shots < 1:
             raise ValueError("shots and query_shots must be >= 1")
-
-    @property
-    def total_queries(self):
-        return self.ways * self.query_shots
 
     @property
     def samples_per_class(self):
@@ -185,35 +183,26 @@ class SynthTaskConfig:
 
     ``class_sep`` scales the spread of class means, ``within_std`` the
     spread of samples around their mean; their ratio controls task
-    difficulty. ``pseudo-mfcc`` mode cycles each vector to 13 columns and
-    tiles it over ``frames`` rows, mimicking a coefficient matrix.
+    difficulty. Samples are ``latent_dim`` vectors.
     """
 
     latent_dim: int = 16
     class_sep: float = 10.0
     within_std: float = 1.0
-    mode: str = "raw-vector"
-    frames: int = 10
-    n_ceps: int = 13
 
     def __post_init__(self):
         if self.class_sep <= 0 or self.within_std < 0:
             raise ValueError("class_sep must be > 0 and within_std >= 0")
-        if self.mode not in ("raw-vector", "pseudo-mfcc"):
-            raise ValueError(f"unknown synth mode {self.mode!r}")
 
 
 def _synth_sample(cfg, mean, rng):
     vec = mean if cfg.within_std == 0 else rng.normal(mean, cfg.within_std)
-    if cfg.mode == "raw-vector":
-        return np.asarray(vec, dtype=np.float64)
-    frame = np.resize(vec, cfg.n_ceps)
-    return np.tile(frame, (cfg.frames, 1))
+    return np.asarray(vec, dtype=np.float64)
 
 
 def synth_registry(cfg, n_classes, samples_per_class, rng, prefix="w"):
     """Registry of pre-drawn synthetic samples for ``n_classes`` classes."""
-    reg = SampleRegistry(metadata=f"synthetic {cfg.mode} d={cfg.latent_dim}")
+    reg = SampleRegistry(metadata=f"synthetic d={cfg.latent_dim}")
     means = rng.normal(0.0, cfg.class_sep, size=(n_classes, cfg.latent_dim))
     for i in range(n_classes):
         cid = f"{prefix}{i:04d}"
@@ -222,18 +211,12 @@ def synth_registry(cfg, n_classes, samples_per_class, rng, prefix="w"):
     return reg
 
 
-def resolve_sample(ref, mfcc_config=None):
+def resolve_sample(ref):
     """Materialize a sample reference as a feature array.
 
-    Arrays pass through; ``.mfcc`` paths load feature dumps; ``.wav``
-    paths run the MFCC pipeline (with ``mfcc_config`` or defaults).
+    Arrays pass through; a path is read as a feature dump (``prepare``
+    writes them), so any other file raises ``AudioFormatError``.
     """
     if isinstance(ref, np.ndarray):
         return ref
-    path = str(ref)
-    from . import audio
-
-    if path.endswith(".wav"):
-        cfg = mfcc_config if mfcc_config is not None else audio.MfccConfig()
-        return audio.extract_mfcc(audio.load_wav(path), cfg).frames
-    return audio.read_feature_dump(path)
+    return audio.read_feature_dump(str(ref))

@@ -18,11 +18,10 @@ per dimension:
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
 One kernel, ``_log_t``, evaluates this density on plain arrays for
-``log_predictive`` and on DiffGraph tensors for the differentiable
-paths. It sums over the last axis and broadcasts the rest, so
-``episode_loss`` scores an (M, 1, d) query batch against (N, d) class
-parameters in one call and its tape does not grow with the number of
-ways. Its normalising constant comes from ``_log_t_const``.
+``log_predictive`` and on DiffGraph tensors for ``episode_loss``. It
+sums over the last axis and broadcasts the rest, so ``episode_loss``
+scores an (M, 1, d) query batch against (N, d) class parameters in one
+call and its tape does not grow with the number of ways. Its normalising constant comes from ``_log_t_const``.
 
 ``class_scores`` stacks every class's parameters once ((C, 1) counts,
 (C, d) means and nu * scale^2 denominators, (C,) constants from
@@ -230,8 +229,7 @@ def _rho_tensors(prior, graph):
         ra = graph.input_or_get("rho_alpha", np.asarray(prior.rho_alpha, dtype=np.float64))
         rb = graph.input_or_get("rho_beta", np.asarray(prior.rho_beta, dtype=np.float64))
         return ra, rb
-    ra, rb = prior
-    return ra, rb
+    return prior
 
 
 def _graph_predictive(prior, graph, n, var):
@@ -243,27 +241,15 @@ def _graph_predictive(prior, graph, n, var):
     return 2.0 * alpha, scale2
 
 
-def log_predictive(post, prior, z, graph=None):
-    """Log posterior-predictive density of ``z`` under one class.
-
-    With ``graph`` given the result is a scalar Tensor, differentiable
-    w.r.t. ``z`` (if ``z`` is a Tensor) and the prior's rho parameters.
-    """
+def log_predictive(post, prior, z):
+    """Log posterior-predictive density of the vector ``z`` under one class."""
     if post.n < 1:
         raise ValueError(f"class {post.class_id!r} has no observations")
-    d = post.dim
-    if graph is None:
-        zz = np.asarray(z, dtype=np.float64)
-        if zz.shape != (d,):
-            raise ValueError(f"query has shape {zz.shape}, expected ({d},)")
-        nu, m, s2 = predictive_params(post, prior)
-        return float(_log_t(zz, nu, m, s2))
-    n = float(post.n)
-    zbar = post.sum_z / n
-    var = np.maximum(post.sum_z2 / n - zbar * zbar, 0.0)
-    nu, scale2 = _graph_predictive(prior, graph, n, var)
-    zt = z if isinstance(z, Tensor) else graph.constant(np.asarray(z, dtype=np.float64))
-    return _log_t(zt, nu, graph.constant(zbar), scale2)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (post.dim,):
+        raise ValueError(f"query has shape {z.shape}, expected ({post.dim},)")
+    nu, m, s2 = predictive_params(post, prior)
+    return float(_log_t(z, nu, m, s2))
 
 
 _BLOCK_ELEMENTS = 2**16  # class_scores buffer: 512 KB of float64

@@ -18,15 +18,15 @@ existing scores stay fixed.
 
 import csv
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .encoder import embed_batch_values
 from .head import HeadState, class_scores
+from .pool import spawn_map
 from .training import encoder_inputs, encoder_params
 
 __all__ = [
@@ -144,18 +144,6 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     return EpisodeTrace(order, introduced_at, acc, correct), t1 - t0, query_time
 
 
-_worker_job = None  # (params, prior, registry, cfg) inside a protocol worker process
-
-
-def _init_worker(params, prior, registry, cfg):
-    global _worker_job
-    _worker_job = (params, prior, registry, cfg)
-
-
-def _worker_episode(episode_seed):
-    return _run_episode(*_worker_job, episode_seed)
-
-
 def run_protocol(params, prior, registry, cfg):
     """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
 
@@ -167,16 +155,7 @@ def run_protocol(params, prior, registry, cfg):
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()
     registry = encoder_inputs(registry, params)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(params, prior, registry, cfg),
-        ) as pool:
-            results = list(pool.map(_worker_episode, seeds))
-    else:
-        results = [_run_episode(params, prior, registry, cfg, s) for s in seeds]
+    results = spawn_map(_run_episode, (params, prior, registry, cfg), seeds, cfg.workers)
     matrix = AccuracyMatrix(cfg.checkpoints, cfg.query_shots, [r[0] for r in results])
     support_time = sum(r[1] for r in results)
     query_time = sum(r[2] for r in results)
@@ -256,12 +235,11 @@ def emit_report(report, matrix, out_dir):
     """Write curve.csv, volatility.csv, per_word.csv, and summary.json.
 
     Floats are serialized with 17 significant digits; re-running with the
-    same seed reproduces the CSVs byte for byte.
+    same seed reproduces the CSVs byte for byte on the same machine and
+    numpy build. Across machines the bits can differ: numpy's float64
+    ``log`` rounds differently on its AVX-512 and AVX2/baseline paths.
     """
-    out = out_dir
-    from pathlib import Path
-
-    out = Path(out)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "curve.csv", "w", newline="") as fh:

@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingError(RuntimeError):
     """Training aborted (divergence or invalid configuration)."""
 
@@ -43,10 +48,6 @@ class TrainConfig:
     batch_episodes: int = 4
     spec: EpisodeSpec = field(default_factory=EpisodeSpec)
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float | None = None  # optional global max-norm clip
     seed: int = 0
     validation_every: int = 100
     validation_episodes: int = 20
@@ -99,11 +100,11 @@ def adam_step(params, grads, state, cfg):
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = cfg.adam_beta1 * state.m[name] + (1.0 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * state.v[name] + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1**t)
-        v_hat = v / (1.0 - cfg.adam_beta2**t)
-        new_params[name] = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_params[name] = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name], new_v[name] = m, v
     return new_params, OptState(new_m, new_v, t)
 
@@ -215,11 +216,6 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
             raise TrainingError(f"step {step}: {exc}") from exc
         if not np.isfinite(loss):
             raise TrainingError(f"step {step}: loss is not finite")
-        if cfg.grad_clip is not None:
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
         meta, state = adam_step(meta, grads, state, cfg)
         history.losses.append(loss)
 

@@ -32,6 +32,14 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd", ["train", "eval"])
+def test_train_and_eval_take_no_features_dir(capsys, cmd):
+    # their manifest holds the paths prepare wrote, so there is nothing to prefix
+    required = ["--manifest", "m.jsonl", "--out", "x"] + (["--ckpt", "c"] if cmd == "eval" else [])
+    code, _, _ = run_cli(capsys, cmd, *required, "--features-dir", "x")
+    assert code == 2
+
+
 @pytest.mark.parametrize(
     "cmd",
     ["prepare", "train", "eval", "synth-train", "synth-eval", "inspect-checkpoint"],
@@ -123,6 +131,26 @@ def test_eval_rejects_wrong_checkpoint_kind(tmp_path, capsys):
     assert "synth-eval" in err
 
 
+def test_synth_eval_names_a_checkpoint_whose_data_header_is_damaged(tmp_path, capsys):
+    ckpt = tmp_path / "ck"
+    code, _, err = run_cli(
+        capsys, "synth-train", "--steps", "1", "--ways", "4", "--classes", "8", "--val-classes", "4",
+        "--embed-dim", "8", "--out", str(ckpt),
+    )
+    assert code == 0, err
+    blob = ckpt.read_bytes()
+    assert blob.count(b'"latent_dim"') == 1
+    ckpt.write_bytes(blob.replace(b'"latent_dim"', b'"latent_dix"'))
+    code, _, err = run_cli(
+        capsys, "synth-eval", "--ckpt", str(ckpt), "--max-classes", "10", "--increment", "5",
+        "--episodes", "1", "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last.startswith(f"error: {ckpt}: ") and "latent_dim" in last
+    assert not (tmp_path / "report").exists()
+
+
 def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 10, "ways": 4, "classes": 12, "val_classes": 4}))
@@ -177,11 +205,11 @@ def wav_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("wavs")
     words = {f"tone{i}": 300.0 * (i + 1) for i in range(8)}
     rows = []
-    for word, freq in words.items():
+    for i, (word, freq) in enumerate(words.items()):
         (root / word).mkdir()
         for j in range(8):
             name = f"{word}/{j}.wav"
-            make_tone_wav(root / name, freq, seed=hash((word, j)) % 2**32)
+            make_tone_wav(root / name, freq, seed=[i, j])
             split = "train" if j < 5 else "test"
             rows.append({"word": word, "path": name, "split": split})
     # one word with too few samples: must be rejected by prepare
@@ -257,6 +285,48 @@ def test_prepare_with_workers_writes_the_same_dumps(tmp_path, capsys, wav_datase
     assert dumps["1"] == dumps["2"]
 
 
+def test_prepare_rerun_with_every_dump_cached_starts_no_pool(
+    tmp_path, capsys, wav_dataset, monkeypatch
+):
+    from bayescl import pool
+
+    root, manifest = wav_dataset
+    argv = (
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(tmp_path / "features"), "--shots", "3", "--query-shots", "2",
+        "--workers", "2",
+    )
+    code, _, err = run_cli(capsys, *argv[:-2])
+    assert code == 0, err
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert "(0 extracted, 64 cached)" in err
+
+
+def test_prepare_rejects_clips_that_would_share_a_dump(tmp_path, capsys):
+    rows = []
+    for split in ("train", "test"):
+        (tmp_path / "cat" / split).mkdir(parents=True)
+        make_tone_wav(tmp_path / "cat" / split / "0.wav", 440.0)
+        rows.append({"word": "cat", "path": f"cat/{split}/0.wav", "split": split})
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    feat = tmp_path / "features"
+    code, _, err = run_cli(
+        capsys, "prepare", "--manifest", str(manifest), "--audio-root", str(tmp_path),
+        "--features-dir", str(feat), "--shots", "1", "--query-shots", "1",
+    )
+    assert code == 1
+    assert str(tmp_path / "cat/train/0.wav") in err and str(tmp_path / "cat/test/0.wav") in err
+    assert not (feat / "features.jsonl").exists()
+    assert not list(feat.rglob("*.mfcc"))
+
+
 def test_real_train_and_eval_pipeline(tmp_path, capsys, wav_dataset):
     root, manifest = wav_dataset
     feat = tmp_path / "features"
@@ -325,6 +395,24 @@ def test_truncated_dump_fails_train_and_eval_before_any_step(tmp_path, capsys, w
         assert "bayescl.audio.AudioFormatError" in err
     assert not (tmp_path / "ck2").exists()
     assert not (tmp_path / "report").exists()
+
+
+def test_train_on_a_raw_wav_manifest_names_a_wav(tmp_path, capsys, wav_dataset):
+    root, manifest = wav_dataset
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    wav_manifest = tmp_path / "wavs.jsonl"
+    wav_manifest.write_text(
+        "".join(json.dumps(dict(r, path=str(root / r["path"]))) + "\n" for r in rows)
+    )
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(wav_manifest), "--steps", "2", "--ways", "2",
+        "--shots", "2", "--query-shots", "2", "--embed-dim", "8",
+        "--split-ratio", "0.75", "--val-ratio", "0.34", "--out", str(tmp_path / "ck"),
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last.startswith(f"error: {root}") and last.endswith(".wav: not a feature dump (bad magic)")
+    assert not (tmp_path / "ck").exists()
 
 
 def test_runtime_error_is_one_line_without_verbose(tmp_path, capsys):

@@ -167,19 +167,9 @@ class TestSynth:
         for (ra, ya), (rb, yb) in zip(a.support + a.query, b.support + b.query):
             assert ya == yb and ra.tobytes() == rb.tobytes()
 
-    def test_pseudo_mfcc_mode_tiles_to_coefficient_matrices(self):
-        cfg = Ep.SynthTaskConfig(latent_dim=5, mode="pseudo-mfcc", frames=7)
-        spec = Ep.EpisodeSpec(2, 1, 1)
-        ep = synth_episode(cfg, spec, np.random.default_rng(3))
-        ref, _ = ep.support[0]
-        assert ref.shape == (7, 13)
-        assert all(row.tobytes() == ref[0].tobytes() for row in ref[1:])
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="class_sep"):
             Ep.SynthTaskConfig(class_sep=0.0)
-        with pytest.raises(ValueError, match="mode"):
-            Ep.SynthTaskConfig(mode="waveform")
 
     def test_registry_generation(self):
         cfg = Ep.SynthTaskConfig(latent_dim=4)

@@ -171,24 +171,6 @@ class TestLogPredictive:
         with pytest.raises(ValueError, match="no observations"):
             H.log_predictive(H.empty_posterior("w", 2), PRIOR, np.zeros(2))
 
-    def test_graph_path_matches_plain_path_and_is_differentiable(self):
-        rng = np.random.default_rng(7)
-        post = random_posterior(rng, 3)
-        z = rng.normal(size=3)
-        plain = H.log_predictive(post, PRIOR, z)
-        g = ad.DiffGraph()
-        t = H.log_predictive(post, PRIOR, z, graph=g)
-        assert float(t.data) == plain
-        grads = g.backward(t)
-        assert grads["rho_alpha"] != 0.0
-        assert grads["rho_beta"] != 0.0
-
-        def builder(graph, tt):
-            return H.log_predictive(post, (tt["rho_alpha"], tt["rho_beta"]), tt["z"], graph=graph)
-
-        point = {"rho_alpha": np.asarray(0.0), "rho_beta": np.asarray(0.0), "z": z}
-        assert ad.grad_check(builder, point, step=1e-5) < 1e-6
-
 
 class TestPredict:
     def test_separable_1d(self):
@@ -449,6 +431,28 @@ class TestEpisodeLoss:
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for name, ref in ref_grads.items():
             assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("n,k,q,d", [(2, 1, 1, 1), (5, 3, 4, 6), (10, 5, 5, 16)])
+    def test_equals_cross_entropy_of_class_scores(self, n, k, q, d):
+        # training and evaluation score queries with the same density
+        rng = np.random.default_rng(10 * n + k)
+        prior = H.PriorParams(0.3, -0.4)
+        support = rng.normal(rng.normal(0, 2, size=(n, 1, d)), 1.0, size=(n, k, d))
+        query = rng.normal(size=(n * q, d))
+        labels = [f"c{i}" for i in range(n)]
+        head = H.HeadState(prior)
+        for lab, rows in zip(labels, support):
+            head.add_class(lab, rows)
+        scores = H.class_scores(head, query)
+        y = np.repeat(np.arange(n), q)
+        top = scores.max(axis=1)
+        lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+        expected = float(np.mean(lse - scores[np.arange(n * q), y]))
+        loss = H.episode_loss(
+            prior, support.reshape(n * k, d), self._labels(n, k), query, self._labels(n, q),
+            ad.DiffGraph(),
+        )
+        assert abs(float(loss.data) - expected) <= 1e-12 * abs(expected)
 
     def test_head_tape_size_does_not_grow_with_ways(self):
         def head_nodes(n):
