@@ -2,8 +2,18 @@
 
 All values are float64 numpy arrays. A DiffGraph records every primitive
 application in execution order (define-by-run); ``backward`` replays the
-tape in reverse, accumulating adjoints. There is no fusion or graph
-rewriting: plain topological evaluation, one graph per episode.
+tape in reverse, accumulating adjoints. There is no graph rewriting:
+plain topological evaluation, one graph per episode.
+
+Two primitives outside this module fuse a chain of the generic ops below
+into one node, because per-node work, not arithmetic, dominated a
+training episode: ``encoder.dense`` (one MLP layer: matmul, add and
+softplus) and ``head._student_t_logits`` (the episode's Student-t logits,
+from the support and query embeddings and the prior's rho). Each repeats
+its chain's numpy operations and adjoint accumulations in the chain's
+order, so its values and gradients are the chain's bits; the chains stay
+in ``tests/test_encoder.py`` and ``tests/test_head.py`` as the oracles.
+Every node, fused or not, passes the same finiteness guard.
 """
 
 import numpy as np
@@ -486,28 +496,31 @@ def _lanczos_pieces(x):
     return z, t, series, dseries
 
 
-def lgamma_value(x):
-    """log Gamma(x) for x > 0 on plain arrays; |rel err| well below 1e-12."""
+def _lgamma_digamma(x):
+    """log Gamma(x) and its derivative for x > 0, from one Lanczos series."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise GraphError("lgamma: argument must be positive")
     small = x < 0.5
     xs = np.where(small, x + 1.0, x)  # recurrence for (0, 0.5)
-    z, t, series, _ = _lanczos_pieces(xs)
-    out = _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(series)
-    return np.where(small, out - np.log(np.where(small, x, 1.0)), out)
+    z, t, series, dseries = _lanczos_pieces(xs)
+    log_t = np.log(t)
+    lg = _HALF_LOG_2PI + (z + 0.5) * log_t - t + np.log(series)
+    dg = log_t + (z + 0.5) / t - 1.0 + dseries / series
+    x_small = np.where(small, x, 1.0)
+    return np.where(small, lg - np.log(x_small), lg), np.where(small, dg - 1.0 / x_small, dg)
+
+
+def lgamma_value(x):
+    """log Gamma(x) for x > 0 on plain arrays; |rel err| well below 1e-12."""
+    if np.any(np.asarray(x) <= 0):
+        raise GraphError("lgamma: argument must be positive")
+    return _lgamma_digamma(x)[0]
 
 
 def digamma_value(x):
     """Derivative of lgamma_value, from the same Lanczos series."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
+    if np.any(np.asarray(x) <= 0):
         raise GraphError("digamma: argument must be positive")
-    small = x < 0.5
-    xs = np.where(small, x + 1.0, x)
-    z, t, series, dseries = _lanczos_pieces(xs)
-    out = np.log(t) + (z + 0.5) / t - 1.0 + dseries / series
-    return np.where(small, out - 1.0 / np.where(small, x, 1.0), out)
+    return _lgamma_digamma(x)[1]
 
 
 def lgamma(x):

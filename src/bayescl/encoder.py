@@ -20,12 +20,12 @@ from .autodiff import (
     DiffGraph,
     GraphError,
     Tensor,
+    _unbroadcast,
     matmul,
     mean_reduce,
     reshape,
     rows,
     softmax,
-    softplus,
     stack,
     transpose,
 )
@@ -133,12 +133,45 @@ def _bind(params, graph):
     return out
 
 
+def dense(x, w, b, activate):
+    """One MLP layer, ``softplus(x @ w + b)`` or with ``activate`` false
+    ``x @ w + b``, as one tape node.
+
+    The forward and the vjp repeat the numpy operations of the matmul,
+    add and softplus nodes this replaces, so values and gradients keep
+    their bits (``tests/test_encoder.py`` keeps those nodes as the
+    oracle). The pre-activation gets the finiteness check its own node
+    had. A ``const`` input gets no adjoint.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise GraphError(f"dense: cannot apply {wd.shape} weights to {xd.shape} input")
+    pre = xd @ wd + b.data
+    if activate:
+        if not np.isfinite(pre).all():
+            raise GraphError(f"non-finite value produced by op 'dense' at node {len(x.graph)}")
+        e = np.exp(-np.abs(pre))
+        out = np.maximum(pre, 0.0) + np.log1p(e)
+    else:
+        out = pre
+
+    def vjp(g):
+        if activate:
+            # the logistic sigmoid, stably: e / (1 + e), or 1 / (1 + e) where pre >= 0
+            one_e = 1.0 + e
+            sig = e / one_e
+            np.divide(1.0, one_e, out=sig, where=pre >= 0)
+            g = g * sig
+        gx = None if x.op == "const" else g @ wd.T
+        return gx, xd.T @ g, _unbroadcast(g, b.data.shape)
+
+    return x.graph._register(out, (x, w, b), vjp, "dense")
+
+
 def _mlp(x, bound, n_layers):
     h = x
     for i in range(n_layers):
-        h = matmul(h, bound[f"mlp.{i}.w"]) + bound[f"mlp.{i}.b"]
-        if i < n_layers - 1:
-            h = softplus(h)
+        h = dense(h, bound[f"mlp.{i}.w"], bound[f"mlp.{i}.b"], activate=i < n_layers - 1)
     return h
 
 

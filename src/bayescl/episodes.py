@@ -56,7 +56,6 @@ class Episode:
 @dataclass
 class SampleRegistry:
     classes: dict = field(default_factory=dict)
-    metadata: str = ""
 
     @property
     def class_ids(self):
@@ -73,16 +72,13 @@ class SampleRegistry:
         missing = [c for c in class_ids if c not in self.classes]
         if missing:
             raise KeyError(f"classes not in registry: {missing[:5]}")
-        return SampleRegistry(
-            {c: self.classes[c] for c in class_ids}, metadata=self.metadata
-        )
+        return SampleRegistry({c: self.classes[c] for c in class_ids})
 
     def resolved(self):
         """A copy whose references are feature arrays, each loaded once;
         array references pass through as the same objects."""
         return SampleRegistry(
-            {c: [resolve_sample(r) for r in refs] for c, refs in self.classes.items()},
-            metadata=self.metadata,
+            {c: [resolve_sample(r) for r in refs] for c, refs in self.classes.items()}
         )
 
     def require(self, ways, per_class):
@@ -129,16 +125,12 @@ def read_manifest(path):
     return records
 
 
-def registry_from_manifest(path, split, root=None):
+def registry_from_manifest(path, split):
     """Registry of file references for one split, insertion-ordered by word."""
-    reg = SampleRegistry(metadata=f"manifest {path} split={split}")
+    reg = SampleRegistry()
     for rec in read_manifest(path):
-        if rec["split"] != split:
-            continue
-        p = Path(rec["path"])
-        if root is not None and not p.is_absolute():
-            p = Path(root) / p
-        reg.add(rec["word"], str(p))
+        if rec["split"] == split:
+            reg.add(rec["word"], str(Path(rec["path"])))
     return reg
 
 
@@ -202,7 +194,7 @@ def _synth_sample(cfg, mean, rng):
 
 def synth_registry(cfg, n_classes, samples_per_class, rng, prefix="w"):
     """Registry of pre-drawn synthetic samples for ``n_classes`` classes."""
-    reg = SampleRegistry(metadata=f"synthetic d={cfg.latent_dim}")
+    reg = SampleRegistry()
     means = rng.normal(0.0, cfg.class_sep, size=(n_classes, cfg.latent_dim))
     for i in range(n_classes):
         cid = f"{prefix}{i:04d}"

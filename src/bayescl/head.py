@@ -17,11 +17,14 @@ per dimension:
 
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
-One kernel, ``_log_t``, evaluates this density on plain arrays for
-``log_predictive`` and on DiffGraph tensors for ``episode_loss``. It
-sums over the last axis and broadcasts the rest, so ``episode_loss``
-scores an (M, 1, d) query batch against (N, d) class parameters in one
-call and its tape does not grow with the number of ways. Its normalising constant comes from ``_log_t_const``.
+``_log_t`` evaluates this density on plain arrays for
+``log_predictive``; its normalising constant comes from
+``_log_t_const``. ``episode_loss`` scores an episode's queries against
+all its classes in one tape node, ``_student_t_logits``, so its tape
+does not grow with the number of ways. That node keeps the arithmetic
+order of the generic-op tape it replaced (``x / y`` as
+``x * (1 / y)``), ``class_scores`` keeps ``_log_t``'s, so each is
+byte-identical to its own reference, and the two agree to rounding.
 
 ``class_scores`` stacks every class's parameters once ((C, 1) counts,
 (C, d) means and nu * scale^2 denominators, (C,) constants from
@@ -42,14 +45,12 @@ import numpy as np
 
 from . import tensorio
 from .autodiff import (
+    GraphError,
     Tensor,
-    exp,
-    lgamma,
-    log,
-    mean_reduce,
-    reshape,
+    _lgamma_digamma,
+    _unbroadcast,
+    lgamma_value,
     softmax_cross_entropy,
-    sum_reduce,
 )
 
 __all__ = [
@@ -191,32 +192,25 @@ def _log_t_const(nu, scale2, d):
     """
     half_nu1 = 0.5 * (nu + 1.0)
     const = (
-        d * (lgamma(half_nu1) - lgamma(0.5 * nu))
-        - 0.5 * d * log(math.pi * nu)
-        - 0.5 * _sum_last(log(scale2))
+        d * (lgamma_value(half_nu1) - lgamma_value(0.5 * nu))
+        - 0.5 * d * np.log(math.pi * nu)
+        - 0.5 * np.sum(np.log(scale2), axis=-1)
     )
     return half_nu1, const
 
 
 def _log_t(z, nu, mean, scale2):
-    """Student's t log density summed over the last axis.
+    """Student's t log density summed over the last axis, on plain arrays.
 
-    Written against the generic ops, so the one formula evaluates on
-    plain arrays and on DiffGraph tensors. ``mean`` and ``scale2`` share
-    the trailing dimension d of ``z`` and broadcast against it: a (M, d)
-    batch under one class gives (M,), and a (M, 1, d) batch under (C, d)
-    class parameters gives the (M, C) matrix.
+    ``mean`` and ``scale2`` share the trailing dimension d of ``z`` and
+    broadcast against it: a (M, d) batch under one class gives (M,), and
+    a (M, 1, d) batch under (C, d) class parameters gives the (M, C)
+    matrix.
     """
     half_nu1, const = _log_t_const(nu, scale2, float(z.shape[-1]))
     dev = z - mean
     q = dev * dev / (nu * scale2)
-    return const - half_nu1 * _sum_last(log(1.0 + q))
-
-
-def _sum_last(x):
-    if isinstance(x, Tensor):
-        return sum_reduce(x, axis=-1)
-    return np.sum(x, axis=-1)
+    return const - half_nu1 * np.sum(np.log(1.0 + q), axis=-1)
 
 
 def _rho_tensors(prior, graph):
@@ -232,13 +226,106 @@ def _rho_tensors(prior, graph):
     return prior
 
 
-def _graph_predictive(prior, graph, n, var):
-    """(nu, scale^2) Tensors for classes of ``n`` shots with variance ``var``."""
+_LOGITS_OP = "student_t_logits"
+
+
+def _domain_error(what):
+    return GraphError(f"{_LOGITS_OP}: {what}")
+
+
+def _student_t_logits(prior, support_z, query_z, n_classes, graph):
+    """(M, N) Student-t logits of the queries under N equal-shot classes,
+    as one tape node.
+
+    ``support_z`` is (N*K, d) with rows grouped by class, ``query_z`` is
+    (M, d). The forward repeats, in order, the numpy operations of the
+    generic-op composition this node replaces (class means and variances,
+    alpha = e^rho_alpha + K/2, nu = 2 alpha, scale^2 = (e^rho_beta
+    + K/2 var) (K+1)/K / alpha, then the Student-t density), with every
+    ``x / y`` as ``x * (1 / y)``. The vjp is the adjoint of each of those
+    steps in reverse, and an adjoint with several uses accumulates in the
+    order the composition's tape would. So values and gradients are the
+    composition's bits; ``tests/test_head.py`` keeps the composition as
+    the oracle. The domain checks of its log, reciprocal and lgamma steps
+    stay, and raise ``GraphError`` naming this op; the tape's finiteness
+    guard covers the logits.
+    """
     ra, rb = _rho_tensors(prior, graph)
-    alpha = exp(ra) + 0.5 * n
+    S, Q = support_z.data, query_z.data
+    (M, d), K = Q.shape, S.shape[0] // n_classes
+    if S.shape[1:] != (d,):
+        raise GraphError(f"{_LOGITS_OP}: support {S.shape} and query {Q.shape} differ in width")
+    n = float(K)
+    pc = S.reshape((n_classes, K, d))
+    mu = pc.mean(axis=1)
+    var = (pc * pc).mean(axis=1) - mu * mu
+    with np.errstate(over="ignore"):  # overflow ends at the non-finite guard
+        ea, eb = np.exp(ra.data), np.exp(rb.data)
+    alpha = ea + 0.5 * n
     # rounding can leave var a hair negative; beta_0 > 0 keeps beta positive
-    scale2 = (exp(rb) + 0.5 * n * var) * ((n + 1.0) / n) / alpha
-    return 2.0 * alpha, scale2
+    bs = (eb + var * (0.5 * n)) * ((n + 1.0) / n)
+    r_alpha = 1.0 / alpha
+    scale2 = bs * r_alpha
+    nu = alpha * 2.0
+    half_nu1 = (nu + 1.0) * 0.5
+    half_nu = nu * 0.5
+    if half_nu1 <= 0 or half_nu <= 0:
+        raise _domain_error("non-positive lgamma argument")
+    lg1, dg1 = _lgamma_digamma(half_nu1)
+    lg2, dg2 = _lgamma_digamma(half_nu)
+    pi_nu = nu * math.pi
+    if pi_nu <= 0:
+        raise _domain_error("non-positive pi * nu")
+    if np.any(scale2 <= 0):
+        raise _domain_error("non-positive scale^2")
+    shared = (lg1 - lg2) * float(d) - np.log(pi_nu) * (0.5 * d)
+    const = shared - np.log(scale2).sum(axis=-1) * 0.5
+    dev = Q.reshape((M, 1, d)) - mu
+    dev2 = dev * dev
+    den = nu * scale2
+    if np.any(den == 0):
+        raise _domain_error("zero nu * scale^2")
+    r_den = 1.0 / den
+    opq = dev2 * r_den + 1.0
+    tail = np.log(opq).sum(axis=-1)
+    logits = const - half_nu1 * tail
+
+    def vjp(g):
+        # logits = const - half_nu1 * tail
+        g_const, g_hs = _unbroadcast(g, const.shape), -g
+        g_half_nu1 = _unbroadcast(g_hs * tail, ())
+        # tail = sum(log(dev2 * r_den + 1)), r_den = 1 / (nu * scale2)
+        g_opq = np.expand_dims(g_hs * half_nu1, -1) / opq
+        g_den = -_unbroadcast(g_opq * dev2, den.shape) * r_den * r_den
+        g_nu = _unbroadcast(g_den * scale2, ())
+        g_scale2 = g_den * nu
+        c = (g_opq * r_den) * dev  # dev * dev: one adjoint per factor
+        g_dev = c + c
+        # const = shared - sum(log(scale2)) * 0.5,
+        # shared = (lg1 - lg2) * d - log(pi_nu) * (0.5 * d)
+        g_shared = _unbroadcast(g_const, ())
+        g_scale2 = g_scale2 + np.expand_dims(-g_const * 0.5, -1) / scale2
+        g_nu = g_nu + (-g_shared * (0.5 * d)) / pi_nu * math.pi
+        g_dlg = g_shared * float(d)
+        g_nu = g_nu + (-g_dlg * dg2) * 0.5
+        g_half_nu1 = g_half_nu1 + g_dlg * dg1
+        g_nu = g_nu + g_half_nu1 * 0.5
+        # nu = alpha * 2, scale2 = bs * r_alpha, bs = (eb + var * K/2) * (K+1)/K
+        g_alpha = g_nu * 2.0 + -_unbroadcast(g_scale2 * bs, ()) * r_alpha * r_alpha
+        g_bsum = (g_scale2 * r_alpha) * ((n + 1.0) / n)
+        g_ra, g_rb = g_alpha * ea, _unbroadcast(g_bsum, ()) * eb
+        g_q = None if query_z.op == "const" else _unbroadcast(g_dev, (M, 1, d)).reshape(Q.shape)
+        if support_z.op == "const":
+            return None, g_q, g_ra, g_rb
+        # var = mean(pc * pc) - mu * mu, mu = mean(pc)
+        g_var = g_bsum * (0.5 * n)
+        c = -g_var * mu
+        g_mu = (_unbroadcast(-g_dev, mu.shape) + c) + c
+        c = (np.expand_dims(g_var, 1) / K) * pc
+        g_pc = (c + c) + np.expand_dims(g_mu, 1) / K
+        return g_pc.reshape(S.shape), g_q, g_ra, g_rb
+
+    return graph._register(logits, (support_z, query_z, ra, rb), vjp, _LOGITS_OP)
 
 
 def log_predictive(post, prior, z):
@@ -364,13 +451,7 @@ def episode_loss(prior, support_z, support_labels, query_z, query_labels, graph)
     if missing:
         raise ValueError(f"query labels {missing} absent from support")
 
-    d = support_z.shape[1]
-    shots = support_z.shape[0] // len(blocks)
-    per_class = reshape(support_z, (len(blocks), shots, d))  # (N, K, d)
-    mu = mean_reduce(per_class, axis=1)
-    var = mean_reduce(per_class * per_class, axis=1) - mu * mu
-    nu, scale2 = _graph_predictive(prior, graph, float(shots), var)
-    logits = _log_t(reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
+    logits = _student_t_logits(prior, support_z, query_z, len(blocks), graph)
     y = np.array([col[lab] for lab in query_labels], dtype=np.int64)
     return softmax_cross_entropy(logits, y)
 

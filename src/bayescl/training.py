@@ -9,6 +9,7 @@ final and best parameters.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,12 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_episodes < 1:
             raise ValueError("batch_episodes must be >= 1")
+        if self.validation_every < 1:
+            raise ValueError("validation_every must be >= 1")
+        if self.validation_episodes < 0:
+            raise ValueError("validation_episodes must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -127,8 +134,7 @@ def encoder_inputs(registry, params):
     file loaded once and, for a stats-mlp, each clip's frames pooled once."""
     resolved = registry.resolved()
     return SampleRegistry(
-        {c: pool_frames(refs, params) for c, refs in resolved.classes.items()},
-        metadata=resolved.metadata,
+        {c: pool_frames(refs, params) for c, refs in resolved.classes.items()}
     )
 
 

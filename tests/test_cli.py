@@ -151,6 +151,28 @@ def test_synth_eval_names_a_checkpoint_whose_data_header_is_damaged(tmp_path, ca
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--validation-every", "0", "validation_every"),
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--learning-rate", "inf", "learning_rate"),
+        ("--learning-rate", "-1", "learning_rate"),
+        ("--learning-rate", "0", "learning_rate"),
+    ],
+)
+def test_bad_training_setting_fails_before_training(tmp_path, capsys, flag, value, field):
+    ckpt = tmp_path / "ck"
+    code, _, err = run_cli(
+        capsys, "synth-train", "--steps", "3", "--ways", "4", "--classes", "8",
+        "--val-classes", "4", "--embed-dim", "8", flag, value, "--out", str(ckpt),
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last.startswith(f"error: {field} must be ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 10, "ways": 4, "classes": 12, "val_classes": 4}))

@@ -257,6 +257,90 @@ class TestPoolingOffTape:
             E.pool_frames([np.ones((3, 13)), np.ones((0, 13))], params)
 
 
+def _tape_mlp(x, bound, n_layers):
+    """Reference MLP: a matmul, an add and a softplus node per layer, which
+    ``encoder.dense`` fuses into one node."""
+    h = x
+    for i in range(n_layers):
+        h = ad.matmul(h, bound[f"mlp.{i}.w"]) + bound[f"mlp.{i}.b"]
+        if i < n_layers - 1:
+            h = ad.softplus(h)
+    return h
+
+
+def two_embeds_and_grads(first, second, params, seed):
+    """Two embeds on one graph, as a training episode's support and query:
+    each weight's and bias's gradient sums the two."""
+    rng = np.random.default_rng(seed)
+    graph = fresh_graph()
+    a = E.embed_batch(first, params, graph)
+    b = E.embed_batch(second, params, graph)
+    wa, wb = rng.normal(size=a.shape), rng.normal(size=b.shape)
+    loss = ad.sum_reduce(a * graph.constant(wa)) + ad.sum_reduce(b * graph.constant(wb))
+    return a.data, b.data, graph.backward(loss), graph
+
+
+class TestDense:
+    """``dense`` layers must give the bits of matmul + add + softplus nodes."""
+
+    def assert_matches_tape_mlp(self, monkeypatch, first, second, params):
+        out = two_embeds_and_grads(first, second, params, seed=1)
+        with monkeypatch.context() as m:
+            m.setattr(E, "_mlp", _tape_mlp)
+            ref = two_embeds_and_grads(first, second, params, seed=1)
+        assert out[0].tobytes() == ref[0].tobytes()
+        assert out[1].tobytes() == ref[1].tobytes()
+        assert out[2].keys() == ref[2].keys() == params.keys()
+        for name in params:
+            assert out[2][name].tobytes() == ref[2][name].tobytes(), name
+        assert len(out[3]) < len(ref[3])
+
+    def test_stats_mlp(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        cfg = E.EncoderConfig(embed_dim=16, hidden_dims=(32, 24), feature_dim=13, seed=20)
+        params = E.init_params(cfg)
+        mats = [rng.normal(scale=4.0, size=(int(t), 13)) for t in rng.integers(1, 30, size=35)]
+        self.assert_matches_tape_mlp(monkeypatch, mats[:20], mats[20:], params)
+
+    def test_vector_input(self, monkeypatch):
+        # wide inputs put pre-activations on both sides of 0
+        rng = np.random.default_rng(21)
+        cfg = E.EncoderConfig(embed_dim=64, feature_dim=16, vector_input=True, seed=21)
+        params = E.init_params(cfg)
+        vecs = list(rng.normal(scale=5.0, size=(100, 16)))
+        self.assert_matches_tape_mlp(monkeypatch, vecs[:50], vecs[50:], params)
+
+    def test_attention_mlp(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        cfg = E.EncoderConfig("attention-mlp", 8, (12, 10), 13, seed=22)
+        params = E.init_params(cfg)
+        mats = [rng.normal(scale=2.0, size=(int(t), 13)) for t in rng.integers(1, 12, size=9)]
+        self.assert_matches_tape_mlp(monkeypatch, mats[:5], mats[5:], params)
+
+    def test_one_node_per_layer(self):
+        cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)
+        graph = fresh_graph()
+        E.embed_batch([np.ones(3)] * 4, E.init_params(cfg), graph)
+        assert [t.op for t in graph._nodes] == ["input"] * 6 + ["const"] + ["dense"] * 3
+
+    def test_infinite_pre_activation_rejected(self):
+        # x @ w overflows to -inf, which softplus would map to a finite 0
+        cfg = E.EncoderConfig(embed_dim=2, hidden_dims=(3,), feature_dim=2, vector_input=True)
+        params = E.init_params(cfg)
+        params["mlp.0.w"] = np.full((2, 3), -1.0)
+        with np.errstate(over="ignore"), pytest.raises(
+            ad.GraphError, match="non-finite value produced by op 'dense'"
+        ):
+            E.embed_batch([np.full(2, 1e308)], params, fresh_graph())
+
+    def test_shape_mismatch_rejected(self):
+        graph = fresh_graph()
+        x = graph.input("x", np.ones((2, 3)))
+        w, b = graph.input("w", np.ones((4, 5))), graph.input("b", np.zeros(5))
+        with pytest.raises(ad.GraphError, match="dense: cannot apply"):
+            E.dense(x, w, b, activate=True)
+
+
 class TestGradients:
     @pytest.mark.parametrize("arch", ["stats-mlp", "attention-mlp"])
     def test_scalar_of_embedding_grad_check(self, arch):

@@ -43,7 +43,7 @@ class TestSplitClasses:
 
 def toy_registry(n_classes=6, per_class=8, d=3):
     rng = np.random.default_rng(0)
-    reg = Ep.SampleRegistry(metadata="toy")
+    reg = Ep.SampleRegistry()
     for c in range(n_classes):
         for _ in range(per_class):
             reg.add(f"w{c}", rng.normal(size=d))
@@ -214,9 +214,9 @@ class TestManifest:
             {"word": "dog", "path": "dog/1.mfcc", "split": "train"},
         ]
         p.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        reg = Ep.registry_from_manifest(p, "train", root="/data")
+        reg = Ep.registry_from_manifest(p, "train")
         assert reg.class_ids == ["cat", "dog"]
-        assert reg.classes["cat"] == ["/data/cat/1.mfcc"]
+        assert reg.classes == {"cat": ["cat/1.mfcc"], "dog": ["dog/1.mfcc"]}
 
 
 def test_resolve_sample_passthrough_and_dump(tmp_path):
@@ -234,13 +234,13 @@ def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path):
     from bayescl import audio
 
     arr = np.ones((3, 2))
-    reg = Ep.SampleRegistry({"a": [arr]}, metadata="m")
+    reg = Ep.SampleRegistry({"a": [arr]})
     for j in range(2):
         p = tmp_path / f"{j}.mfcc"
         audio.write_feature_dump(p, np.full((2, 13), float(j)))
         reg.add("b", str(p))
     out = reg.resolved()
-    assert out.metadata == "m" and out.class_ids == ["a", "b"]
+    assert out.class_ids == ["a", "b"]
     assert out.classes["a"][0] is arr
     assert [r[0, 0] for r in out.classes["b"]] == [0.0, 1.0]
     assert reg.classes["b"] == [str(tmp_path / "0.mfcc"), str(tmp_path / "1.mfcc")]

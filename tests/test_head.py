@@ -467,6 +467,163 @@ class TestEpisodeLoss:
         assert head_nodes(5) == head_nodes(25)
 
 
+def _tape_logits(prior, support_z, query_z, n_classes, graph):
+    """Reference: the Student-t logits composed of generic tape ops, one node
+    per step, which ``head._student_t_logits`` fuses into one node."""
+    d = support_z.shape[1]
+    shots = support_z.shape[0] // n_classes
+    per_class = ad.reshape(support_z, (n_classes, shots, d))  # (N, K, d)
+    mu = ad.mean_reduce(per_class, axis=1)
+    var = ad.mean_reduce(per_class * per_class, axis=1) - mu * mu
+    nu, scale2 = _tape_predictive(prior, graph, float(shots), var)
+    return _tape_log_t(ad.reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
+
+
+def _tape_episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
+    """Reference ``episode_loss``: ``_tape_logits`` and the cross-entropy."""
+    labels = list(dict.fromkeys(support_labels))
+    logits = _tape_logits(prior, support_z, query_z, len(labels), graph)
+    y = np.array([labels.index(lab) for lab in query_labels], dtype=np.int64)
+    return ad.softmax_cross_entropy(logits, y)
+
+
+def _tape_predictive(prior, graph, n, var):
+    ra, rb = H._rho_tensors(prior, graph)
+    alpha = ad.exp(ra) + 0.5 * n
+    scale2 = (ad.exp(rb) + 0.5 * n * var) * ((n + 1.0) / n) / alpha
+    return 2.0 * alpha, scale2
+
+
+def _tape_log_t(z, nu, mean, scale2):
+    d = float(z.shape[-1])
+    half_nu1 = 0.5 * (nu + 1.0)
+    const = (
+        d * (ad.lgamma(half_nu1) - ad.lgamma(0.5 * nu))
+        - 0.5 * d * ad.log(math.pi * nu)
+        - 0.5 * ad.sum_reduce(ad.log(scale2), axis=-1)
+    )
+    dev = z - mean
+    q = dev * dev / (nu * scale2)
+    return const - half_nu1 * ad.sum_reduce(ad.log(1.0 + q), axis=-1)
+
+
+def _episode(n, k, m, d, seed):
+    rng = np.random.default_rng(seed)
+    support = rng.normal(rng.normal(0, 2, size=(n, 1, d)), 1.0, size=(n, k, d)).reshape(n * k, d)
+    query = rng.normal(0, 2, size=(m, d))
+    labels = [f"c{i}" for i in range(n)]
+    return support, [lab for lab in labels for _ in range(k)], query, [labels[i % n] for i in range(m)]
+
+
+def _loss_and_grads(loss_fn, prior, support, sup_y, query, qry_y):
+    """Loss and gradients with support and query bound as inputs; ``prior``
+    is a PriorParams (bound by the loss) or a (rho_alpha, rho_beta) pair."""
+    g = ad.DiffGraph()
+    s, q = g.input("support", support), g.input("query", query)
+    if not isinstance(prior, H.PriorParams):
+        prior = (g.input("rho_alpha", prior[0]), g.input("rho_beta", prior[1]))
+    loss = loss_fn(prior, s, sup_y, q, qry_y, g)
+    return loss.data, g.backward(loss)
+
+
+class TestFusedLogits:
+    """``episode_loss`` with its one Student-t node must give the bits of the
+    generic-op composition: the loss and every gradient."""
+
+    @pytest.mark.parametrize(
+        "n, k, m, d", [(2, 1, 1, 1), (3, 1, 4, 5), (4, 7, 3, 2), (10, 5, 50, 64), (25, 5, 125, 64)]
+    )
+    @pytest.mark.parametrize(
+        "prior", [(np.asarray(0.3), np.asarray(-0.4)), H.PriorParams(-1.2, 0.8)], ids=["rho", "prior"]
+    )
+    def test_loss_and_gradients_are_the_composition_bits(self, n, k, m, d, prior):
+        episode = _episode(n, k, m, d, seed=1000 * n + 100 * k + m)
+        loss, grads = _loss_and_grads(H.episode_loss, prior, *episode)
+        ref, ref_grads = _loss_and_grads(_tape_episode_loss, prior, *episode)
+        assert loss.tobytes() == ref.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        assert set(grads) == {"support", "query", "rho_alpha", "rho_beta"}
+        for name, ref_grad in ref_grads.items():
+            assert grads[name].shape == ref_grad.shape, name
+            assert grads[name].tobytes() == ref_grad.tobytes(), name
+
+    def test_any_cotangent_gives_the_composition_bits(self):
+        # a cross-entropy cotangent sums to 0 over classes, so the adjoint of
+        # the class-shared constant (and of nu through lgamma and log(pi nu))
+        # nearly vanishes under episode_loss; random cotangents exercise it
+        rng = np.random.default_rng(19)
+
+        def run(logits_fn, prior, support, query, n, cotangent):
+            g = ad.DiffGraph()
+            s, q = g.input("support", support), g.input("query", query)
+            rho = (g.input("rho_alpha", prior[0]), g.input("rho_beta", prior[1]))
+            out = logits_fn(rho, s, q, n, g)
+            return out.data, g.backward(out, seed=cotangent)
+
+        for i in range(100):
+            n, k, m, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (1, 6), (1, 9), (1, 7)))
+            prior = (np.asarray(rng.normal()), np.asarray(rng.normal()))
+            support, _, query, _ = _episode(n, k, m, d, seed=i)
+            cotangent = rng.normal(size=(m, n))
+            out, grads = run(H._student_t_logits, prior, support, query, n, cotangent)
+            ref, ref_grads = run(_tape_logits, prior, support, query, n, cotangent)
+            assert out.tobytes() == ref.tobytes(), i
+            for name, ref_grad in ref_grads.items():
+                assert grads[name].tobytes() == ref_grad.tobytes(), (i, name)
+
+    def test_constant_embeddings_give_the_rho_gradient_bits(self):
+        support, sup_y, query, qry_y = _episode(5, 3, 7, 4, seed=3)
+
+        def run(loss_fn):
+            g = ad.DiffGraph()
+            loss = loss_fn(H.PriorParams(0.2, -0.3), g.constant(support), sup_y,
+                           g.constant(query), qry_y, g)
+            return loss.data, g.backward(loss)
+
+        (loss, grads), (ref, ref_grads) = run(H.episode_loss), run(_tape_episode_loss)
+        assert loss.tobytes() == ref.tobytes()
+        assert grads.keys() == ref_grads.keys() == {"rho_alpha", "rho_beta"}
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_head_is_one_node_plus_rho_and_cross_entropy(self):
+        support, sup_y, query, qry_y = _episode(10, 5, 50, 16, seed=4)
+        g = ad.DiffGraph()
+        s, q = g.input("s", support), g.input("q", query)
+        H.episode_loss(PRIOR, s, sup_y, q, qry_y, g)
+        assert [t.op for t in g._nodes[2:]] == [
+            "input", "input", "student_t_logits", "softmax_cross_entropy"
+        ]
+
+    def test_overflowing_query_fails_in_the_forward(self):
+        # (1e160)^2 overflows: the composition stops at its dev * dev node,
+        # the fused node at the logits it emits
+        support, sup_y, query, qry_y = _episode(4, 3, 2, 5, seed=5)
+        query[1] = 1e160
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.GraphError, match="non-finite value produced by op 'mul'"):
+                _loss_and_grads(_tape_episode_loss, PRIOR, support, sup_y, query, qry_y)
+            with pytest.raises(
+                ad.GraphError, match="non-finite value produced by op 'student_t_logits'"
+            ):
+                _loss_and_grads(H.episode_loss, PRIOR, support, sup_y, query, qry_y)
+
+    def test_zero_scale_fails_the_log_domain_check(self):
+        # beta_0 = e^-800 underflows to 0 and identical shots have variance 0
+        support = np.repeat(np.eye(3), 2, axis=0)
+        sup_y, qry_y = ["a", "a", "b", "b", "c", "c"], ["a"]
+        prior = H.PriorParams(0.0, -800.0)
+        with pytest.raises(ad.GraphError, match="log: non-positive argument"):
+            _loss_and_grads(_tape_episode_loss, prior, support, sup_y, np.ones((1, 3)), qry_y)
+        with pytest.raises(ad.GraphError, match=r"^student_t_logits: non-positive scale\^2$"):
+            _loss_and_grads(H.episode_loss, prior, support, sup_y, np.ones((1, 3)), qry_y)
+
+    def test_width_mismatch_rejected(self):
+        g = ad.DiffGraph()
+        with pytest.raises(ad.GraphError, match="differ in width"):
+            H.episode_loss(PRIOR, np.zeros((4, 3)), ["a", "a", "b", "b"], np.zeros((1, 2)), ["a"], g)
+
+
 def _loop_episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
     """Reference: the Student-t logits built one class at a time."""
     ra, rb = prior

@@ -122,6 +122,25 @@ class TestTrain:
         with pytest.raises(ValueError, match="steps"):
             T.TrainConfig(steps=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("validation_every", 0),
+            ("validation_every", -5),
+            ("validation_episodes", -1),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", -1.0),
+            ("learning_rate", 0.0),
+        ],
+    )
+    def test_bad_setting_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            T.TrainConfig(**{field: value})
+
+    def test_no_validation_episodes_accepted(self):
+        assert T.TrainConfig(validation_episodes=0).validation_episodes == 0
+
     def test_step0_loss_near_log_n_on_symmetric_tasks(self):
         # classes indistinguishable at a tiny overall scale: an untrained
         # encoder yields near-uniform logits (the unit prior beta_0
@@ -184,6 +203,27 @@ class TestTrain:
             assert all(g() is None for g in graphs)
         finally:
             gc.enable()
+
+    def test_synth_training_tape_has_at_most_18_nodes_per_episode(self, monkeypatch):
+        # the benchmark's synth-train episode: 10-way 5+5-shot on a
+        # 16 -> 128 -> 128 -> 64 vector encoder (80 nodes when each op was a node)
+        sizes = []
+
+        class RecordedGraph(ad.DiffGraph):
+            def backward(self, output=None, seed=None):
+                sizes.append(len(self))
+                return super().backward(output, seed)
+
+        monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
+        task = Ep.SynthTaskConfig(latent_dim=16, class_sep=1.4)
+        reg = Ep.synth_registry(task, 20, 10, np.random.default_rng(23))
+        rng = np.random.default_rng(24)
+        batch = [Ep.sample_episode(reg, Ep.EpisodeSpec(10, 5, 5), rng) for _ in range(2)]
+        enc_cfg = E.EncoderConfig(embed_dim=64, feature_dim=16, vector_input=True, seed=25)
+        meta = dict(E.init_params(enc_cfg), rho_alpha=np.asarray(0.0), rho_beta=np.asarray(0.0))
+        T._batch_gradients(meta, batch)
+        assert len(sizes) == 2
+        assert all(n <= 18 for n in sizes), sizes
 
     def test_full_run_determinism(self):
         def run():
