@@ -81,9 +81,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
@@ -171,10 +168,6 @@ class DiffGraph:
     def constant(self, data):
         """A leaf that does not receive gradients."""
         return self._register(data, (), None, "const")
-
-    @property
-    def input_names(self):
-        return list(self._inputs)
 
     def release(self):
         """Drop every node and input binding; the graph is empty afterwards.

@@ -11,27 +11,24 @@ element-wise,
     beta_n  = beta_0 + (n/2) * (mean(z^2) - mean(z)^2)
 
 so a class is fully described by the sufficient statistics
-(n, sum_z, sum_z2), and updating one class never touches another. The
-posterior predictive of a new observation is an independent Student's t
-per dimension:
+(n, sum_z, sum_z2), and updating one class never touches another.
+``HeadState`` keeps one row of them per class, and
+``HeadState.normal_gamma`` stacks every class's posterior. The posterior
+predictive of a new observation is an independent Student's t per
+dimension:
 
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
-``_log_t`` evaluates this density on plain arrays for
-``log_predictive``; its normalising constant comes from
-``_log_t_const``. ``episode_loss`` scores an episode's queries against
-all its classes in one tape node, ``_student_t_logits``, so its tape
-does not grow with the number of ways. That node keeps the arithmetic
-order of the generic-op tape it replaced (``x / y`` as
-``x * (1 / y)``), ``class_scores`` keeps ``_log_t``'s, so each is
-byte-identical to its own reference, and the two agree to rounding.
-
-``class_scores`` stacks every class's parameters once ((C, 1) counts,
-(C, d) means and nu * scale^2 denominators, (C,) constants from
-``_log_t_const``) and walks the classes in blocks that fill one reused
-buffer of 2**16 elements (one class per block when a class needs more).
-It keeps ``_log_t``'s arithmetic and order, so its scores are
-byte-identical to ``_log_t`` called once per class.
+``class_scores`` is the one place a head's classes are scored: it
+derives these parameters for all classes at once and walks the classes
+in blocks that fill one reused buffer of 2**16 elements (one class per
+block when a class needs more), byte-identical to evaluating the density
+one class at a time. ``episode_loss`` scores an episode's queries
+against all its classes in one tape node, ``_student_t_logits``, so its
+tape does not grow with the number of ways. That node keeps the
+arithmetic order of the generic-op tape it replaced (``x / y`` as
+``x * (1 / y)``), so it gives that tape's bits; it and ``class_scores``
+agree to rounding. ``tests/test_head.py`` holds both references.
 
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
@@ -55,13 +52,8 @@ from .autodiff import (
 
 __all__ = [
     "PriorParams",
-    "ClassPosterior",
     "HeadState",
-    "empty_posterior",
-    "posterior_update",
-    "posterior_from_batch",
-    "predictive_params",
-    "log_predictive",
+    "class_scores",
     "predict",
     "predict_batch",
     "episode_loss",
@@ -91,101 +83,74 @@ class PriorParams:
 
 
 @dataclass(eq=False)
-class ClassPosterior:
-    """Sufficient statistics for one class; derived views are recomputed."""
-
-    class_id: object
-    n: int
-    sum_z: np.ndarray
-    sum_z2: np.ndarray
-
-    @property
-    def dim(self):
-        return self.sum_z.shape[0]
-
-    def mean(self):
-        return self.sum_z / self.n
-
-    def kappa(self):
-        return float(self.n)
-
-    def alpha(self, prior):
-        return prior.alpha0 + 0.5 * self.n
-
-    def beta(self, prior):
-        # variance term clamped at zero to absorb rounding; beta stays >= beta_0
-        zbar = self.sum_z / self.n
-        gbar = self.sum_z2 / self.n
-        return prior.beta0 + 0.5 * self.n * np.maximum(gbar - zbar * zbar, 0.0)
-
-    def state_bytes(self):
-        """Canonical byte encoding of the stored state, for exact comparisons."""
-        return (self.n, self.sum_z.tobytes(), self.sum_z2.tobytes())
-
-
-def empty_posterior(class_id, dim):
-    """A class with no observations yet; not valid for prediction."""
-    return ClassPosterior(class_id, 0, np.zeros(dim), np.zeros(dim))
-
-
-def posterior_update(post, z):
-    """Fold one observation into the posterior; returns a new ClassPosterior."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (post.dim,):
-        raise ValueError(
-            f"observation has shape {z.shape}, class {post.class_id!r} "
-            f"expects ({post.dim},)"
-        )
-    return ClassPosterior(post.class_id, post.n + 1, post.sum_z + z, post.sum_z2 + z * z)
-
-
-def posterior_from_batch(prior, Z, class_id):
-    """Posterior from a batch of observations (rows of ``Z``).
-
-    Equal to folding posterior_update over the rows in any order: the
-    state is a pair of symmetric sums.
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[0] < 1:
-        raise ValueError("batch must be a non-empty 2-D array of observations")
-    return ClassPosterior(class_id, Z.shape[0], Z.sum(axis=0), (Z * Z).sum(axis=0))
-
-
-@dataclass
 class HeadState:
-    """Prior plus per-class posteriors in insertion order."""
+    """Prior plus one row of sufficient statistics per class.
+
+    ``posteriors`` maps each class id to its row, in insertion order, so
+    row r is the r-th class added. Row r holds the count ``n[r]`` and the
+    (d,) sums ``sum_z[r]`` and ``sum_z2[r]``. Every class has at least one
+    observation, and all share one width d.
+    """
 
     prior: PriorParams
     posteriors: dict = field(default_factory=dict)
+    n: list = field(default_factory=list)
+    sum_z: list = field(default_factory=list)
+    sum_z2: list = field(default_factory=list)
 
     @property
     def class_ids(self):
         return list(self.posteriors)
 
     def add_class(self, class_id, Z):
+        """A new class from the rows of ``Z``, a non-empty (n, d) array."""
+        Z = np.asarray(Z, dtype=np.float64)
+        if Z.ndim != 2 or Z.shape[0] < 1:
+            raise ValueError("batch must be a non-empty 2-D array of observations")
+        self._append(class_id, Z.shape[0], Z.sum(axis=0), (Z * Z).sum(axis=0))
+
+    def _append(self, class_id, n, sum_z, sum_z2):
         if class_id in self.posteriors:
             raise ValueError(f"class {class_id!r} already present")
-        self.posteriors[class_id] = posterior_from_batch(self.prior, Z, class_id)
+        if self.sum_z and sum_z.shape != self.sum_z[0].shape:
+            raise ValueError(
+                f"class {class_id!r} has width {sum_z.shape[0]}, "
+                f"the head's classes have width {self.sum_z[0].shape[0]}"
+            )
+        self.posteriors[class_id] = len(self.n)
+        self.n.append(n)
+        self.sum_z.append(sum_z)
+        self.sum_z2.append(sum_z2)
 
     def update_class(self, class_id, z):
+        """Fold one observation into a class; no other row changes."""
         if class_id not in self.posteriors:
             raise ValueError(f"class {class_id!r} not present")
-        self.posteriors[class_id] = posterior_update(self.posteriors[class_id], z)
+        r = self.posteriors[class_id]
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != self.sum_z[r].shape:
+            raise ValueError(
+                f"observation has shape {z.shape}, class {class_id!r} "
+                f"expects {self.sum_z[r].shape}"
+            )
+        self.n[r] += 1
+        self.sum_z[r] = self.sum_z[r] + z
+        self.sum_z2[r] = self.sum_z2[r] + z * z
 
-
-def predictive_params(post, prior):
-    """(nu, location, scale^2) of the per-dimension Student's t predictive."""
-    if post.n < 1:
-        raise ValueError(f"class {post.class_id!r} has no observations")
-    a = post.alpha(prior)
-    k = post.kappa()
-    nu = 2.0 * a
-    scale2 = post.beta(prior) * (k + 1.0) / (a * k)
-    return nu, post.mean(), scale2
+    def normal_gamma(self):
+        """Posterior of every class, stacked by row: (C, 1) kappa_n and
+        alpha_n, (C, d) mu_n and beta_n."""
+        kappa = np.array(self.n, dtype=np.float64)[:, None]
+        mu = np.stack(self.sum_z) / kappa
+        gbar = np.stack(self.sum_z2) / kappa
+        # variance clamped at zero to absorb rounding; beta stays >= beta_0
+        beta = self.prior.beta0 + 0.5 * kappa * np.maximum(gbar - mu * mu, 0.0)
+        return kappa, mu, self.prior.alpha0 + 0.5 * kappa, beta
 
 
 def _log_t_const(nu, scale2, d):
-    """(nu + 1) / 2 and the log normalising constant of ``_log_t``.
+    """(nu + 1) / 2 and the log normalising constant of the Student's t
+    density.
 
     ``scale2`` is summed over its last axis, so (C,) ``nu`` with (C, d)
     ``scale2`` gives one constant per class.
@@ -197,20 +162,6 @@ def _log_t_const(nu, scale2, d):
         - 0.5 * np.sum(np.log(scale2), axis=-1)
     )
     return half_nu1, const
-
-
-def _log_t(z, nu, mean, scale2):
-    """Student's t log density summed over the last axis, on plain arrays.
-
-    ``mean`` and ``scale2`` share the trailing dimension d of ``z`` and
-    broadcast against it: a (M, d) batch under one class gives (M,), and
-    a (M, 1, d) batch under (C, d) class parameters gives the (M, C)
-    matrix.
-    """
-    half_nu1, const = _log_t_const(nu, scale2, float(z.shape[-1]))
-    dev = z - mean
-    q = dev * dev / (nu * scale2)
-    return const - half_nu1 * np.sum(np.log(1.0 + q), axis=-1)
 
 
 def _rho_tensors(prior, graph):
@@ -328,57 +279,34 @@ def _student_t_logits(prior, support_z, query_z, n_classes, graph):
     return graph._register(logits, (support_z, query_z, ra, rb), vjp, _LOGITS_OP)
 
 
-def log_predictive(post, prior, z):
-    """Log posterior-predictive density of the vector ``z`` under one class."""
-    if post.n < 1:
-        raise ValueError(f"class {post.class_id!r} has no observations")
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (post.dim,):
-        raise ValueError(f"query has shape {z.shape}, expected ({post.dim},)")
-    nu, m, s2 = predictive_params(post, prior)
-    return float(_log_t(z, nu, m, s2))
-
-
 _BLOCK_ELEMENTS = 2**16  # class_scores buffer: 512 KB of float64
-
-
-def _stacked_predictive(head, d):
-    """(C,) (nu + 1) / 2 and log constants, (C, d) means and nu * scale^2.
-
-    Element for element the arithmetic of ``ClassPosterior.beta`` and
-    ``predictive_params`` in the same order, so each row holds the bits
-    a per-class call would.
-    """
-    posts = list(head.posteriors.values())
-    for post in posts:
-        if post.n < 1:
-            raise ValueError(f"class {post.class_id!r} has no observations")
-    n = np.array([[post.n] for post in posts], dtype=np.float64)  # (C, 1)
-    zbar = np.stack([post.sum_z for post in posts]) / n
-    gbar = np.stack([post.sum_z2 for post in posts]) / n
-    beta = head.prior.beta0 + 0.5 * n * np.maximum(gbar - zbar * zbar, 0.0)
-    a = head.prior.alpha0 + 0.5 * n
-    nu = 2.0 * a
-    scale2 = beta * (n + 1.0) / (a * n)
-    half_nu1, const = _log_t_const(nu[:, 0], scale2, d)
-    return half_nu1, const, zbar, nu * scale2
 
 
 def class_scores(head, Z):
     """(M, C) matrix of log predictive densities, classes in insertion order.
 
-    Classes go through ``_log_t``'s steps B at a time, in place on one
-    reused (M, B, d) buffer, B = max(1, min(C, 2**16 // (M d))). The
-    steps keep ``_log_t``'s order (no log1p, no multiplication by a
-    reciprocal, no float32), so the result is byte-identical to ``_log_t``
-    per class on ``np.ascontiguousarray(Z, dtype=np.float64)``, whatever
-    the layout or dtype of ``Z``.
+    The one scorer of a head's classes. From ``head.normal_gamma()`` it
+    takes nu = 2 alpha_n, scale^2 = beta_n (kappa_n + 1) / (alpha_n
+    kappa_n) and the constants of ``_log_t_const``, then walks the
+    classes B at a time, in place on one reused (M, B, d) buffer,
+    B = max(1, min(C, 2**16 // (M d))). It takes no log1p, multiplies by
+    no reciprocal and uses no float32, so each column is byte-identical
+    to the density evaluated for its class alone, step by step in the
+    same order, on ``np.ascontiguousarray(Z, dtype=np.float64)``,
+    whatever the layout or dtype of ``Z``.
     """
     if not head.posteriors:
         raise ValueError("head has no classes")
     Z = np.ascontiguousarray(Z, dtype=np.float64)
-    M, d = Z.shape
-    half_nu1, const, mean, den = _stacked_predictive(head, float(d))
+    d = head.sum_z[0].shape[0]
+    if Z.ndim != 2 or Z.shape[1] != d:
+        raise ValueError(f"queries have shape {Z.shape}, the head's classes have width {d}")
+    M = Z.shape[0]
+    kappa, mean, alpha, beta = head.normal_gamma()
+    nu = 2.0 * alpha
+    scale2 = beta * (kappa + 1.0) / (alpha * kappa)
+    half_nu1, const = _log_t_const(nu[:, 0], scale2, float(d))
+    den = nu * scale2
     C = len(const)
     B = max(1, min(C, _BLOCK_ELEMENTS // max(1, M * d)))
     buf = np.empty(M * B * d)
@@ -461,12 +389,12 @@ def save_head(head, path):
     config = {
         "kind": "head-snapshot",
         "prior": {"rho_alpha": head.prior.rho_alpha, "rho_beta": head.prior.rho_beta},
-        "classes": [{"id": cid, "n": post.n} for cid, post in head.posteriors.items()],
+        "classes": [{"id": cid, "n": n} for cid, n in zip(head.posteriors, head.n)],
     }
     tensors = {}
-    for i, post in enumerate(head.posteriors.values()):
-        tensors[f"class.{i}.sum_z"] = post.sum_z
-        tensors[f"class.{i}.sum_z2"] = post.sum_z2
+    for i, (sum_z, sum_z2) in enumerate(zip(head.sum_z, head.sum_z2)):
+        tensors[f"class.{i}.sum_z"] = sum_z
+        tensors[f"class.{i}.sum_z2"] = sum_z2
     tensorio.write_tensors(path, config, tensors)
 
 
@@ -474,8 +402,8 @@ def load_head(path):
     """Read a snapshot written by ``save_head``.
 
     A header that does not describe a head (a missing or renamed field,
-    a value of the wrong type, a class without its two tensors) raises
-    ``ContainerError`` naming ``path``.
+    a value of the wrong type, a class without its two tensors or without
+    observations) raises ``ContainerError`` naming ``path``.
     """
     config, tensors = tensorio.read_tensors(path)
     if not isinstance(config, dict) or config.get("kind") != "head-snapshot":
@@ -487,14 +415,11 @@ def load_head(path):
         for i, rec in enumerate(config["classes"]):
             cid, n = rec["id"], rec["n"]
             sum_z, sum_z2 = tensors[f"class.{i}.sum_z"], tensors[f"class.{i}.sum_z2"]
-            if cid in head.posteriors:
-                raise ValueError(f"class {cid!r} appears twice")
-            if not (isinstance(n, int) and n >= 0 and sum_z.ndim == 1
-                    and sum_z2.shape == sum_z.shape):
+            if not (isinstance(n, int) and sum_z.ndim == 1 and sum_z2.shape == sum_z.shape):
                 raise ValueError(f"class {cid!r} has malformed statistics")
-            head.posteriors[cid] = ClassPosterior(cid, n, sum_z, sum_z2)
-        if len({post.dim for post in head.posteriors.values()}) > 1:
-            raise ValueError("classes differ in dimension")
+            if n < 1:
+                raise ValueError(f"class {cid!r} has no observations")
+            head._append(cid, n, sum_z, sum_z2)
     except (KeyError, TypeError, ValueError) as exc:
         raise tensorio.ContainerError(
             f"{path}: malformed head snapshot ({type(exc).__name__}: {exc})"

@@ -22,6 +22,7 @@ from bayescl.cli import main as cli_main
 from bayescl.stats import mann_whitney_u
 
 from test_audio import write_pcm16  # noqa: F401  (import keeps fixtures local)
+from test_head import row_bytes
 from test_stats import brute_force_two_sided_p
 
 
@@ -94,16 +95,18 @@ def test_criterion_01_conjugacy_oracle():
         d = int(rng.integers(1, 9))
         k = int(rng.integers(1, 21))
         Z = rng.normal(size=(k, d)) * rng.uniform(0.1, 4.0)
-        batch = H.posterior_from_batch(PRIOR, Z, "w")
-        for order in (np.arange(k), rng.permutation(k)):
-            fold = H.empty_posterior("w", d)
-            for i in order:
-                fold = H.posterior_update(fold, Z[i])
-            assert fold.n == batch.n and fold.kappa() == batch.kappa()
-            assert fold.alpha(PRIOR) == batch.alpha(PRIOR)
-            for mine, ref in ((fold.mean(), batch.mean()), (fold.beta(PRIOR), batch.beta(PRIOR))):
-                rel = np.max(np.abs(mine - ref) / np.maximum(np.abs(ref), 1e-300))
-                worst = max(worst, float(rel))
+        head = H.HeadState(PRIOR)
+        head.add_class("batch", Z)
+        for fold, order in enumerate((np.arange(k), rng.permutation(k))):
+            head.add_class(fold, Z[order[:1]])
+            for i in order[1:]:
+                head.update_class(fold, Z[i])
+        kappa, mu, alpha, beta = head.normal_gamma()
+        assert head.n[1] == head.n[2] == head.n[0] and np.all(kappa == kappa[0])
+        assert np.all(alpha == alpha[0])
+        for stat in (mu, beta):
+            rel = np.max(np.abs(stat[1:] - stat[0]) / np.maximum(np.abs(stat[0]), 1e-300))
+            worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     assert report(1, ok, f"conjugacy: batch == folds (worst rel {worst:.2e}, {elapsed:.1f}s)")
@@ -114,34 +117,44 @@ def test_criterion_02_forgetting_immunity():
     d, n_classes, per_class = 6, 10, 10
     samples = {c: [rng.normal(size=d) for _ in range(per_class)] for c in range(n_classes)}
     head = H.HeadState(H.PriorParams(0.3, -0.3))
-    for c in range(n_classes):
-        head.posteriors[c] = H.empty_posterior(c, d)
-    arrival = [c for c in range(n_classes) for _ in range(per_class)]  # 100 updates
+    arrival = [c for c in range(n_classes) for _ in range(per_class)]  # 100 observations
     rng.shuffle(arrival)
     cursor = {c: 0 for c in range(n_classes)}
     for c in arrival:
-        head.update_class(c, samples[c][cursor[c]])
+        z = samples[c][cursor[c]]
+        if cursor[c] == 0:
+            head.add_class(c, z[None, :])
+        else:
+            head.update_class(c, z)
         cursor[c] += 1
     ok = True
     for c in range(n_classes):
-        alone = H.empty_posterior(c, d)
-        for z in samples[c]:
-            alone = H.posterior_update(alone, z)
-        ok = ok and head.posteriors[c].state_bytes() == alone.state_bytes()
+        alone = H.HeadState(head.prior)
+        alone.add_class(c, samples[c][0][None, :])
+        for z in samples[c][1:]:
+            alone.update_class(c, z)
+        ok = ok and row_bytes(head, c) == row_bytes(alone, c)
     assert report(2, ok, "forgetting immunity: interleaved == isolated, byte-identical")
 
 
 def test_criterion_03_update_rule_unit_values():
     rng = np.random.default_rng(13)
     ok = True
-    post = H.empty_posterior("w", 4)
+    head = H.HeadState(PRIOR)
     for n in range(1, 11):
-        post = H.posterior_update(post, rng.normal(size=4))
-        ok = ok and post.kappa() == n and post.alpha(PRIOR) == PRIOR.alpha0 + n / 2.0
+        z = rng.normal(size=4)
+        if n == 1:
+            head.add_class("w", z[None, :])
+        else:
+            head.update_class("w", z)
+        kappa, _, alpha, _ = head.normal_gamma()
+        ok = ok and kappa[0, 0] == n and alpha[0, 0] == PRIOR.alpha0 + n / 2.0
     z = rng.normal(size=4)
-    single = H.posterior_update(H.empty_posterior("w", 4), z)
-    ok = ok and np.array_equal(single.mean(), z)
-    ok = ok and np.array_equal(single.beta(PRIOR), np.full(4, PRIOR.beta0))
+    single = H.HeadState(PRIOR)
+    single.add_class("w", z[None, :])
+    _, mu, _, beta = single.normal_gamma()
+    ok = ok and np.array_equal(mu[0], z)
+    ok = ok and np.array_equal(beta[0], np.full(4, PRIOR.beta0))
     assert report(3, ok, "update rules: kappa_n = n, alpha_n = alpha_0 + n/2, mu_1 = z, beta_1 = beta_0")
 
 
@@ -150,18 +163,18 @@ def test_criterion_04_predictive_density():
     rng = np.random.default_rng(14)
     worst_integral = 0.0
     for _ in range(50):
-        prior = H.PriorParams(rng.normal() * 0.4, rng.normal() * 0.4)
+        head = H.HeadState(H.PriorParams(rng.normal() * 0.4, rng.normal() * 0.4))
         n = int(rng.integers(1, 10))
-        Z = rng.normal(rng.normal(0, 2), rng.uniform(0.5, 2.0), size=(n, 1))
-        post = H.posterior_from_batch(prior, Z, "w")
+        head.add_class("w", rng.normal(rng.normal(0, 2), rng.uniform(0.5, 2.0), size=(n, 1)))
         total, _ = quad(
-            lambda x: math.exp(H.log_predictive(post, prior, np.array([x]))),
+            lambda x: math.exp(H.class_scores(head, np.array([[x]]))[0, 0]),
             -np.inf,
             np.inf,
         )
         worst_integral = max(worst_integral, abs(total - 1.0))
-    hand_post = H.posterior_from_batch(PRIOR, np.array([[0.0], [2.0]]), "w")
-    hand = H.log_predictive(hand_post, PRIOR, np.array([1.0]))
+    hand_head = H.HeadState(PRIOR)
+    hand_head.add_class("w", np.array([[0.0], [2.0]]))
+    hand = H.class_scores(hand_head, np.array([[1.0]]))[0, 0]
     hand_err = abs(hand - (-1.1835618070658083))  # scipy.stats.t.logpdf oracle
     ok = worst_integral <= 1e-3 and hand_err <= 1e-6
     assert report(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,48 +12,94 @@ from bayescl import head as H
 PRIOR = H.PriorParams(0.0, 0.0)  # alpha_0 = beta_0 = 1
 
 
-def random_posterior(rng, d, n=None, class_id="c"):
+def one_class_head(rng, d, n=None, prior=PRIOR):
     n = n or int(rng.integers(1, 12))
     Z = rng.normal(rng.normal(0, 2, size=d), rng.uniform(0.5, 2.0), size=(n, d))
-    return H.posterior_from_batch(PRIOR, Z, class_id)
+    return head_of(Z, prior)
+
+
+def head_of(Z, prior=PRIOR):
+    """One-class head from the rows of ``Z``, added as one batch."""
+    head = H.HeadState(prior)
+    head.add_class("w", Z)
+    return head
+
+
+def folded_head(Z, order, prior=PRIOR):
+    """One-class head from the rows of ``Z`` in ``order``: the first added,
+    each later one folded in with ``update_class``."""
+    order = np.asarray(order)
+    head = H.HeadState(prior)
+    head.add_class("w", Z[order[:1]])
+    for i in order[1:]:
+        head.update_class("w", Z[i])
+    return head
+
+
+def posterior(head, row=0):
+    """(kappa_n, mu_n, alpha_n, beta_n) of one row of ``normal_gamma``."""
+    kappa, mu, alpha, beta = head.normal_gamma()
+    return kappa[row, 0], mu[row], alpha[row, 0], beta[row]
+
+
+def row_bytes(head, class_id):
+    r = head.posteriors[class_id]
+    return head.n[r], head.sum_z[r].tobytes(), head.sum_z2[r].tobytes()
+
+
+def score(head, z):
+    """Log predictive density of the vector ``z`` under a one-class head."""
+    return float(H.class_scores(head, np.asarray(z)[None, :])[0, 0])
 
 
 class TestUpdateRules:
     def test_kappa_and_alpha_track_count(self):
         rng = np.random.default_rng(0)
-        post = H.empty_posterior("w", 3)
+        head = H.HeadState(PRIOR)
         for n in range(1, 11):
-            post = H.posterior_update(post, rng.normal(size=3))
-            assert post.kappa() == n
-            assert post.alpha(PRIOR) == 1.0 + n / 2.0
+            z = rng.normal(size=3)
+            if n == 1:
+                head.add_class("w", z[None, :])
+            else:
+                head.update_class("w", z)
+            kappa, _, alpha, _ = posterior(head)
+            assert kappa == n
+            assert alpha == 1.0 + n / 2.0
 
     def test_single_sample_mean_is_z_and_beta_is_beta0(self):
         z = np.array([0.3, -2.0, 5.5])
-        post = H.posterior_update(H.empty_posterior("w", 3), z)
-        np.testing.assert_array_equal(post.mean(), z)
-        np.testing.assert_array_equal(post.beta(PRIOR), np.ones(3))
+        _, mu, _, beta = posterior(head_of(z[None, :]))
+        np.testing.assert_array_equal(mu, z)
+        np.testing.assert_array_equal(beta, np.ones(3))
 
     def test_two_sample_hand_case(self):
         # samples 0 and 2 in one dimension: mean 1, mean-square 2
-        post = H.posterior_from_batch(PRIOR, np.array([[0.0], [2.0]]), "w")
-        assert post.mean()[0] == 1.0
-        assert post.sum_z2[0] / post.n == 2.0
-        assert post.beta(PRIOR)[0] == PRIOR.beta0 + 1.0
+        head = head_of(np.array([[0.0], [2.0]]))
+        _, mu, _, beta = posterior(head)
+        assert mu[0] == 1.0
+        assert head.sum_z2[0][0] / head.n[0] == 2.0
+        assert beta[0] == PRIOR.beta0 + 1.0
 
     def test_repeated_vector_gives_zero_variance(self):
         z = np.array([1.5, -0.5])
-        post = H.posterior_from_batch(PRIOR, np.tile(z, (5, 1)), "w")
-        np.testing.assert_array_equal(post.mean(), z)
-        np.testing.assert_array_equal(post.beta(PRIOR), np.ones(2))
+        _, mu, _, beta = posterior(head_of(np.tile(z, (5, 1))))
+        np.testing.assert_array_equal(mu, z)
+        np.testing.assert_array_equal(beta, np.ones(2))
 
     def test_dimension_mismatch_rejected(self):
-        post = H.empty_posterior("w", 3)
+        head = head_of(np.ones((1, 3)))
         with pytest.raises(ValueError, match="dimension|shape"):
-            H.posterior_update(post, np.ones(4))
+            head.update_class("w", np.ones(4))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            H.posterior_from_batch(PRIOR, np.empty((0, 3)), "w")
+            H.HeadState(PRIOR).add_class("w", np.empty((0, 3)))
+
+    def test_class_of_another_width_rejected(self):
+        head = head_of(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^class 'b' has width 4, the head's classes have width 3$"):
+            head.add_class("b", np.ones((2, 4)))
+        assert head.class_ids == ["w"]
 
 
 class TestConjugacy:
@@ -62,17 +109,11 @@ class TestConjugacy:
             d = int(rng.integers(1, 9))
             k = int(rng.integers(1, 21))
             Z = rng.normal(size=(k, d)) * rng.uniform(0.1, 5)
-            batch = H.posterior_from_batch(PRIOR, Z, "w")
+            batch = head_of(Z)
             for order in (range(k), rng.permutation(k)):
-                fold = H.empty_posterior("w", d)
-                for i in order:
-                    fold = H.posterior_update(fold, Z[i])
+                fold = folded_head(Z, order)
                 assert fold.n == batch.n
-                for a, b in (
-                    (fold.mean(), batch.mean()),
-                    (fold.alpha(PRIOR), batch.alpha(PRIOR)),
-                    (fold.beta(PRIOR), batch.beta(PRIOR)),
-                ):
+                for a, b in zip(posterior(fold), posterior(batch)):
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -81,43 +122,45 @@ class TestConjugacy:
         rng = np.random.default_rng(seed)
         k, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
         Z = rng.normal(size=(k, d))
-        batch = H.posterior_from_batch(PRIOR, Z, "w")
-        fold = H.empty_posterior("w", d)
-        for i in rng.permutation(k):
-            fold = H.posterior_update(fold, Z[i])
-        np.testing.assert_allclose(fold.beta(PRIOR), batch.beta(PRIOR), rtol=1e-12)
-        np.testing.assert_allclose(fold.mean(), batch.mean(), rtol=1e-12)
+        _, batch_mu, _, batch_beta = posterior(head_of(Z))
+        _, fold_mu, _, fold_beta = posterior(folded_head(Z, rng.permutation(k)))
+        np.testing.assert_allclose(fold_beta, batch_beta, rtol=1e-12)
+        np.testing.assert_allclose(fold_mu, batch_mu, rtol=1e-12)
 
 
 def test_forgetting_immunity_updates_never_touch_other_classes():
     # random interleaving of ten per-class sample streams: each class's
-    # final posterior must be byte-identical to folding its own stream
-    # alone (other classes' updates must not perturb it at all)
+    # final row must be byte-identical to folding its own stream alone
+    # (other classes' updates must not perturb it at all)
     rng = np.random.default_rng(2)
     d, n_classes = 4, 10
     samples = {c: [rng.normal(size=d) for _ in range(10)] for c in range(n_classes)}
     head = H.HeadState(H.PriorParams(0.1, 0.2))
-    for c in range(n_classes):
-        head.posteriors[c] = H.empty_posterior(c, d)
     arrival = [c for c in range(n_classes) for _ in range(10)]
     rng.shuffle(arrival)
     cursor = {c: 0 for c in range(n_classes)}
     for c in arrival:
-        head.update_class(c, samples[c][cursor[c]])
+        z = samples[c][cursor[c]]
+        if cursor[c] == 0:
+            head.add_class(c, z[None, :])
+        else:
+            head.update_class(c, z)
         cursor[c] += 1
     for c in range(n_classes):
-        alone = H.empty_posterior(c, d)
-        for z in samples[c]:
-            alone = H.posterior_update(alone, z)
-        assert head.posteriors[c].state_bytes() == alone.state_bytes()
+        alone = H.HeadState(head.prior)
+        alone.add_class(c, samples[c][0][None, :])
+        for z in samples[c][1:]:
+            alone.update_class(c, z)
+        assert row_bytes(head, c) == row_bytes(alone, c)
 
 
 class TestLogPredictive:
+    """The density of one class, through ``class_scores`` on a one-class head."""
+
     def test_hand_case_matches_frozen_oracle(self):
         # nu=4, location 1, scale^2 = 1.5 at z=1; value frozen from
         # scipy.stats.t.logpdf(1, df=4, loc=1, scale=sqrt(1.5))
-        post = H.posterior_from_batch(PRIOR, np.array([[0.0], [2.0]]), "w")
-        value = H.log_predictive(post, PRIOR, np.array([1.0]))
+        value = score(head_of(np.array([[0.0], [2.0]])), np.array([1.0]))
         assert value == pytest.approx(-1.1835618070658083, abs=1e-12)
 
     def test_matches_scipy_t_logpdf(self):
@@ -125,32 +168,30 @@ class TestLogPredictive:
         rng = np.random.default_rng(3)
         for _ in range(50):
             d = int(rng.integers(1, 5))
-            post = random_posterior(rng, d)
+            head = one_class_head(rng, d)
             z = rng.normal(size=d)
-            nu, m, s2 = H.predictive_params(post, PRIOR)
+            nu, m, s2 = row_predictive(head, 0)
             oracle = float(
                 np.sum(sps.t.logpdf(z, df=nu, loc=m, scale=np.sqrt(s2)))
             )
-            assert H.log_predictive(post, PRIOR, z) == pytest.approx(oracle, abs=1e-9)
+            assert score(head, z) == pytest.approx(oracle, abs=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(6, 3))
         z = rng.normal(size=3)
         shift = rng.normal(size=3) * 10
-        a = H.log_predictive(H.posterior_from_batch(PRIOR, Z, "w"), PRIOR, z)
-        b = H.log_predictive(
-            H.posterior_from_batch(PRIOR, Z + shift, "w"), PRIOR, z + shift
-        )
+        a = score(head_of(Z), z)
+        b = score(head_of(Z + shift), z + shift)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_density_integrates_to_one(self):
         quad = pytest.importorskip("scipy.integrate").quad
         rng = np.random.default_rng(5)
         for _ in range(10):
-            post = random_posterior(rng, 1)
+            head = one_class_head(rng, 1)
             total, _ = quad(
-                lambda x: math.exp(H.log_predictive(post, PRIOR, np.array([x]))),
+                lambda x: math.exp(score(head, np.array([x]))),
                 -np.inf,
                 np.inf,
             )
@@ -158,18 +199,14 @@ class TestLogPredictive:
 
     def test_monotone_in_distance_per_dimension(self):
         rng = np.random.default_rng(6)
-        post = random_posterior(rng, 3, n=5)
-        m = post.mean()
+        head = one_class_head(rng, 3, n=5)
+        _, m, _, _ = posterior(head)
         vals = []
         for r in np.linspace(0.0, 4.0, 9):
             z = m.copy()
             z[1] += r
-            vals.append(H.log_predictive(post, PRIOR, z))
+            vals.append(score(head, z))
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_no_observations_rejected(self):
-        with pytest.raises(ValueError, match="no observations"):
-            H.log_predictive(H.empty_posterior("w", 2), PRIOR, np.zeros(2))
 
 
 class TestPredict:
@@ -209,8 +246,8 @@ class TestPredict:
                 head.add_class(c, Z)
             z = rng.normal(0, 3, size=d)
             scores = []
-            for c, post in head.posteriors.items():
-                nu, m, s2 = H.predictive_params(post, head.prior)
+            for r in head.posteriors.values():
+                nu, m, s2 = row_predictive(head, r)
                 scores.append(np.sum(sps.t.logpdf(z, df=nu, loc=m, scale=np.sqrt(s2))))
             assert H.predict(head, z) == int(np.argmax(scores))
 
@@ -231,10 +268,31 @@ class TestPredict:
             was_wrong = was_wrong or not correct
 
 
+def row_predictive(head, r):
+    """(nu, location, scale^2) of row ``r``'s Student's t predictive, one
+    class at a time from the raw row: the per-class reference for
+    ``HeadState.normal_gamma`` and ``class_scores``."""
+    n, prior = head.n[r], head.prior
+    zbar = head.sum_z[r] / n
+    gbar = head.sum_z2[r] / n
+    beta = prior.beta0 + 0.5 * n * np.maximum(gbar - zbar * zbar, 0.0)
+    a = prior.alpha0 + 0.5 * n
+    k = float(n)
+    return 2.0 * a, zbar, beta * (k + 1.0) / (a * k)
+
+
+def log_t(z, nu, mean, scale2):
+    """Student's t log density of the rows of ``z``, summed over the last axis."""
+    half_nu1, const = H._log_t_const(nu, scale2, float(z.shape[-1]))
+    dev = z - mean
+    q = dev * dev / (nu * scale2)
+    return const - half_nu1 * np.sum(np.log(1.0 + q), axis=-1)
+
+
 def loop_class_scores(head, Z):
-    """Reference: ``_log_t`` once per class on a C-ordered float64 copy."""
+    """Reference: ``log_t`` once per class on a C-ordered float64 copy."""
     Z = np.ascontiguousarray(Z, dtype=np.float64)
-    cols = [H._log_t(Z, *H.predictive_params(post, head.prior)) for post in head.posteriors.values()]
+    cols = [log_t(Z, *row_predictive(head, r)) for r in head.posteriors.values()]
     return np.stack(cols, axis=1)
 
 
@@ -285,8 +343,8 @@ class TestClassScores:
             head.add_class(c, rng.normal(size=(1, d)))
         for c in rng.integers(0, 40, size=60):
             head.update_class(int(c), rng.normal(size=d))
-        assert len({post.n for post in head.posteriors.values()}) > 5
-        assert min(post.n for post in head.posteriors.values()) == 1
+        assert len(set(head.n)) > 5
+        assert min(head.n) == 1
         self.assert_matches_loop(head, rng.normal(0, 2, size=(90, d)))
 
     @pytest.mark.parametrize("layout", [np.asfortranarray, lambda z: z.astype(np.float32)])
@@ -302,12 +360,12 @@ class TestClassScores:
         with pytest.raises(ValueError, match=r"^head has no classes$"):
             H.class_scores(H.HeadState(PRIOR), np.zeros((3, 2)))
 
-    def test_class_without_observations_rejected(self):
-        head = H.HeadState(PRIOR)
-        head.add_class("ok", np.ones((2, 2)))
-        head.posteriors["w"] = H.empty_posterior("w", 2)
-        with pytest.raises(ValueError, match=r"^class 'w' has no observations$"):
-            H.class_scores(head, np.zeros((3, 2)))
+    @pytest.mark.parametrize("shape", [(3,), (5, 4)], ids=["vector", "another-width"])
+    def test_query_of_the_wrong_shape_rejected(self, shape):
+        head = head_of(np.ones((2, 3)))
+        message = rf"^queries have shape {re.escape(str(shape))}, the head's classes have width 3$"
+        with pytest.raises(ValueError, match=message):
+            H.class_scores(head, np.zeros(shape))
 
 
 def test_prototypical_network_limit():
@@ -656,10 +714,13 @@ def test_head_snapshot_round_trip(tmp_path):
     head = H.HeadState(H.PriorParams(0.25, -0.75))
     for c in ("alpha", "beta", "gamma"):
         head.add_class(c, rng.normal(size=(4, 6)))
-    path = tmp_path / "head.bcl"
+    head.update_class("beta", rng.normal(size=6))
+    path, again = tmp_path / "head.bcl", tmp_path / "again.bcl"
     H.save_head(head, path)
     loaded = H.load_head(path)
     assert loaded.prior == head.prior
     assert loaded.class_ids == head.class_ids
     for c in head.class_ids:
-        assert loaded.posteriors[c].state_bytes() == head.posteriors[c].state_bytes()
+        assert row_bytes(loaded, c) == row_bytes(head, c)
+    H.save_head(loaded, again)
+    assert again.read_bytes() == path.read_bytes()

@@ -82,9 +82,10 @@ def save_head(path):
         (save_checkpoint, T.load_checkpoint, b'"encoder"', b'"encodez"'),
         (save_head, H.load_head, b'"rho_alpha"', b'"rho_alphz"'),
         (save_head, H.load_head, b'"classes"', b'"classez"'),
+        (save_head, H.load_head, b'"n":2', b'"n":0'),
     ],
     ids=["checkpoint-architecture", "checkpoint-embed_dim-key", "checkpoint-encoder-key",
-         "head-rho_alpha-key", "head-classes-key"],
+         "head-rho_alpha-key", "head-classes-key", "head-class-without-observations"],
 )
 def test_header_field_edit_raises_container_error_naming_path(tmp_path, save, load, old, new):
     # the tensor CRCs do not cover the JSON header, so these edits reach the parsers
