@@ -275,7 +275,11 @@ def read_feature_dump(path):
     version, t, n_ceps = struct.unpack("<III", blob[4:16])
     if version != FEATURE_VERSION:
         raise AudioFormatError(f"{path}: unsupported feature dump version {version}")
+    if t == 0 or n_ceps == 0:
+        raise AudioFormatError(f"{path}: empty feature dump ({t} frames x {n_ceps} coefficients)")
     expected = 16 + 8 * t * n_ceps
     if len(blob) < expected:
         raise AudioFormatError(f"{path}: truncated feature dump")
-    return np.frombuffer(blob[16:expected], dtype="<f8").astype(np.float64).reshape(t, n_ceps)
+    if len(blob) > expected:
+        raise AudioFormatError(f"{path}: {len(blob) - expected} trailing bytes after the frames")
+    return np.frombuffer(blob[16:], dtype="<f8").astype(np.float64).reshape(t, n_ceps)

@@ -9,7 +9,8 @@ Two small architectures share one MLP trunk:
   Position encoding makes it sensitive to frame order.
 
 Inputs may also be plain feature vectors (synthetic tasks); those feed
-the MLP directly with no pooling.
+the MLP directly, so only a stats-mlp takes them (``vector_input``): an
+attention-mlp with nothing to attend over would be the same MLP.
 """
 
 from dataclasses import dataclass
@@ -54,14 +55,15 @@ class EncoderConfig:
             raise ValueError("hidden_dims must be non-empty")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.vector_input and self.architecture != "stats-mlp":
+            raise ValueError(f"architecture {self.architecture!r} cannot take vector_input=True")
 
     @property
     def mlp_input_dim(self):
-        if self.vector_input:
-            return self.feature_dim
-        if self.architecture == "stats-mlp":
+        # stats-mlp pools mean and std per coefficient; attention keeps the width
+        if self.architecture == "stats-mlp" and not self.vector_input:
             return 2 * self.feature_dim
-        return self.feature_dim  # attention output keeps feature width
+        return self.feature_dim
 
     def to_dict(self):
         return {
@@ -93,7 +95,7 @@ def init_params(config):
     """
     rng = np.random.default_rng(config.seed)
     params = {}
-    if config.architecture == "attention-mlp" and not config.vector_input:
+    if config.architecture == "attention-mlp":
         f = config.feature_dim
         for name in ("attn.wq", "attn.wk", "attn.wv"):
             params[name] = _xavier(rng, f, f)

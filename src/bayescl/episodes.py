@@ -34,10 +34,8 @@ class EpisodeSpec:
     query_shots: int = 5
 
     def __post_init__(self):
-        if self.ways < 2:
-            raise ValueError("an episode needs at least 2 ways")
-        if self.shots < 1 or self.query_shots < 1:
-            raise ValueError("shots and query_shots must be >= 1")
+        if self.ways < 1 or self.shots < 1 or self.query_shots < 1:
+            raise ValueError("ways, shots and query_shots must be >= 1")
 
     @property
     def samples_per_class(self):
@@ -46,11 +44,17 @@ class EpisodeSpec:
 
 @dataclass
 class Episode:
-    """Support and query sets in class-major order."""
+    """Support and query references in class-major order.
+
+    With K support and Q query shots per class, support row i belongs to
+    ``class_ids[i // K]`` and query row j to ``class_ids[j // Q]``. Every
+    consumer (``head.episode_loss``, ``training.episode_head``) reads the
+    classes from row position, so this is the one place the layout lives.
+    """
 
     class_ids: list
-    support: list  # (sample_ref, class_id) pairs, K per class
-    query: list  # (sample_ref, class_id) pairs, Q per class
+    support: list  # sample references, K per class
+    query: list  # sample references, Q per class
 
 
 @dataclass
@@ -162,10 +166,8 @@ def sample_episode(registry, spec, rng):
     for cid in chosen:
         refs = registry.classes[cid]
         picks = rng.choice(len(refs), size=spec.samples_per_class, replace=False)
-        for j in picks[: spec.shots]:
-            support.append((refs[j], cid))
-        for j in picks[spec.shots :]:
-            query.append((refs[j], cid))
+        support += [refs[j] for j in picks[: spec.shots]]
+        query += [refs[j] for j in picks[spec.shots :]]
     return Episode(chosen, support, query)
 
 

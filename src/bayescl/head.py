@@ -55,7 +55,6 @@ __all__ = [
     "HeadState",
     "class_scores",
     "predict",
-    "predict_batch",
     "episode_loss",
     "save_head",
     "load_head",
@@ -326,61 +325,32 @@ def class_scores(head, Z):
     return scores
 
 
-def predict_batch(head, Z):
-    """Predicted class ids for the rows of ``Z``.
-
-    argmax takes the first maximum, so ties resolve toward the
-    earliest-inserted class.
-    """
-    ids = list(head.posteriors)
-    winners = np.argmax(class_scores(head, Z), axis=1)
-    return [ids[w] for w in winners]
-
-
 def predict(head, z):
-    """Most likely class id for a single query vector."""
+    """Most likely class id for a single query vector; argmax takes the
+    first maximum, so ties resolve toward the earliest-inserted class."""
     z = np.asarray(z, dtype=np.float64)
-    return predict_batch(head, z[None, :])[0]
+    return list(head.posteriors)[int(np.argmax(class_scores(head, z[None, :])))]
 
 
-def episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
+def episode_loss(prior, support_z, query_z, n_classes, graph):
     """Mean query cross-entropy of one episode, differentiable end to end.
 
-    ``support_z`` is an (N*K, d) Tensor whose rows are grouped by class
-    (contiguous blocks, K rows each); ``query_z`` is (M, d). Labels may
-    be any hashable ids. Gradients flow into the embeddings and into
-    rho_alpha / rho_beta.
+    ``support_z`` is an (N*K, d) and ``query_z`` an (N*Q, d) Tensor, each
+    in the layout of ``episodes.Episode``: row i belongs to class i // K
+    (support) or i // Q (query). A row count that does not split into
+    ``n_classes`` equal non-empty classes raises ``ValueError``. Gradients
+    flow into the embeddings and into rho_alpha / rho_beta.
     """
     if not isinstance(support_z, Tensor):
         support_z = graph.constant(np.asarray(support_z, dtype=np.float64))
     if not isinstance(query_z, Tensor):
         query_z = graph.constant(np.asarray(query_z, dtype=np.float64))
-    support_labels = list(support_labels)
-    query_labels = list(query_labels)
-    if len(support_labels) != support_z.shape[0]:
-        raise ValueError("support labels do not match support rows")
-    if len(query_labels) != query_z.shape[0]:
-        raise ValueError("query labels do not match query rows")
-
-    blocks = []  # [class_id, start, stop]
-    for i, lab in enumerate(support_labels):
-        if blocks and blocks[-1][0] == lab:
-            blocks[-1][2] = i + 1
-        else:
-            blocks.append([lab, i, i + 1])
-    class_order = [b[0] for b in blocks]
-    if len(set(class_order)) != len(class_order):
-        raise ValueError("support rows must be grouped into contiguous class blocks")
-    shot_counts = {cid: stop - start for cid, start, stop in blocks}
-    if len(set(shot_counts.values())) != 1:
-        raise ValueError(f"every class needs the same shot count, got {shot_counts}")
-    col = {cid: j for j, cid in enumerate(class_order)}
-    missing = sorted({repr(lab) for lab in query_labels if lab not in col})
-    if missing:
-        raise ValueError(f"query labels {missing} absent from support")
-
-    logits = _student_t_logits(prior, support_z, query_z, len(blocks), graph)
-    y = np.array([col[lab] for lab in query_labels], dtype=np.int64)
+    for name, z in (("support", support_z), ("query", query_z)):
+        rows = z.shape[0]
+        if n_classes < 1 or rows < n_classes or rows % n_classes:
+            raise ValueError(f"{rows} {name} rows do not split into {n_classes} equal classes")
+    logits = _student_t_logits(prior, support_z, query_z, n_classes, graph)
+    y = np.repeat(np.arange(n_classes), query_z.shape[0] // n_classes)
     return softmax_cross_entropy(logits, y)
 
 

@@ -23,9 +23,12 @@ def spawn_map(fn, args, jobs, workers):
 
     With ``workers > 1`` the same list is computed in a spawn-context
     process pool: ``fn`` and ``args`` are sent to each worker once, and
-    each job on its own. No pool starts when there are no jobs.
+    each job on its own. No pool starts when there are no jobs, and
+    ``workers < 1`` raises ``ValueError``.
     """
-    if workers <= 1 or not jobs:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or not jobs:
         return [fn(*args, job) for job in jobs]
     with ProcessPoolExecutor(
         max_workers=workers,

@@ -4,16 +4,19 @@ Per episode, ``max_classes`` test classes are drawn and introduced
 ``increment`` at a time. At each checkpoint every introduced word's
 query shots are classified against all classes seen so far.
 
+An episode is drawn by ``episodes.sample_episode`` and its head built
+by ``training.episode_head``, as in validation during training, so any
+method that draws from the same episode seed sees the same words in the
+same order and the same support and query picks.
+
 A class density is fixed once its support shots are added, and the
 query shots are drawn up front, so a query's score against a class does
-not depend on the checkpoint. Each episode therefore embeds all its
-support and query shots in one batch each, adds every class to the
-head, and computes one (max_classes * query_shots, max_classes) score
-matrix. The accuracy at checkpoint n is the argmax over the first n
-columns of the rows of the first n words. argmax takes the first
-maximum, so ties go to the earliest-inserted class, and a query that
-goes wrong can never recover: its competitors only grow while the
-existing scores stay fixed.
+not depend on the checkpoint. Each episode therefore computes one
+(max_classes * query_shots, max_classes) score matrix. The accuracy at
+checkpoint n is the argmax over the first n columns of the rows of the
+first n words. argmax takes the first maximum, so ties go to the
+earliest-inserted class, and a query that goes wrong can never recover:
+its competitors only grow while the existing scores stay fixed.
 """
 
 import csv
@@ -24,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import embed_batch_values
-from .head import HeadState, class_scores
+from .episodes import EpisodeSpec, sample_episode
+from .head import class_scores
 from .pool import spawn_map
-from .training import encoder_inputs, encoder_params
+from .training import encoder_inputs, episode_head
 
 __all__ = [
     "ProtocolConfig",
@@ -110,24 +113,12 @@ class EvalReport:
 
 def _run_episode(params, prior, registry, cfg, episode_seed):
     rng = np.random.default_rng(episode_seed)
-    registry.require(cfg.max_classes, cfg.shots + cfg.query_shots)
-    ids = registry.class_ids
-    order = [ids[i] for i in rng.choice(len(ids), size=cfg.max_classes, replace=False)]
-    enc = encoder_params(params)
-    k, q = cfg.shots, cfg.query_shots
+    q = cfg.query_shots
 
     t0 = time.perf_counter()
-    support, queries = [], []
-    for cid in order:
-        refs = registry.classes[cid]  # arrays: run_protocol passes encoder_inputs
-        picks = rng.choice(len(refs), size=k + q, replace=False)
-        support += [refs[j] for j in picks[:k]]
-        queries += [refs[j] for j in picks[k:]]
-    support_z = embed_batch_values(support, enc)
-    query_z = embed_batch_values(queries, enc)
-    head = HeadState(prior)
-    for w, cid in enumerate(order):
-        head.add_class(cid, support_z[w * k : (w + 1) * k])
+    episode = sample_episode(registry, EpisodeSpec(cfg.max_classes, cfg.shots, q), rng)
+    # arrays: run_protocol passes encoder_inputs
+    head, query_z = episode_head(params, prior, episode)
     t1 = time.perf_counter()
 
     # row w*q + j is query j of word w; column w is word w's class
@@ -141,7 +132,7 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct.mean(axis=2), np.nan)
     introduced_at = np.repeat(checkpoints, cfg.increment)
     query_time = time.perf_counter() - t1
-    return EpisodeTrace(order, introduced_at, acc, correct), t1 - t0, query_time
+    return EpisodeTrace(episode.class_ids, introduced_at, acc, correct), t1 - t0, query_time
 
 
 def run_protocol(params, prior, registry, cfg):

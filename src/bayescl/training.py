@@ -5,7 +5,8 @@ parameters rho_alpha and rho_beta. Each step samples a batch of
 episodes, averages the episode losses' gradients (deterministic ordered
 summation), and applies one Adam update. Validation periodically scores
 a fixed set of held-out-class episodes; ``save_run`` checkpoints the
-final and best parameters.
+final and best parameters. ``episode_head`` is the one place a head is
+built from an episode: validation and ``protocol`` both score through it.
 """
 
 import csv
@@ -18,7 +19,7 @@ from . import tensorio
 from .autodiff import DiffGraph
 from .encoder import EncoderConfig, embed_batch, embed_batch_values, init_params, pool_frames
 from .episodes import EpisodeSpec, SampleRegistry, resolve_sample, sample_episode
-from .head import HeadState, PriorParams, episode_loss, predict_batch
+from .head import HeadState, PriorParams, class_scores, episode_loss
 
 __all__ = [
     "TrainConfig",
@@ -27,6 +28,7 @@ __all__ = [
     "adam_step",
     "train",
     "encoder_params",
+    "episode_head",
     "episode_accuracy",
     "save_run",
     "save_checkpoint",
@@ -56,6 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.spec.ways < 2:
+            raise ValueError("an episode needs at least 2 ways")
         if self.batch_episodes < 1:
             raise ValueError("batch_episodes must be >= 1")
         if self.validation_every < 1:
@@ -116,14 +120,6 @@ def adam_step(params, grads, state, cfg):
     return new_params, OptState(new_m, new_v, t)
 
 
-def _episode_arrays(episode):
-    support_x = [resolve_sample(ref) for ref, _ in episode.support]
-    support_y = [cid for _, cid in episode.support]
-    query_x = [resolve_sample(ref) for ref, _ in episode.query]
-    query_y = [cid for _, cid in episode.query]
-    return support_x, support_y, query_x, query_y
-
-
 def encoder_params(params):
     """The encoder's weights: ``params`` without the prior's rho entries."""
     return {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
@@ -145,13 +141,12 @@ def _batch_gradients(meta, episodes_batch):
     enc = encoder_params(meta)
     for episode in episodes_batch:
         graph = DiffGraph()
-        support_x, support_y, query_x, query_y = _episode_arrays(episode)
         try:
-            sz = embed_batch(support_x, enc, graph)
-            qz = embed_batch(query_x, enc, graph)
+            sz = embed_batch([resolve_sample(r) for r in episode.support], enc, graph)
+            qz = embed_batch([resolve_sample(r) for r in episode.query], enc, graph)
             ra = graph.input("rho_alpha", meta["rho_alpha"])
             rb = graph.input("rho_beta", meta["rho_beta"])
-            loss = episode_loss((ra, rb), sz, support_y, qz, query_y, graph)
+            loss = episode_loss((ra, rb), sz, qz, len(episode.class_ids), graph)
             grads = graph.backward(loss)
         finally:
             graph.release()  # free the tape now, not at the next collection
@@ -165,18 +160,29 @@ def _batch_gradients(meta, episodes_batch):
     return total_loss / n, {k: g / n for k, g in grad_sum.items()}
 
 
+def episode_head(params, prior, episode):
+    """The head an episode's support shots build, and its embedded queries.
+
+    Returns ``(head, query_z)``: the head holds ``episode.class_ids`` in
+    order, each class added from its K class-major support rows, and
+    ``query_z`` is (N*Q, d) in the episode's query order. The episode's
+    references must be arrays, as ``encoder_inputs`` leaves them.
+    """
+    enc = encoder_params(params)
+    support_z = embed_batch_values(episode.support, enc)
+    query_z = embed_batch_values(episode.query, enc)
+    head = HeadState(prior)
+    k = len(episode.support) // len(episode.class_ids)
+    for w, cid in enumerate(episode.class_ids):
+        head.add_class(cid, support_z[w * k : (w + 1) * k])
+    return head, query_z
+
+
 def episode_accuracy(params, prior, episode):
     """Query accuracy of one episode under frozen parameters."""
-    support_x, support_y, query_x, query_y = _episode_arrays(episode)
-    enc = encoder_params(params)
-    sz = embed_batch_values(support_x, enc)
-    qz = embed_batch_values(query_x, enc)
-    head = HeadState(prior)
-    for cid in episode.class_ids:
-        rows = [i for i, y in enumerate(support_y) if y == cid]
-        head.add_class(cid, sz[rows])
-    predicted = predict_batch(head, qz)
-    return float(np.mean([p == y for p, y in zip(predicted, query_y)]))
+    head, query_z = episode_head(params, prior, episode)
+    truth = np.repeat(np.arange(len(episode.class_ids)), len(query_z) // len(episode.class_ids))
+    return float(np.mean(np.argmax(class_scores(head, query_z), axis=1) == truth))
 
 
 def train(cfg, registry, encoder_cfg, val_registry=None):

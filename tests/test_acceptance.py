@@ -199,9 +199,7 @@ def test_criterion_05_gradient_suite():
     # h=4e-4 with this fixed draw keeps both error sources under the
     # tolerance; see the step-size analysis in the unit suite.
     worst_ep = 0.0
-    n_ways, k, q = 4, 3, 3
-    sup_y = [f"c{i}" for i in range(n_ways) for _ in range(k)]
-    qry_y = [f"c{i}" for i in range(n_ways) for _ in range(q)]
+    n_ways, k, q = 4, 3, 3  # class-major rows: k (q) per way
     for seed in range(5):
         rng = np.random.default_rng(seed)
         cfg = E.EncoderConfig(embed_dim=7, hidden_dims=(10, 9), feature_dim=6, seed=seed)
@@ -216,7 +214,7 @@ def test_criterion_05_gradient_suite():
             enc = {name: t[name] for name in params}
             sz = E.embed_batch(sup_x, enc, graph)
             qz = E.embed_batch(qry_x, enc, graph)
-            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), sz, sup_y, qz, qry_y, graph)
+            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), sz, qz, n_ways, graph)
 
         worst_ep = max(worst_ep, ad.grad_check(builder, point, step=4e-4))
     elapsed = time.perf_counter() - start

@@ -307,6 +307,26 @@ class TestFeatureDump:
         with pytest.raises(audio.AudioFormatError, match="truncated"):
             audio.read_feature_dump(p)
 
+    def test_header_narrower_than_payload_rejected(self, tmp_path):
+        # a 20 x 13 payload under a header that says 12 coefficients
+        p = tmp_path / "w.mfcc"
+        audio.write_feature_dump(p, np.ones((20, 13)))
+        blob = bytearray(p.read_bytes())
+        blob[12:16] = struct.pack("<I", 12)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(audio.AudioFormatError, match=re.escape(f"{p}: 160 trailing bytes")):
+            audio.read_feature_dump(p)
+
+    @pytest.mark.parametrize("field", [8, 12], ids=["frames", "coefficients"])
+    def test_zero_count_header_rejected(self, tmp_path, field):
+        p = tmp_path / "z.mfcc"
+        audio.write_feature_dump(p, np.ones((20, 13)))
+        blob = bytearray(p.read_bytes())
+        blob[field : field + 4] = struct.pack("<I", 0)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(audio.AudioFormatError, match=re.escape(f"{p}: empty feature dump")):
+            audio.read_feature_dump(p)
+
     def test_version_checked(self, tmp_path):
         p = tmp_path / "v.mfcc"
         audio.write_feature_dump(p, np.ones((2, 2)))

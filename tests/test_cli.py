@@ -173,6 +173,19 @@ def test_bad_training_setting_fails_before_training(tmp_path, capsys, flag, valu
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_train_rejects_an_attention_encoder(tmp_path, capsys):
+    # synthetic samples are vectors, so an attention-mlp would train a plain MLP
+    code, _, err = run_cli(
+        capsys, "synth-train", "--steps", "3", "--ways", "4", "--classes", "8",
+        "--val-classes", "4", "--embed-dim", "8", "--encoder", "attention-mlp",
+        "--out", str(tmp_path / "ck"),
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error: architecture 'attention-mlp'") and "vector_input" in last
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 10, "ways": 4, "classes": 12, "val_classes": 4}))

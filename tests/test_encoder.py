@@ -21,6 +21,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             E.EncoderConfig(hidden_dims=())
 
+    def test_attention_on_vector_input_rejected(self):
+        # with no frames there is nothing to attend over: it would be a stats-mlp
+        with pytest.raises(ValueError, match=r"'attention-mlp'.*vector_input=True"):
+            E.EncoderConfig("attention-mlp", vector_input=True)
+
     def test_round_trips_through_dict(self):
         cfg = E.EncoderConfig("attention-mlp", 32, (64, 32), 13, False, 5)
         assert E.EncoderConfig.from_dict(cfg.to_dict()) == cfg

@@ -62,15 +62,15 @@ class TestSampleEpisode:
         spec = Ep.EpisodeSpec(4, 3, 2)
         rng = np.random.default_rng(2)
         ep = Ep.sample_episode(toy_registry(), spec, rng)
-        sup_ids = {id(ref) for ref, _ in ep.support}
-        qry_ids = {id(ref) for ref, _ in ep.query}
+        sup_ids = {id(ref) for ref in ep.support}
+        qry_ids = {id(ref) for ref in ep.query}
         assert not sup_ids & qry_ids
 
     def test_no_reference_repeats_within_episode(self):
         spec = Ep.EpisodeSpec(5, 4, 4)
         rng = np.random.default_rng(3)
         ep = Ep.sample_episode(toy_registry(), spec, rng)
-        refs = [id(r) for r, _ in ep.support + ep.query]
+        refs = [id(r) for r in ep.support + ep.query]
         assert len(refs) == len(set(refs))
 
     def test_exact_class_count_uses_full_set(self):
@@ -91,9 +91,18 @@ class TestSampleEpisode:
 
     def test_support_is_class_major(self):
         spec = Ep.EpisodeSpec(4, 3, 1)
-        ep = Ep.sample_episode(toy_registry(), spec, np.random.default_rng(5))
-        labels = [y for _, y in ep.support]
+        reg = toy_registry()
+        ep = Ep.sample_episode(reg, spec, np.random.default_rng(5))
+        support, query = labelled(ep, spec)
+        labels = [y for _, y in support]
         assert labels == [c for c in ep.class_ids for _ in range(3)]
+        # row i's reference is one of its class's samples
+        for ref, y in support + query:
+            assert any(ref is r for r in reg.classes[y])
+
+    def test_one_way_episode(self):
+        ep = Ep.sample_episode(toy_registry(), Ep.EpisodeSpec(1, 2, 2), np.random.default_rng(8))
+        assert len(ep.class_ids) == 1 and len(ep.support) == len(ep.query) == 2
 
     def test_sampling_marginals_are_uniform(self):
         # each class should land in about ways/n_classes of episodes
@@ -114,6 +123,14 @@ class TestSampleEpisode:
         assert chi2 < 160.0
 
 
+def labelled(ep, spec):
+    """The episode's support and query as (reference, class id) pairs, read
+    from row position: row i of K (or Q) per class is class i // K."""
+    support = [(r, ep.class_ids[i // spec.shots]) for i, r in enumerate(ep.support)]
+    query = [(r, ep.class_ids[i // spec.query_shots]) for i, r in enumerate(ep.query)]
+    return support, query
+
+
 def synth_episode(cfg, spec, rng):
     """An episode over a fresh synthetic registry of exactly ``spec.ways`` classes."""
     reg = Ep.synth_registry(cfg, spec.ways, spec.samples_per_class, rng)
@@ -124,9 +141,9 @@ class TestSynth:
     def test_zero_within_std_gives_identical_samples(self):
         cfg = Ep.SynthTaskConfig(latent_dim=4, class_sep=5.0, within_std=0.0)
         spec = Ep.EpisodeSpec(3, 4, 2)
-        ep = synth_episode(cfg, spec, np.random.default_rng(0))
+        support, query = labelled(synth_episode(cfg, spec, np.random.default_rng(0)), spec)
         by_class = {}
-        for ref, y in ep.support + ep.query:
+        for ref, y in support + query:
             by_class.setdefault(y, []).append(ref)
         for refs in by_class.values():
             for r in refs[1:]:
@@ -135,12 +152,12 @@ class TestSynth:
     def test_zero_within_std_nearest_mean_is_perfect(self):
         cfg = Ep.SynthTaskConfig(latent_dim=4, class_sep=5.0, within_std=0.0)
         spec = Ep.EpisodeSpec(5, 3, 3)
-        ep = synth_episode(cfg, spec, np.random.default_rng(1))
+        support, query = labelled(synth_episode(cfg, spec, np.random.default_rng(1)), spec)
         means = {}
-        for ref, y in ep.support:
+        for ref, y in support:
             means.setdefault(y, []).append(ref)
         means = {y: np.mean(v, axis=0) for y, v in means.items()}
-        for ref, y in ep.query:
+        for ref, y in query:
             nearest = min(means, key=lambda c: float(np.sum((ref - means[c]) ** 2)))
             assert nearest == y
 
@@ -149,22 +166,22 @@ class TestSynth:
         spec = Ep.EpisodeSpec(5, 3, 3)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            ep = synth_episode(cfg, spec, rng)
+            support, query = labelled(synth_episode(cfg, spec, rng), spec)
             sums, counts = {}, {}
-            for ref, y in ep.support:
+            for ref, y in support:
                 sums[y] = sums.get(y, 0) + ref
                 counts[y] = counts.get(y, 0) + 1
             means = {y: sums[y] / counts[y] for y in sums}
-            for ref, y in ep.query:
+            for ref, y in query:
                 nearest = min(means, key=lambda c: float(np.sum((ref - means[c]) ** 2)))
                 assert nearest == y
 
     def test_same_seed_identical_episode(self):
         cfg = Ep.SynthTaskConfig(latent_dim=3, class_sep=2.0, within_std=0.5)
         spec = Ep.EpisodeSpec(3, 2, 2)
-        a = synth_episode(cfg, spec, np.random.default_rng(7))
-        b = synth_episode(cfg, spec, np.random.default_rng(7))
-        for (ra, ya), (rb, yb) in zip(a.support + a.query, b.support + b.query):
+        sa, qa = labelled(synth_episode(cfg, spec, np.random.default_rng(7)), spec)
+        sb, qb = labelled(synth_episode(cfg, spec, np.random.default_rng(7)), spec)
+        for (ra, ya), (rb, yb) in zip(sa + qa, sb + qb):
             assert ya == yb and ra.tobytes() == rb.tobytes()
 
     def test_config_validation(self):

@@ -392,9 +392,6 @@ def test_prototypical_network_limit():
 
 
 class TestEpisodeLoss:
-    def _labels(self, n, k):
-        return [f"c{i}" for i in range(n) for _ in range(k)]
-
     def test_uniform_logits_give_log_n(self):
         rng = np.random.default_rng(11)
         n, k, q, d = 25, 5, 5, 8
@@ -402,9 +399,7 @@ class TestEpisodeLoss:
         support = np.tile(block, (n, 1))  # identical class statistics
         query = rng.normal(size=(n * q, d))
         g = ad.DiffGraph()
-        loss = H.episode_loss(
-            PRIOR, support, self._labels(n, k), query, self._labels(n, q), g
-        )
+        loss = H.episode_loss(PRIOR, support, query, n, g)
         assert float(loss.data) == pytest.approx(math.log(25.0), abs=1e-9)
 
     def test_separated_classes_drive_loss_to_zero(self):
@@ -414,46 +409,29 @@ class TestEpisodeLoss:
         support = np.concatenate([rng.normal(m, 0.01, size=(k, d)) for m in means])
         query = np.concatenate([rng.normal(m, 0.01, size=(q, d)) for m in means])
         g = ad.DiffGraph()
-        loss = H.episode_loss(
-            PRIOR, support, self._labels(n, k), query, self._labels(n, q), g
-        )
+        loss = H.episode_loss(PRIOR, support, query, n, g)
         assert float(loss.data) < 0.01
 
-    def test_query_label_absent_rejected(self):
+    @pytest.mark.parametrize(
+        "support_rows, query_rows, n, which",
+        [(5, 4, 2, "5 support"), (4, 3, 2, "3 query"), (2, 2, 3, "2 support"),
+         (4, 4, 0, "4 support")],
+    )
+    def test_rows_that_do_not_split_into_classes_rejected(
+        self, support_rows, query_rows, n, which
+    ):
         g = ad.DiffGraph()
-        with pytest.raises(ValueError, match="absent"):
-            H.episode_loss(
-                PRIOR,
-                np.zeros((4, 2)),
-                ["a", "a", "b", "b"],
-                np.zeros((1, 2)),
-                ["zz"],
-                g,
-            )
-
-    def test_scattered_support_rejected(self):
-        g = ad.DiffGraph()
-        with pytest.raises(ValueError, match="contiguous"):
-            H.episode_loss(
-                PRIOR,
-                np.zeros((4, 2)),
-                ["a", "b", "a", "b"],
-                np.zeros((1, 2)),
-                ["a"],
-                g,
-            )
+        with pytest.raises(ValueError, match=f"{which} rows do not split into {n} equal classes"):
+            H.episode_loss(PRIOR, np.zeros((support_rows, 2)), np.zeros((query_rows, 2)), n, g)
 
     def test_gradients_reach_rho_and_embeddings(self):
         rng = np.random.default_rng(13)
         n, k, q, d = 3, 4, 2, 5
         support = rng.normal(size=(n * k, d))
         query = rng.normal(size=(n * q, d))
-        sup_y, qry_y = self._labels(n, k), self._labels(n, q)
 
         def builder(graph, t):
-            return H.episode_loss(
-                (t["rho_alpha"], t["rho_beta"]), t["s"], sup_y, t["q"], qry_y, graph
-            )
+            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n, graph)
 
         point = {
             "rho_alpha": np.asarray(0.2),
@@ -470,7 +448,6 @@ class TestEpisodeLoss:
         rng = np.random.default_rng(100 * n + 10 * k + q)
         support = rng.normal(size=(n * k, d))
         query = rng.normal(size=(n * q, d))
-        sup_y, qry_y = self._labels(n, k), self._labels(n, q)
         point = {
             "rho_alpha": np.asarray(0.3),
             "rho_beta": np.asarray(-0.4),
@@ -481,7 +458,7 @@ class TestEpisodeLoss:
         def run(loss_fn):
             g = ad.DiffGraph()
             t = {name: g.input(name, v) for name, v in point.items()}
-            loss = loss_fn((t["rho_alpha"], t["rho_beta"]), t["s"], sup_y, t["q"], qry_y, g)
+            loss = loss_fn((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n, g)
             return float(loss.data), g.backward(loss)
 
         loss, grads = run(H.episode_loss)
@@ -506,10 +483,7 @@ class TestEpisodeLoss:
         top = scores.max(axis=1)
         lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         expected = float(np.mean(lse - scores[np.arange(n * q), y]))
-        loss = H.episode_loss(
-            prior, support.reshape(n * k, d), self._labels(n, k), query, self._labels(n, q),
-            ad.DiffGraph(),
-        )
+        loss = H.episode_loss(prior, support.reshape(n * k, d), query, n, ad.DiffGraph())
         assert abs(float(loss.data) - expected) <= 1e-12 * abs(expected)
 
     def test_head_tape_size_does_not_grow_with_ways(self):
@@ -519,7 +493,7 @@ class TestEpisodeLoss:
             s = g.input("s", rng.normal(size=(n * 5, 8)))
             q = g.input("q", rng.normal(size=(n * 5, 8)))
             before = len(g)
-            H.episode_loss(PRIOR, s, self._labels(n, 5), q, self._labels(n, 5), g)
+            H.episode_loss(PRIOR, s, q, n, g)
             return len(g) - before
 
         assert head_nodes(5) == head_nodes(25)
@@ -537,12 +511,20 @@ def _tape_logits(prior, support_z, query_z, n_classes, graph):
     return _tape_log_t(ad.reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
 
 
-def _tape_episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
+def _tape_episode_loss(prior, support_z, query_z, n_classes, graph):
     """Reference ``episode_loss``: ``_tape_logits`` and the cross-entropy."""
-    labels = list(dict.fromkeys(support_labels))
-    logits = _tape_logits(prior, support_z, query_z, len(labels), graph)
-    y = np.array([labels.index(lab) for lab in query_labels], dtype=np.int64)
-    return ad.softmax_cross_entropy(logits, y)
+    logits = _tape_logits(prior, support_z, query_z, n_classes, graph)
+    return ad.softmax_cross_entropy(logits, _class_major(query_z.shape[0], n_classes))
+
+
+def _class_major(rows, n_classes):
+    """The class of each of ``rows`` class-major rows: row i is class i // (rows / N)."""
+    return np.repeat(np.arange(n_classes), rows // n_classes)
+
+
+def _whole_classes(m, n):
+    """``m`` rounded up to a multiple of ``n``, so every class gets the same queries."""
+    return -(-m // n) * n
 
 
 def _tape_predictive(prior, graph, n, var):
@@ -566,21 +548,20 @@ def _tape_log_t(z, nu, mean, scale2):
 
 
 def _episode(n, k, m, d, seed):
+    """(N*K, d) class-major support and (m, d) query rows."""
     rng = np.random.default_rng(seed)
     support = rng.normal(rng.normal(0, 2, size=(n, 1, d)), 1.0, size=(n, k, d)).reshape(n * k, d)
-    query = rng.normal(0, 2, size=(m, d))
-    labels = [f"c{i}" for i in range(n)]
-    return support, [lab for lab in labels for _ in range(k)], query, [labels[i % n] for i in range(m)]
+    return support, rng.normal(0, 2, size=(m, d))
 
 
-def _loss_and_grads(loss_fn, prior, support, sup_y, query, qry_y):
+def _loss_and_grads(loss_fn, prior, support, query, n):
     """Loss and gradients with support and query bound as inputs; ``prior``
     is a PriorParams (bound by the loss) or a (rho_alpha, rho_beta) pair."""
     g = ad.DiffGraph()
     s, q = g.input("support", support), g.input("query", query)
     if not isinstance(prior, H.PriorParams):
         prior = (g.input("rho_alpha", prior[0]), g.input("rho_beta", prior[1]))
-    loss = loss_fn(prior, s, sup_y, q, qry_y, g)
+    loss = loss_fn(prior, s, q, n, g)
     return loss.data, g.backward(loss)
 
 
@@ -595,9 +576,9 @@ class TestFusedLogits:
         "prior", [(np.asarray(0.3), np.asarray(-0.4)), H.PriorParams(-1.2, 0.8)], ids=["rho", "prior"]
     )
     def test_loss_and_gradients_are_the_composition_bits(self, n, k, m, d, prior):
-        episode = _episode(n, k, m, d, seed=1000 * n + 100 * k + m)
-        loss, grads = _loss_and_grads(H.episode_loss, prior, *episode)
-        ref, ref_grads = _loss_and_grads(_tape_episode_loss, prior, *episode)
+        episode = _episode(n, k, _whole_classes(m, n), d, seed=1000 * n + 100 * k + m)
+        loss, grads = _loss_and_grads(H.episode_loss, prior, *episode, n)
+        ref, ref_grads = _loss_and_grads(_tape_episode_loss, prior, *episode, n)
         assert loss.tobytes() == ref.tobytes()
         assert grads.keys() == ref_grads.keys()
         assert set(grads) == {"support", "query", "rho_alpha", "rho_beta"}
@@ -621,7 +602,7 @@ class TestFusedLogits:
         for i in range(100):
             n, k, m, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (1, 6), (1, 9), (1, 7)))
             prior = (np.asarray(rng.normal()), np.asarray(rng.normal()))
-            support, _, query, _ = _episode(n, k, m, d, seed=i)
+            support, query = _episode(n, k, m, d, seed=i)
             cotangent = rng.normal(size=(m, n))
             out, grads = run(H._student_t_logits, prior, support, query, n, cotangent)
             ref, ref_grads = run(_tape_logits, prior, support, query, n, cotangent)
@@ -630,12 +611,11 @@ class TestFusedLogits:
                 assert grads[name].tobytes() == ref_grad.tobytes(), (i, name)
 
     def test_constant_embeddings_give_the_rho_gradient_bits(self):
-        support, sup_y, query, qry_y = _episode(5, 3, 7, 4, seed=3)
+        support, query = _episode(5, 3, _whole_classes(7, 5), 4, seed=3)
 
         def run(loss_fn):
             g = ad.DiffGraph()
-            loss = loss_fn(H.PriorParams(0.2, -0.3), g.constant(support), sup_y,
-                           g.constant(query), qry_y, g)
+            loss = loss_fn(H.PriorParams(0.2, -0.3), g.constant(support), g.constant(query), 5, g)
             return loss.data, g.backward(loss)
 
         (loss, grads), (ref, ref_grads) = run(H.episode_loss), run(_tape_episode_loss)
@@ -645,10 +625,10 @@ class TestFusedLogits:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
     def test_head_is_one_node_plus_rho_and_cross_entropy(self):
-        support, sup_y, query, qry_y = _episode(10, 5, 50, 16, seed=4)
+        support, query = _episode(10, 5, 50, 16, seed=4)
         g = ad.DiffGraph()
         s, q = g.input("s", support), g.input("q", query)
-        H.episode_loss(PRIOR, s, sup_y, q, qry_y, g)
+        H.episode_loss(PRIOR, s, q, 10, g)
         assert [t.op for t in g._nodes[2:]] == [
             "input", "input", "student_t_logits", "softmax_cross_entropy"
         ]
@@ -656,37 +636,35 @@ class TestFusedLogits:
     def test_overflowing_query_fails_in_the_forward(self):
         # (1e160)^2 overflows: the composition stops at its dev * dev node,
         # the fused node at the logits it emits
-        support, sup_y, query, qry_y = _episode(4, 3, 2, 5, seed=5)
+        support, query = _episode(4, 3, _whole_classes(2, 4), 5, seed=5)
         query[1] = 1e160
         with np.errstate(over="ignore"):
             with pytest.raises(ad.GraphError, match="non-finite value produced by op 'mul'"):
-                _loss_and_grads(_tape_episode_loss, PRIOR, support, sup_y, query, qry_y)
+                _loss_and_grads(_tape_episode_loss, PRIOR, support, query, 4)
             with pytest.raises(
                 ad.GraphError, match="non-finite value produced by op 'student_t_logits'"
             ):
-                _loss_and_grads(H.episode_loss, PRIOR, support, sup_y, query, qry_y)
+                _loss_and_grads(H.episode_loss, PRIOR, support, query, 4)
 
     def test_zero_scale_fails_the_log_domain_check(self):
         # beta_0 = e^-800 underflows to 0 and identical shots have variance 0
-        support = np.repeat(np.eye(3), 2, axis=0)
-        sup_y, qry_y = ["a", "a", "b", "b", "c", "c"], ["a"]
+        support = np.repeat(np.eye(3), 2, axis=0)  # classes of 2 identical shots
         prior = H.PriorParams(0.0, -800.0)
         with pytest.raises(ad.GraphError, match="log: non-positive argument"):
-            _loss_and_grads(_tape_episode_loss, prior, support, sup_y, np.ones((1, 3)), qry_y)
+            _loss_and_grads(_tape_episode_loss, prior, support, np.ones((3, 3)), 3)
         with pytest.raises(ad.GraphError, match=r"^student_t_logits: non-positive scale\^2$"):
-            _loss_and_grads(H.episode_loss, prior, support, sup_y, np.ones((1, 3)), qry_y)
+            _loss_and_grads(H.episode_loss, prior, support, np.ones((3, 3)), 3)
 
     def test_width_mismatch_rejected(self):
         g = ad.DiffGraph()
         with pytest.raises(ad.GraphError, match="differ in width"):
-            H.episode_loss(PRIOR, np.zeros((4, 3)), ["a", "a", "b", "b"], np.zeros((1, 2)), ["a"], g)
+            H.episode_loss(PRIOR, np.zeros((4, 3)), np.zeros((2, 2)), 2, g)
 
 
-def _loop_episode_loss(prior, support_z, support_labels, query_z, query_labels, graph):
+def _loop_episode_loss(prior, support_z, query_z, n_classes, graph):
     """Reference: the Student-t logits built one class at a time."""
     ra, rb = prior
-    labels = list(dict.fromkeys(support_labels))
-    n = float(len(support_labels) // len(labels))
+    n = float(support_z.shape[0] // n_classes)
     d = support_z.shape[1]
     alpha = ad.exp(ra) + 0.5 * n
     nu = 2.0 * alpha
@@ -696,7 +674,7 @@ def _loop_episode_loss(prior, support_z, support_labels, query_z, query_labels, 
     )
     scale_factor = ((n + 1.0) / n) * ad.reciprocal(alpha)
     cols = []
-    for j in range(len(labels)):
+    for j in range(n_classes):
         block = ad.rows(support_z, int(j * n), int((j + 1) * n))
         mu = ad.mean_reduce(block, axis=0)
         var = ad.mean_reduce(block * block, axis=0) - mu * mu
@@ -705,7 +683,7 @@ def _loop_episode_loss(prior, support_z, support_labels, query_z, query_labels, 
         tail = ad.sum_reduce(ad.log(1.0 + dev * dev / (nu * scale2)), axis=1)
         const = shared - 0.5 * ad.sum_reduce(ad.log(scale2))
         cols.append(const - half_nu1 * tail)
-    y = np.array([labels.index(lab) for lab in query_labels], dtype=np.int64)
+    y = _class_major(query_z.shape[0], n_classes)
     return ad.softmax_cross_entropy(ad.stack(cols, axis=1), y)
 
 

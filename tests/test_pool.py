@@ -1,5 +1,7 @@
 import operator
 
+import pytest
+
 from bayescl import pool
 
 
@@ -16,3 +18,11 @@ def test_no_jobs_start_no_pool(monkeypatch):
 
     monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     assert pool.spawn_map(operator.sub, (100,), [], 2) == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_rejected(workers):
+    with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
+        pool.spawn_map(operator.sub, (100,), [1, 2], workers)
+    with pytest.raises(ValueError, match="workers"):
+        pool.spawn_map(operator.sub, (100,), [], workers)

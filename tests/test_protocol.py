@@ -93,6 +93,29 @@ class TestRunProtocol:
             assert a.acc.tobytes() == b.acc.tobytes()
             assert a.correct.tobytes() == b.correct.tobytes()
 
+    def test_episodes_pair_with_sample_episode(self, monkeypatch):
+        # another method that draws sample_episode(registry, EpisodeSpec(max_classes,
+        # shots, query_shots), rng) from the same episode seed sees the same words,
+        # support and query picks, and class order
+        params, prior = tiny_model()
+        reg = tiny_registry(30, sep=2.0)
+        cfg = P.ProtocolConfig(increment=5, max_classes=20, shots=3, query_shots=2, episodes=3, seed=7)
+        seen = []
+        head_of = P.episode_head
+        monkeypatch.setattr(P, "episode_head", lambda *a: seen.append(a[2]) or head_of(*a))
+        matrix, _ = P.run_protocol(params, prior, reg, cfg)
+        spec = Ep.EpisodeSpec(cfg.max_classes, cfg.shots, cfg.query_shots)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
+        for tr, used, seed in zip(matrix.episodes, seen, seeds, strict=True):
+            ep = Ep.sample_episode(reg, spec, np.random.default_rng(seed))
+            assert tr.words == used.class_ids == ep.class_ids
+            for a, b in ((used.support, ep.support), (used.query, ep.query)):
+                assert len(a) == len(b) and all(x is y for x, y in zip(a, b))
+            # the last checkpoint scores every word against all classes
+            head, query_z = T.episode_head(params, prior, ep)
+            hits = np.argmax(class_scores(head, query_z), axis=1) == np.repeat(np.arange(20), 2)
+            assert tr.correct[:, -1].tobytes() == hits.reshape(20, 2).astype(np.int8).tobytes()
+
     def test_insufficient_classes_rejected(self):
         params, prior = tiny_model()
         reg = tiny_registry(10)

@@ -138,6 +138,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             T.TrainConfig(**{field: value})
 
+    def test_one_way_spec_rejected(self):
+        # an episode may have one class (the protocol's smallest run), but a
+        # 1-way training loss is identically zero
+        with pytest.raises(ValueError, match="at least 2 ways"):
+            T.TrainConfig(spec=Ep.EpisodeSpec(1, 5, 5))
+
     def test_no_validation_episodes_accepted(self):
         assert T.TrainConfig(validation_episodes=0).validation_episodes == 0
 
