@@ -1,8 +1,10 @@
-"""16 kHz mono audio ingestion and MFCC feature extraction.
+"""16 kHz mono audio ingestion and a fixed MFCC front end.
 
-Pipeline: pre-emphasis (per clip, memory reset) -> framing -> Hamming
-window -> magnitude-squared FFT -> mel filterbank -> log with floor ->
-orthonormal DCT-II -> first ``n_ceps`` coefficients.
+Pipeline: pre-emphasis (per clip, memory reset) -> 25 ms frames every
+10 ms -> Hamming window -> magnitude-squared FFT -> mel filterbank -> log
+with floor -> orthonormal DCT-II -> first 13 coefficients. The module
+constants below are the front end's only settings; no dump, checkpoint
+or command records them.
 
 The WAV reader parses RIFF chunks directly so it can accept both 16-bit
 integer PCM and 32-bit IEEE float, and reject everything else with a
@@ -10,18 +12,21 @@ message naming the offending property.
 """
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 REQUIRED_SAMPLE_RATE = 16000
+FRAME_LENGTH = 400  # 25 ms at 16 kHz
+FRAME_SHIFT = 160  # 10 ms
+N_MELS = 40
+N_CEPS = 13
+PRE_EMPHASIS = 0.97
+LOG_FLOOR = 1e-10
+FFT_SIZE = 512
 
 __all__ = [
     "AudioFormatError",
-    "Waveform",
-    "MfccConfig",
-    "MfccMatrix",
     "load_wav",
     "mel_filterbank",
     "mfcc_matrices",
@@ -36,73 +41,12 @@ class AudioFormatError(ValueError):
     """Unsupported or malformed audio input."""
 
 
-@dataclass
-class Waveform:
-    samples: np.ndarray  # floats in [-1, 1]
-    sample_rate: int = REQUIRED_SAMPLE_RATE
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate != REQUIRED_SAMPLE_RATE:
-            raise AudioFormatError(
-                f"unsupported sample rate: {self.sample_rate} Hz "
-                f"(expected {REQUIRED_SAMPLE_RATE})"
-            )
-
-    def __len__(self):
-        return len(self.samples)
-
-
-@dataclass
-class MfccConfig:
-    frame_length: int = 400  # 25 ms at 16 kHz
-    frame_shift: int = 160  # 10 ms
-    n_mels: int = 40
-    n_ceps: int = 13
-    pre_emphasis: float = 0.97
-    log_floor: float = 1e-10
-    fft_size: int = 512
-
-    def __post_init__(self):
-        if self.n_ceps > self.n_mels:
-            raise ValueError("n_ceps must not exceed n_mels")
-        if self.frame_shift > self.frame_length:
-            raise ValueError("frame_shift must not exceed frame_length")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-        if self.fft_size < self.frame_length or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two >= frame_length")
-
-    def to_dict(self):
-        return {
-            "frame_length": self.frame_length,
-            "frame_shift": self.frame_shift,
-            "n_mels": self.n_mels,
-            "n_ceps": self.n_ceps,
-            "pre_emphasis": self.pre_emphasis,
-            "log_floor": self.log_floor,
-            "fft_size": self.fft_size,
-        }
-
-
-@dataclass
-class MfccMatrix:
-    frames: np.ndarray  # (T, n_ceps)
-
-    @property
-    def n_frames(self):
-        return self.frames.shape[0]
-
-    @property
-    def n_ceps(self):
-        return self.frames.shape[1]
-
-
 def load_wav(path):
     """Read a RIFF/WAVE file: 16 kHz, mono, 16-bit PCM or 32-bit float.
 
-    Integer samples are scaled by 1/32768, so the result lies in [-1, 1).
-    Float samples must already be within [-1, 1].
+    Returns the samples as a float64 array. Integer samples are scaled by
+    1/32768, so they lie in [-1, 1); float samples must already be within
+    [-1, 1].
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
@@ -144,7 +88,7 @@ def load_wav(path):
             raise AudioFormatError(f"{path}: float samples outside [-1, 1]")
     else:
         raise AudioFormatError(f"{path}: unsupported codec (format tag {codec})")
-    return Waveform(samples, rate)
+    return samples
 
 
 def _samples(path, data, dtype):
@@ -165,41 +109,22 @@ def _mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(config, fft_size):
-    """Triangular mel filters sampled at FFT bin frequencies.
+def mel_filterbank():
+    """Triangular mel filters at the FFT bin frequencies, (N_MELS, FFT_SIZE // 2 + 1).
 
-    Filters span 0 Hz to Nyquist with mel-spaced centers. Each row is
-    scaled to a peak of exactly 1 at the bin nearest its center; rows
-    have contiguous support and adjacent rows overlap. Raises when the
-    FFT grid is too coarse to honor those properties.
+    Filters span 0 Hz to Nyquist with mel-spaced centers. Each row peaks at
+    exactly 1 at the bin nearest its center, has contiguous support and
+    overlaps its neighbours.
     """
-    if fft_size < config.frame_length or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two >= frame_length")
-    n_bins = fft_size // 2 + 1
     nyquist = REQUIRED_SAMPLE_RATE / 2.0
-    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(nyquist), config.n_mels + 2))
-    bin_freqs = np.arange(n_bins) * (REQUIRED_SAMPLE_RATE / fft_size)
-    # one row per filter: lo, center and hi are (n_mels, 1) columns
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(nyquist), N_MELS + 2))
+    bin_freqs = np.arange(FFT_SIZE // 2 + 1) * (REQUIRED_SAMPLE_RATE / FFT_SIZE)
+    # one row per filter: lo, center and hi are (N_MELS, 1) columns
     lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_freqs - lo) / (center - lo)
     falling = (hi - bin_freqs) / (hi - center)
     tri = np.maximum(0.0, np.minimum(rising, falling))
-    peak = tri.max(axis=1)
-    empty = np.flatnonzero(peak <= 0.0)
-    if empty.size:
-        raise ValueError(
-            f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
-            f"filter {empty[0]} has empty support"
-        )
-    bank = tri / peak[:, None]
-    apart = np.flatnonzero(~np.any((bank[:-1] > 0) & (bank[1:] > 0), axis=1))
-    if apart.size:
-        m = apart[0]
-        raise ValueError(
-            f"n_mels={config.n_mels} too large for fft_size={fft_size}: "
-            f"filters {m} and {m + 1} do not overlap"
-        )
-    return bank
+    return tri / tri.max(axis=1)[:, None]
 
 
 def dct_matrix(n):
@@ -211,43 +136,38 @@ def dct_matrix(n):
     return d
 
 
-def mfcc_matrices(config):
+def mfcc_matrices():
     """The (Hamming window, mel filterbank, DCT) that ``extract_mfcc`` applies.
 
-    They depend only on ``config``: build them once and pass them to every
-    ``extract_mfcc`` call that uses the same config.
+    Build them once and pass them to every ``extract_mfcc`` call.
     """
-    return (
-        np.hamming(config.frame_length),
-        mel_filterbank(config, config.fft_size),
-        dct_matrix(config.n_mels).T[:, : config.n_ceps],
-    )
+    return np.hamming(FRAME_LENGTH), mel_filterbank(), dct_matrix(N_MELS).T[:, :N_CEPS]
 
 
-def extract_mfcc(wave, config, matrices=None):
-    """MFCC matrix of shape (T, n_ceps) with T = (len-frame)/shift + 1.
+def extract_mfcc(samples, matrices):
+    """The (T, N_CEPS) MFCC array of ``load_wav``'s samples, T = (len - 400) // 160 + 1.
 
-    ``matrices`` is ``mfcc_matrices(config)``; it is built here when omitted.
+    ``matrices`` is ``mfcc_matrices()``. A clip shorter than one frame
+    raises ``AudioFormatError``.
     """
-    x = wave.samples
-    if len(x) < config.frame_length:
-        raise ValueError(
-            f"clip has {len(x)} samples, shorter than one frame ({config.frame_length})"
+    if len(samples) < FRAME_LENGTH:
+        raise AudioFormatError(
+            f"clip has {len(samples)} samples, shorter than one frame ({FRAME_LENGTH})"
         )
-    window, bank, dct = mfcc_matrices(config) if matrices is None else matrices
+    window, bank, dct = matrices
     # pre-emphasis with per-clip memory reset: y[0] = x[0]
-    y = np.empty_like(x)
-    y[0] = x[0]
-    y[1:] = x[1:] - config.pre_emphasis * x[:-1]
+    y = np.empty_like(samples)
+    y[0] = samples[0]
+    y[1:] = samples[1:] - PRE_EMPHASIS * samples[:-1]
 
     # frame t is y[t*shift : t*shift + frame_length], a view, not a copy
-    starts = np.lib.stride_tricks.sliding_window_view(y, config.frame_length)
-    frames = starts[:: config.frame_shift] * window
+    starts = np.lib.stride_tricks.sliding_window_view(y, FRAME_LENGTH)
+    frames = starts[::FRAME_SHIFT] * window
 
-    power = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames, n=FFT_SIZE, axis=1)) ** 2
     energies = power @ bank.T
-    logmel = np.log(np.maximum(energies, config.log_floor))
-    return MfccMatrix(logmel @ dct)
+    logmel = np.log(np.maximum(energies, LOG_FLOOR))
+    return logmel @ dct
 
 
 # --- feature dump files -----------------------------------------------------

@@ -2,7 +2,9 @@
 
 Subcommands: prepare, train, eval, synth-train, synth-eval,
 inspect-checkpoint, version. Flags override values from an optional JSON
-config file (--config), which overrides built-in defaults. Exit codes:
+config file (--config), which overrides built-in defaults. ``eval`` takes
+its train/test word split (ratio and seed) from the checkpoint that
+``train`` wrote, so its test words are never meta-train words. Exit codes:
 0 success, 2 usage error, 1 runtime error. Diagnostics go to stderr;
 ``bayescl --verbose <command>`` adds the traceback of a runtime error.
 
@@ -99,8 +101,6 @@ def build_parser():
     p = sub.add_parser("eval", help="run the class-incremental protocol on prepared features")
     p.set_defaults(func=cmd_eval)
     p.add_argument("--manifest", required=True, help="feature manifest from prepare")
-    p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
-    p.add_argument("--split-seed", type=int, help="seed used for the train/test class split")
     _add_common_eval_flags(p)
 
     p = sub.add_parser("synth-train", help="meta-train on synthetic Gaussian tasks")
@@ -131,7 +131,12 @@ def _merge_config(args, defaults):
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{cfg_path}: not valid JSON: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{cfg_path}: not a JSON object")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
@@ -194,10 +199,14 @@ def cmd_version(args):
     return 0
 
 
-def _extract_one(config, matrices, job):
+def _extract_one(matrices, job):
     wav_path, dump_path = job
-    feats = audio.extract_mfcc(audio.load_wav(wav_path), config, matrices)
-    audio.write_feature_dump(dump_path, feats.frames)
+    samples = audio.load_wav(wav_path)
+    try:
+        frames = audio.extract_mfcc(samples, matrices)
+    except audio.AudioFormatError as exc:
+        raise audio.AudioFormatError(f"{wav_path}: {exc}") from exc
+    audio.write_feature_dump(dump_path, frames)
 
 
 def cmd_prepare(args):
@@ -239,8 +248,7 @@ def cmd_prepare(args):
         (out_dir / word).mkdir(parents=True, exist_ok=True)
     # idempotent re-runs reuse the cache
     jobs = [(src, dump) for dump, src in sources.items() if not Path(dump).exists()]
-    config = audio.MfccConfig()
-    spawn_map(_extract_one, (config, audio.mfcc_matrices(config)), jobs, args.workers)
+    spawn_map(_extract_one, (audio.mfcc_matrices(),), jobs, args.workers)
 
     manifest_out = out_dir / "features.jsonl"
     with open(manifest_out, "w", encoding="utf-8") as fh:
@@ -365,10 +373,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     def registry(data, v):
-        ratio = args.split_ratio if args.split_ratio is not None else data["split_ratio"]
-        split_seed = args.split_seed if args.split_seed is not None else data["split_seed"]
         # evaluation uses test-split samples of meta-test words only
-        _, _, test_words = _word_split(args.manifest, ratio, split_seed)
+        _, _, test_words = _word_split(args.manifest, data["split_ratio"], data["split_seed"])
         reg_test_split = registry_from_manifest(args.manifest, split="test")
         missing = [w for w in test_words if w not in reg_test_split.classes]
         if missing:

@@ -104,7 +104,9 @@ class SampleRegistry:
 def read_manifest(path):
     """Parse a newline-delimited JSON manifest of labelled samples.
 
-    Each line is an object with keys ``word``, ``path``, ``split``.
+    Each line is an object with keys ``word``, ``path``, ``split``. The
+    word names the directory ``prepare`` writes its dumps to, so it must
+    be a single path component.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -116,9 +118,18 @@ def read_manifest(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed manifest line: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             for key in ("word", "path", "split"):
                 if key not in rec:
                     raise ValueError(f"{path}:{lineno}: missing key {key!r}")
+            word = rec["word"]
+            if not isinstance(word, str) or word in ("", ".", "..") or "/" in word:
+                raise ValueError(f"{path}:{lineno}: word must be one path component, got {word!r}")
+            if not isinstance(rec["path"], str) or not rec["path"]:
+                raise ValueError(
+                    f"{path}:{lineno}: path must be a non-empty string, got {rec['path']!r}"
+                )
             if rec["split"] not in ("train", "test"):
                 raise ValueError(
                     f"{path}:{lineno}: split must be 'train' or 'test', got {rec['split']!r}"

@@ -381,22 +381,22 @@ def test_criterion_10_normal_approximation_within_stated_tolerance():
 def test_criterion_11_mfcc_determinism_and_geometry():
     from bayescl import audio
 
-    cfg = audio.MfccConfig()
-    m = audio.extract_mfcc(audio.Waveform(np.zeros(16000)), cfg).frames
+    matrices = audio.mfcc_matrices()
+    m = audio.extract_mfcc(np.zeros(16000), matrices)
     ok = m.shape == (98, 13)
-    c0 = np.sqrt(1.0 / 40.0) * 40.0 * np.log(cfg.log_floor)
+    c0 = np.sqrt(1.0 / 40.0) * 40.0 * np.log(audio.LOG_FLOOR)
     ok = ok and np.all(m == m[0])
     ok = ok and abs(m[0, 0] - c0) <= 1e-9 and np.all(np.abs(m[:, 1:]) <= 1e-9)
 
     rng = np.random.default_rng(23)
     sig = 0.1 * np.sin(2 * np.pi * 440 * np.arange(16000) / 16000)
     sig += 0.02 * rng.normal(size=16000)
-    a = audio.extract_mfcc(audio.Waveform(sig), cfg).frames
-    b = audio.extract_mfcc(audio.Waveform(2.0 * sig), cfg).frames
+    a = audio.extract_mfcc(sig, matrices)
+    b = audio.extract_mfcc(2.0 * sig, matrices)
     shift = np.sqrt(1.0 / 40.0) * 40.0 * np.log(4.0)
     ok = ok and np.max(np.abs((b[:, 0] - a[:, 0]) - shift)) <= 1e-9
     ok = ok and np.max(np.abs(b[:, 1:] - a[:, 1:])) <= 1e-9
-    rerun = audio.extract_mfcc(audio.Waveform(sig), cfg).frames
+    rerun = audio.extract_mfcc(sig, audio.mfcc_matrices())
     ok = ok and rerun.tobytes() == a.tobytes()
     assert report(11, ok, "MFCC: 98x13 geometry, silence and scaling properties, deterministic")
 

@@ -219,6 +219,21 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"steps": 1,', "not valid JSON"), ("[1, 2]", "not a JSON object")],
+)
+def test_unreadable_config_file_is_named(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    code, _, err = run_cli(
+        capsys, "synth-train", "--config", str(cfg), "--out", str(tmp_path / "ck")
+    )
+    assert code == 1
+    assert err.strip().startswith(f"error: {cfg}: {message}")
+    assert not (tmp_path / "ck").exists()
+
+
 # --- real-audio pipeline ----------------------------------------------------
 
 
@@ -430,6 +445,34 @@ def test_truncated_dump_fails_train_and_eval_before_any_step(tmp_path, capsys, w
         assert "bayescl.audio.AudioFormatError" in err
     assert not (tmp_path / "ck2").exists()
     assert not (tmp_path / "report").exists()
+
+
+def test_prepare_names_a_clip_shorter_than_one_frame(tmp_path, capsys):
+    rows = []
+    for j in range(4):
+        make_tone_wav(tmp_path / f"{j}.wav", 440.0, seed=j)
+        rows.append({"word": "tone", "path": str(tmp_path / f"{j}.wav"), "split": "train"})
+    short = tmp_path / "short.wav"
+    make_tone_wav(short, 440.0, seconds=100 / 16000)
+    rows.append({"word": "tone", "path": str(short), "split": "test"})
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, _, err = run_cli(
+        capsys, "--verbose", "prepare", "--manifest", str(manifest),
+        "--features-dir", str(tmp_path / "features"), "--shots", "2", "--query-shots", "2",
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last == f"error: {short}: clip has 100 samples, shorter than one frame (400)"
+    assert "bayescl.audio.AudioFormatError" in err
+    assert not (tmp_path / "features" / "features.jsonl").exists()
+
+
+def test_eval_takes_its_split_from_the_checkpoint(capsys):
+    required = ["eval", "--manifest", "m.jsonl", "--ckpt", "c", "--out", "x"]
+    for flag, value in (("--split-ratio", "0.5"), ("--split-seed", "3")):
+        code, _, _ = run_cli(capsys, *required, flag, value)
+        assert code == 2
 
 
 def test_train_on_a_raw_wav_manifest_names_a_wav(tmp_path, capsys, wav_dataset):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,32 @@ class TestManifest:
         p = tmp_path / "m.jsonl"
         p.write_text('{"word": "a", "split": "train"}\n')
         with pytest.raises(ValueError, match="path"):
+            Ep.read_manifest(p)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"word path split"', "not a JSON object"),
+            ('["cat", "x", "train"]', "not a JSON object"),
+            ('{"word": 3, "path": "x", "split": "test"}', "word must be one path component, got 3"),
+            ('{"word": ["a"], "path": "x", "split": "test"}', "word must be one path component"),
+            ('{"word": "a", "path": 3, "split": "test"}', "path must be a non-empty string, got 3"),
+            ('{"word": "a", "path": "", "split": "test"}', "path must be a non-empty string"),
+        ],
+    )
+    def test_line_that_is_not_a_record_rejected(self, tmp_path, line, message):
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"word": "a", "path": "x", "split": "train"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: {message}")):
+            Ep.read_manifest(p)
+
+    @pytest.mark.parametrize("word", ["", ".", "..", "a/b", "../../x", "/abs"])
+    def test_word_that_is_not_one_path_component_rejected(self, tmp_path, word):
+        # prepare writes a word's dumps to <features-dir>/<word>/
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps({"word": word, "path": "x.wav", "split": "train"}) + "\n")
+        message = f"{p}:1: word must be one path component, got {word!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Ep.read_manifest(p)
 
     def test_empty_manifest_rejected(self, tmp_path):
