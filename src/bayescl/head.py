@@ -21,14 +21,18 @@ dimension:
 
 ``class_scores`` is the one place a head's classes are scored: it
 derives these parameters for all classes at once and walks the classes
-in blocks that fill one reused buffer of 2**16 elements (one class per
+in blocks that fill a reused buffer of 2**16 elements (one class per
 block when a class needs more), byte-identical to evaluating the density
-one class at a time. ``episode_loss`` scores an episode's queries
-against all its classes in one tape node, ``_student_t_logits``, so its
-tape does not grow with the number of ways. That node keeps the
-arithmetic order of the generic-op tape it replaced (``x / y`` as
-``x * (1 / y)``), so it gives that tape's bits; it and ``class_scores``
-agree to rounding. ``tests/test_head.py`` holds both references.
+one class at a time. Threads take the blocks in turn, each thread with
+its own buffer, each block into its own columns of the output, so the
+bytes do not depend on the thread count: one thread per CPU the process
+may run on, no more than there are blocks, one in a ``multiprocessing``
+child. The threads run numpy alone. ``episode_loss`` scores an
+episode's queries against all its classes in one tape node,
+``_student_t_logits``, so its tape does not grow with the number of
+ways. That node keeps the arithmetic order of the generic-op tape it
+replaced (``x / y`` as ``x * (1 / y)``), so it gives that tape's bits;
+it and ``class_scores`` agree to rounding. ``tests/test_head.py`` holds both references.
 
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
@@ -36,6 +40,10 @@ unconstrained gradient descent.
 """
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +62,7 @@ __all__ = [
     "PriorParams",
     "HeadState",
     "class_scores",
+    "scoring_threads",
     "predict",
     "episode_loss",
     "save_head",
@@ -278,7 +287,55 @@ def _student_t_logits(prior, support_z, query_z, n_classes, graph):
     return graph._register(logits, (support_z, query_z, ra, rb), vjp, _LOGITS_OP)
 
 
-_BLOCK_ELEMENTS = 2**16  # class_scores buffer: 512 KB of float64
+_BLOCK_ELEMENTS = 2**16  # class_scores buffer per thread: 512 KB of float64
+_THREADS = None  # class_scores threads; None: one per usable CPU (``_cpu_threads``)
+
+
+def _cpu_threads():
+    if _THREADS is not None:
+        return _THREADS
+    if multiprocessing.parent_process() is not None:
+        return 1  # run_protocol --workers already spreads episodes over the cores
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _plan(M, C, d):
+    """Block width B and the number of threads that share the blocks."""
+    B = max(1, min(C, _BLOCK_ELEMENTS // max(1, M * d)))
+    blocks = -(-C // B)
+    return B, min(blocks, _cpu_threads()) if blocks > 1 else 1
+
+
+def scoring_threads(n_queries, n_classes, width):
+    """Threads ``class_scores`` runs on for that shape in this process."""
+    return _plan(n_queries, n_classes, width)[1]
+
+
+def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock):
+    # each thread claims the next block start under ``lock``; numpy only:
+    # threads run this, and it must stay out of ``__all__`` (perfbench's
+    # tracer wraps public functions on one span stack)
+    M, d = Z.shape
+    buf = np.empty(M * B * d)
+    while True:
+        with lock:
+            c0 = next(starts, None)
+        if c0 is None:
+            return
+        c1 = min(len(const), c0 + B)
+        # a contiguous prefix keeps every block, the last one too, on one code path
+        q = buf[: M * (c1 - c0) * d].reshape(M, c1 - c0, d)
+        np.subtract(Z[:, None, :], mean[c0:c1], out=q)
+        np.multiply(q, q, out=q)
+        np.divide(q, den[c0:c1], out=q)
+        np.add(1.0, q, out=q)
+        np.log(q, out=q)
+        s = np.sum(q, axis=-1)
+        np.multiply(half_nu1[c0:c1], s, out=s)
+        np.subtract(const[c0:c1], s, out=scores[:, c0:c1])
 
 
 def class_scores(head, Z):
@@ -287,12 +344,21 @@ def class_scores(head, Z):
     The one scorer of a head's classes. From ``head.normal_gamma()`` it
     takes nu = 2 alpha_n, scale^2 = beta_n (kappa_n + 1) / (alpha_n
     kappa_n) and the constants of ``_log_t_const``, then walks the
-    classes B at a time, in place on one reused (M, B, d) buffer,
+    classes B at a time, in place on a reused (M, B, d) buffer,
     B = max(1, min(C, 2**16 // (M d))). It takes no log1p, multiplies by
     no reciprocal and uses no float32, so each column is byte-identical
     to the density evaluated for its class alone, step by step in the
     same order, on ``np.ascontiguousarray(Z, dtype=np.float64)``,
     whatever the layout or dtype of ``Z``.
+
+    Threads take the blocks in turn, each into its own buffer and the
+    block's own columns, so the bytes do not depend on the thread count
+    (``scoring_threads``): one per CPU this process may run on, at most
+    one per block, and one in a ``multiprocessing`` child, where
+    ``run_protocol --workers`` already uses the cores. A thread that the
+    host deschedules holds up one block, not a fixed share. The constants
+    (``_log_t_const`` calls ``lgamma_value``) are computed here, so the
+    threads run numpy alone.
     """
     if not head.posteriors:
         raise ValueError("head has no classes")
@@ -307,21 +373,17 @@ def class_scores(head, Z):
     half_nu1, const = _log_t_const(nu[:, 0], scale2, float(d))
     den = nu * scale2
     C = len(const)
-    B = max(1, min(C, _BLOCK_ELEMENTS // max(1, M * d)))
-    buf = np.empty(M * B * d)
     scores = np.empty((M, C))
-    for c0 in range(0, C, B):
-        c1 = min(C, c0 + B)
-        # a contiguous prefix keeps every block, the last one too, on one code path
-        q = buf[: M * (c1 - c0) * d].reshape(M, c1 - c0, d)
-        np.subtract(Z[:, None, :], mean[c0:c1], out=q)
-        np.multiply(q, q, out=q)
-        np.divide(q, den[c0:c1], out=q)
-        np.add(1.0, q, out=q)
-        np.log(q, out=q)
-        s = np.sum(q, axis=-1)
-        np.multiply(half_nu1[c0:c1], s, out=s)
-        np.subtract(const[c0:c1], s, out=scores[:, c0:c1])
+    B, threads = _plan(M, C, d)
+    args = (Z, mean, den, half_nu1, const, scores, B, iter(range(0, C, B)), threading.Lock())
+    if threads == 1:
+        _score_blocks(*args)
+        return scores
+    with ThreadPoolExecutor(threads - 1) as pool:
+        rest = [pool.submit(_score_blocks, *args) for _ in range(threads - 1)]
+        _score_blocks(*args)
+    for future in rest:
+        future.result()
     return scores
 
 

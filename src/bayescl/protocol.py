@@ -17,10 +17,18 @@ checkpoint n is the argmax over the first n columns of the rows of the
 first n words. argmax takes the first maximum, so ties go to the
 earliest-inserted class, and a query that goes wrong can never recover:
 its competitors only grow while the existing scores stay fixed.
+
+``EvalReport.runtime`` sums over episodes (and worker processes):
+``support_ingest_s`` (drawing, embedding and ``add_class``),
+``query_eval_s`` (everything after), and within it ``score_s``
+(``class_scores``) and ``argmax_s`` (the checkpoint argmax loop); and
+``total_s``, the whole run. ``EvalReport.scoring_threads`` is the number
+of threads ``class_scores`` ran on (``head.scoring_threads``).
 """
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import EpisodeSpec, sample_episode
-from .head import class_scores
+from .head import class_scores, scoring_threads
 from .pool import spawn_map
 from .training import encoder_inputs, episode_head
 
@@ -69,6 +77,8 @@ class ProtocolConfig:
             raise ValueError("shots and query_shots must be >= 1")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def checkpoints(self):
@@ -109,6 +119,7 @@ class EvalReport:
     volatility_std: float
     n_pairs: int
     runtime: dict
+    scoring_threads: int
 
 
 def _run_episode(params, prior, registry, cfg, episode_seed):
@@ -123,16 +134,21 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
 
     # row w*q + j is query j of word w; column w is word w's class
     scores = class_scores(head, query_z)
+    t2 = time.perf_counter()
     truth = np.repeat(np.arange(cfg.max_classes), q)
     checkpoints = cfg.checkpoints
     correct = np.full((cfg.max_classes, len(checkpoints), q), -1, dtype=np.int8)
     for t, n in enumerate(checkpoints):
         hits = np.argmax(scores[: n * q, :n], axis=1) == truth[: n * q]
         correct[:n, t] = hits.reshape(n, q)
+    t3 = time.perf_counter()
     acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct.mean(axis=2), np.nan)
     introduced_at = np.repeat(checkpoints, cfg.increment)
-    query_time = time.perf_counter() - t1
-    return EpisodeTrace(episode.class_ids, introduced_at, acc, correct), t1 - t0, query_time
+    t4 = time.perf_counter()
+    runtime = {"support_ingest_s": t1 - t0, "query_eval_s": t4 - t1,
+               "score_s": t2 - t1, "argmax_s": t3 - t2}
+    threads = scoring_threads(*scores.shape, query_z.shape[1])
+    return EpisodeTrace(episode.class_ids, introduced_at, acc, correct), runtime, threads
 
 
 def run_protocol(params, prior, registry, cfg):
@@ -148,8 +164,7 @@ def run_protocol(params, prior, registry, cfg):
     registry = encoder_inputs(registry, params)
     results = spawn_map(_run_episode, (params, prior, registry, cfg), seeds, cfg.workers)
     matrix = AccuracyMatrix(cfg.checkpoints, cfg.query_shots, [r[0] for r in results])
-    support_time = sum(r[1] for r in results)
-    query_time = sum(r[2] for r in results)
+    runtime = {k: sum(r[1][k] for r in results) for k in results[0][1]}
 
     per_episode_means = np.array(
         [np.nanmean(tr.acc, axis=0) for tr in matrix.episodes]
@@ -170,11 +185,8 @@ def run_protocol(params, prior, registry, cfg):
         volatility_mean=vol_mean,
         volatility_std=vol_std,
         n_pairs=n_pairs,
-        runtime={
-            "support_ingest_s": support_time,
-            "query_eval_s": query_time,
-            "total_s": time.perf_counter() - t_start,
-        },
+        runtime={**runtime, "total_s": time.perf_counter() - t_start},
+        scoring_threads=max(r[2] for r in results),
     )
     return matrix, report
 
@@ -218,6 +230,17 @@ def monotone_violations(matrix):
     return bad
 
 
+def _numpy_build():
+    # the SIMD extensions numpy dispatches to on this CPU (numpy >= 1.26
+    # lists them), less any that NPY_DISABLE_CPU_FEATURES switches off
+    simd = getattr(getattr(np, "__config__", None), "CONFIG", {}).get("SIMD Extensions", {})
+    return {
+        "version": np.__version__,
+        "simd_found": simd.get("found"),
+        "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
+    }
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -228,7 +251,8 @@ def emit_report(report, matrix, out_dir):
     Floats are serialized with 17 significant digits; re-running with the
     same seed reproduces the CSVs byte for byte on the same machine and
     numpy build. Across machines the bits can differ: numpy's float64
-    ``log`` rounds differently on its AVX-512 and AVX2/baseline paths.
+    ``log`` rounds differently on its AVX-512 and AVX2/baseline paths, so
+    summary.json records numpy's version and SIMD dispatch (``_numpy_build``).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,6 +296,8 @@ def emit_report(report, matrix, out_dir):
             "definition": VOLATILITY_DEFINITION,
         },
         "runtime": report.runtime,
+        "scoring_threads": report.scoring_threads,
+        "numpy": _numpy_build(),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

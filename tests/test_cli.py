@@ -475,6 +475,14 @@ def test_eval_takes_its_split_from_the_checkpoint(capsys):
         assert code == 2
 
 
+def test_eval_rejects_zero_workers_before_reading_anything(capsys):
+    code, _, err = run_cli(
+        capsys, "eval", "--manifest", "m.jsonl", "--ckpt", "c", "--out", "x", "--workers", "0"
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == "error: workers must be >= 1, got 0"
+
+
 def test_train_on_a_raw_wav_manifest_names_a_wav(tmp_path, capsys, wav_dataset):
     root, manifest = wav_dataset
     rows = [json.loads(line) for line in manifest.read_text().splitlines()]

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from bayescl import autodiff as ad
 from bayescl import head as H
+from bayescl import pool
 
 PRIOR = H.PriorParams(0.0, 0.0)  # alpha_0 = beta_0 = 1
 
@@ -366,6 +370,88 @@ class TestClassScores:
         message = rf"^queries have shape {re.escape(str(shape))}, the head's classes have width 3$"
         with pytest.raises(ValueError, match=message):
             H.class_scores(head, np.zeros(shape))
+
+
+class TestScoringThreads:
+    """class_scores' threads take its class blocks in turn; the bytes must
+    not depend on the thread count."""
+
+    # B = 1 with 200 blocks; 5 blocks of 8, the last of 5; a single block;
+    # 2 blocks, fewer than 3 threads; no queries
+    SHAPES = [(1000, 200, 64), (1000, 37, 8), (200, 37, 8), (3000, 2, 16), (0, 30, 5)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+    @pytest.mark.parametrize("m, n_classes, d", SHAPES)
+    def test_any_thread_count_gives_the_loop_bytes(self, monkeypatch, threads, m, n_classes, d):
+        monkeypatch.setattr(H, "_THREADS", threads)
+        rng = np.random.default_rng(19)
+        head = random_head(rng, n_classes, d)
+        Z = rng.normal(0, 2, size=(m, d))
+        got = H.class_scores(head, Z)
+        assert got.shape == (m, n_classes)
+        assert got.tobytes() == loop_class_scores(head, Z).tobytes()
+
+    def test_at_most_one_thread_per_block(self, monkeypatch):
+        monkeypatch.setattr(H, "_THREADS", 3)
+        assert H._plan(1000, 37, 8) == (8, 3)
+        assert H._plan(3000, 2, 16) == (1, 2)
+        assert H._plan(200, 37, 8) == (37, 1)
+        assert H._plan(0, 30, 5) == (30, 1)
+        assert [H.scoring_threads(*shape) for shape in self.SHAPES] == [3, 3, 1, 2, 1]
+
+    def test_the_caller_and_each_pool_thread_take_blocks(self, monkeypatch):
+        monkeypatch.setattr(H, "_THREADS", 3)
+        ran = []
+        score_blocks = H._score_blocks
+
+        def record(*a):
+            ran.append(threading.current_thread() is threading.main_thread())
+            score_blocks(*a)
+
+        monkeypatch.setattr(H, "_score_blocks", record)
+        rng = np.random.default_rng(20)
+        head, Z = random_head(rng, 37, 8), rng.normal(size=(1000, 8))
+        assert H.class_scores(head, Z).tobytes() == loop_class_scores(head, Z).tobytes()
+        assert sorted(ran) == [False, False, True]
+
+    def test_more_threads_than_cores_with_rapid_switching(self, monkeypatch):
+        # 12 threads claiming adjacent column blocks of one output and
+        # switching every microsecond: a block lost, done twice or written
+        # to the wrong columns changes the bytes
+        monkeypatch.setattr(H, "_THREADS", 12)
+        rng = np.random.default_rng(22)
+        head, Z = random_head(rng, 60, 16), rng.normal(0, 2, size=(2000, 16))
+        assert H.scoring_threads(2000, 60, 16) == 12
+        expected = loop_class_scores(head, Z).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert H.class_scores(head, Z).tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_error_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(H, "_THREADS", 2)
+        score_blocks = H._score_blocks
+
+        def fail_off_the_calling_thread(*a):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("pool thread")
+            score_blocks(*a)
+
+        monkeypatch.setattr(H, "_score_blocks", fail_off_the_calling_thread)
+        rng = np.random.default_rng(21)
+        with pytest.raises(FloatingPointError, match="pool thread"):
+            H.class_scores(random_head(rng, 10, 64), rng.normal(size=(1000, 64)))
+
+    def test_default_is_one_thread_per_usable_cpu(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert H.scoring_threads(1000, 200, 64) == min(200, cpus)
+        assert H.scoring_threads(10, 20, 64) == 1  # one block: every training head
+
+    def test_one_thread_inside_a_worker_process(self):
+        assert pool.spawn_map(H.scoring_threads, (1000, 200), [64, 64], 2) == [1, 1]
 
 
 def test_prototypical_network_limit():

@@ -36,6 +36,11 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="increment"):
             P.ProtocolConfig(increment=50, max_classes=25)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+            P.ProtocolConfig(increment=25, max_classes=100, episodes=1, workers=workers)
+
     def test_checkpoints_enumerated(self):
         cfg = P.ProtocolConfig(increment=25, max_classes=100, episodes=1)
         assert cfg.checkpoints == [25, 50, 75, 100]
@@ -404,9 +409,54 @@ class TestEmitReport:
         assert np.std(diffs) == pytest.approx(report.volatility_std, abs=1e-9)
         assert len(diffs) == report.n_pairs
 
+    def test_summary_records_timers_threads_and_numpy_dispatch(self, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "")
+        out, _, report = self._run(tmp_path)
+        summary = json.loads((out / "summary.json").read_text())
+        runtime = summary["runtime"]
+        assert set(runtime) == {"support_ingest_s", "query_eval_s", "score_s", "argmax_s",
+                                "total_s"}
+        assert runtime["score_s"] + runtime["argmax_s"] <= runtime["query_eval_s"]
+        # 100 queries x 20 classes x 8 dimensions is one block
+        assert summary["scoring_threads"] == report.scoring_threads == 1
+        assert summary["numpy"]["version"] == np.__version__
+        assert summary["numpy"]["NPY_DISABLE_CPU_FEATURES"] == ""
+        assert "simd_found" in summary["numpy"]
+
     def test_summary_labels_the_volatility_definition(self, tmp_path):
         import json
 
         out, _, _ = self._run(tmp_path)
         summary = json.loads((out / "summary.json").read_text())
         assert "pooled" in summary["volatility"]["definition"]
+
+
+class TestScoringThreadsInTheProtocol:
+    """Criterion 8's run (200 classes, increment 25, 5+5 shots, 10 episodes,
+    seed 2) on a tiny model: 1,000 queries x 200 classes x 8 dimensions is
+    25 blocks, so the default splits them across threads."""
+
+    def _csvs(self, tmp_path, cfg):
+        params, prior = tiny_model()
+        matrix, report = P.run_protocol(params, prior, tiny_registry(200, per_class=10, sep=2.0),
+                                        cfg)
+        P.emit_report(report, matrix, tmp_path)
+        names = ("curve.csv", "per_word.csv", "volatility.csv")
+        return {name: (tmp_path / name).read_bytes() for name in names}, report
+
+    def test_reports_are_byte_identical_for_any_thread_count_and_workers(
+            self, tmp_path, monkeypatch):
+        from bayescl import head as H
+
+        cfg = P.ProtocolConfig(increment=25, max_classes=200, shots=5, query_shots=5,
+                               episodes=10, seed=2)
+        default, report = self._csvs(tmp_path / "default", cfg)
+        assert report.scoring_threads == H.scoring_threads(1000, 200, 8)
+        workers, report = self._csvs(tmp_path / "workers", dataclasses.replace(cfg, workers=2))
+        assert report.scoring_threads == 1
+        monkeypatch.setattr(H, "_THREADS", 1)
+        serial, report = self._csvs(tmp_path / "serial", cfg)
+        assert report.scoring_threads == 1
+        assert serial == default == workers
