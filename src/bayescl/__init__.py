@@ -8,6 +8,6 @@ touched when new ones arrive.
 
 __version__ = "0.1.0"
 
-from .autodiff import DiffGraph, GraphError, Tensor, grad_check
+from .autodiff import DiffGraph, GraphError, Tensor
 
-__all__ = ["DiffGraph", "GraphError", "Tensor", "grad_check", "__version__"]
+__all__ = ["DiffGraph", "GraphError", "Tensor", "__version__"]

@@ -14,6 +14,11 @@ its chain's numpy operations and adjoint accumulations in the chain's
 order, so its values and gradients are the chain's bits; the chains stay
 in ``tests/test_encoder.py`` and ``tests/test_head.py`` as the oracles.
 Every node, fused or not, passes the same finiteness guard.
+
+This module holds only the ops a program runs. The generic ops the
+oracles are built from beyond those (``sub``, ``exp``, ``log``,
+``reciprocal`` and the rest, with ``forward_eval`` and ``grad_check``)
+live in ``tests/tape_ops.py``, beside the oracles that use them.
 """
 
 import numpy as np
@@ -22,29 +27,14 @@ __all__ = [
     "GraphError",
     "Tensor",
     "DiffGraph",
-    "forward_eval",
-    "backward",
-    "grad_check",
     "add",
-    "sub",
     "mul",
     "matmul",
-    "exp",
-    "log",
-    "sqrt",
-    "reciprocal",
-    "softplus",
-    "lgamma",
-    "digamma_value",
     "lgamma_value",
-    "softplus_value",
-    "sum_reduce",
     "mean_reduce",
-    "max_reduce",
     "softmax",
     "softmax_cross_entropy",
     "stack",
-    "concat",
     "rows",
     "transpose",
     "reshape",
@@ -92,23 +82,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.graph), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return mul(self, reciprocal(_lift(other, self.graph)))
-
-    def __rtruediv__(self, other):
-        return mul(_lift(other, self.graph), reciprocal(self))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -126,7 +104,6 @@ class DiffGraph:
     def __init__(self):
         self._nodes = []
         self._inputs = {}
-        self._output = None
 
     def __len__(self):
         return len(self._nodes)
@@ -179,31 +156,27 @@ class DiffGraph:
         """
         self._nodes = []
         self._inputs = {}
-        self._output = None
 
-    def backward(self, output=None, seed=None):
+    def backward(self, output, seed=None):
         """Accumulate adjoints from ``output`` back to every named input.
 
         Returns a dict name -> gradient ndarray (zeros for unused inputs).
         Each call starts from a clean adjoint state; nothing is retained.
         Two gradients may share memory, so copy one before writing to it.
         """
-        out = output if output is not None else self._output
-        if out is None:
-            raise GraphError("backward called before any forward evaluation")
-        if out.graph is not self:
+        if output.graph is not self:
             raise GraphError("output tensor belongs to a different graph")
         if seed is None:
-            seed = np.ones_like(out.data)
+            seed = np.ones_like(output.data)
         else:
             seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != out.data.shape:
+            if seed.shape != output.data.shape:
                 raise GraphError(
-                    f"seed shape {seed.shape} does not match output shape {out.data.shape}"
+                    f"seed shape {seed.shape} does not match output shape {output.data.shape}"
                 )
         adjoints = [None] * len(self._nodes)
-        adjoints[out.index] = seed.copy()
-        for node in reversed(self._nodes[: out.index + 1]):
+        adjoints[output.index] = seed.copy()
+        for node in reversed(self._nodes[: output.index + 1]):
             g = adjoints[node.index]
             if g is None or node.vjp is None:
                 continue
@@ -224,66 +197,6 @@ class DiffGraph:
             g = adjoints[t.index]
             grads[name] = np.zeros_like(t.data) if g is None else g
         return grads
-
-
-def forward_eval(builder, inputs, graph=None):
-    """Bind ``inputs`` on a graph, run ``builder(graph, bound)``, return its Tensor.
-
-    ``builder`` receives the graph and a dict name -> leaf Tensor and must
-    return the output Tensor. The graph retains every intermediate for a
-    later ``backward``.
-    """
-    if graph is None:
-        graph = DiffGraph()
-    bound = {name: graph.input(name, val) for name, val in inputs.items()}
-    out = builder(graph, bound)
-    if not isinstance(out, Tensor):
-        raise GraphError("builder must return a Tensor")
-    graph._output = out
-    return out
-
-
-def backward(graph, seed=None):
-    """Gradients of the graph's forward_eval output w.r.t. every named input."""
-    return graph.backward(seed=seed)
-
-
-def grad_check(builder, point, step=1e-5):
-    """Max relative error between analytic gradient and central differences.
-
-    ``builder`` must be scalar-valued at ``point`` (dict name -> ndarray).
-    Relative error per coordinate is |analytic - numeric| / max(1e-8, |numeric|).
-    """
-    if step <= 0:
-        raise GraphError("step must be positive")
-    point = {k: np.asarray(v, dtype=np.float64) for k, v in point.items()}
-    out = forward_eval(builder, point)
-    if out.data.shape != ():
-        raise GraphError(f"grad_check requires a scalar output, got shape {out.shape}")
-    analytic = out.graph.backward(out)
-
-    def value_at(pt):
-        v = forward_eval(builder, pt)
-        return float(v.data)
-
-    worst = 0.0
-    for name, x in point.items():
-        grad = analytic[name]
-        flat = x.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            bumped = {k: (v.copy() if k == name else v) for k, v in point.items()}
-            b = bumped[name].reshape(-1)
-            b[i] = orig + step
-            f_plus = value_at(bumped)
-            b[i] = orig - step
-            f_minus = value_at(bumped)
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = grad.reshape(-1)[i]
-            rel = abs(a - numeric) / max(1e-8, abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +245,6 @@ def add(a, b):
     return a.graph._register(out, (a, b), vjp, "add")
 
 
-def sub(a, b):
-    a, b = _pair(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise GraphError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return a.graph._register(out, (a, b), vjp, "sub")
-
-
 def mul(a, b):
     a, b = _pair(a, b)
     try:
@@ -382,80 +282,6 @@ def matmul(a, b):
     return a.graph._register(out, (a, b), vjp, "matmul")
 
 
-def exp(x):
-    if not isinstance(x, Tensor):
-        return np.exp(np.asarray(x, dtype=np.float64))
-    with np.errstate(over="ignore"):  # overflow becomes the non-finite node error
-        out = np.exp(x.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return x.graph._register(out, (x,), vjp, "exp")
-
-
-def log(x):
-    if not isinstance(x, Tensor):
-        return np.log(np.asarray(x, dtype=np.float64))
-    if np.any(x.data <= 0):
-        raise GraphError(f"log: non-positive argument at node {x.index}")
-    out = np.log(x.data)
-
-    def vjp(g):
-        return (g / x.data,)
-
-    return x.graph._register(out, (x,), vjp, "log")
-
-
-def sqrt(x):
-    """Square root. The gradient at exactly 0 uses the subgradient 0 so that
-    zero-variance statistics stay finite; 0 is a non-differentiable locus."""
-    if not isinstance(x, Tensor):
-        return np.sqrt(np.asarray(x, dtype=np.float64))
-    if np.any(x.data < 0):
-        raise GraphError(f"sqrt: negative argument at node {x.index}")
-    out = np.sqrt(x.data)
-
-    def vjp(g):
-        d = np.where(out > 0, 0.5 / np.where(out > 0, out, 1.0), 0.0)
-        return (g * d,)
-
-    return x.graph._register(out, (x,), vjp, "sqrt")
-
-
-def reciprocal(x):
-    if not isinstance(x, Tensor):
-        return 1.0 / np.asarray(x, dtype=np.float64)
-    if np.any(x.data == 0):
-        raise GraphError(f"reciprocal: zero argument at node {x.index}")
-    out = 1.0 / x.data
-
-    def vjp(g):
-        return (-g * out * out,)
-
-    return x.graph._register(out, (x,), vjp, "reciprocal")
-
-
-def softplus_value(x):
-    """Numerically stable log(1 + e^x) on plain arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def softplus(x):
-    if not isinstance(x, Tensor):
-        return softplus_value(x)
-    out = softplus_value(x.data)
-
-    def vjp(g):
-        # derivative is the logistic sigmoid, computed stably; e is built
-        # here, not kept in the closure, so the tape holds no extra array
-        e = np.exp(-np.abs(x.data))
-        return (g * np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),)
-
-    return x.graph._register(out, (x,), vjp, "softplus")
-
-
 # ---------------------------------------------------------------------------
 # log-gamma via the Lanczos approximation (g = 7, 9 coefficients)
 
@@ -476,72 +302,40 @@ _LANCZOS = np.array(
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _lanczos_pieces(x):
-    # valid for x >= 0.5
-    z = x - 1.0
+def _lgamma_digamma(x, digamma=True):
+    """log Gamma(x) and its derivative for x > 0, from one Lanczos series;
+    log Gamma(x) alone when ``digamma`` is false."""
+    x = np.asarray(x, dtype=np.float64)
+    small = x < 0.5
+    xs = np.where(small, x + 1.0, x)  # recurrence for (0, 0.5)
+    z = xs - 1.0
     series = np.full_like(z, _LANCZOS[0])
     dseries = np.zeros_like(z)
     for i in range(1, len(_LANCZOS)):
         denom = z + i
         series = series + _LANCZOS[i] / denom
-        dseries = dseries - _LANCZOS[i] / (denom * denom)
+        if digamma:
+            dseries = dseries - _LANCZOS[i] / (denom * denom)
     t = z + _LANCZOS_G + 0.5
-    return z, t, series, dseries
-
-
-def _lgamma_digamma(x):
-    """log Gamma(x) and its derivative for x > 0, from one Lanczos series."""
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    xs = np.where(small, x + 1.0, x)  # recurrence for (0, 0.5)
-    z, t, series, dseries = _lanczos_pieces(xs)
     log_t = np.log(t)
     lg = _HALF_LOG_2PI + (z + 0.5) * log_t - t + np.log(series)
-    dg = log_t + (z + 0.5) / t - 1.0 + dseries / series
     x_small = np.where(small, x, 1.0)
-    return np.where(small, lg - np.log(x_small), lg), np.where(small, dg - 1.0 / x_small, dg)
+    lg = np.where(small, lg - np.log(x_small), lg)
+    if not digamma:
+        return lg
+    dg = log_t + (z + 0.5) / t - 1.0 + dseries / series
+    return lg, np.where(small, dg - 1.0 / x_small, dg)
 
 
 def lgamma_value(x):
     """log Gamma(x) for x > 0 on plain arrays; |rel err| well below 1e-12."""
     if np.any(np.asarray(x) <= 0):
         raise GraphError("lgamma: argument must be positive")
-    return _lgamma_digamma(x)[0]
-
-
-def digamma_value(x):
-    """Derivative of lgamma_value, from the same Lanczos series."""
-    if np.any(np.asarray(x) <= 0):
-        raise GraphError("digamma: argument must be positive")
-    return _lgamma_digamma(x)[1]
-
-
-def lgamma(x):
-    if not isinstance(x, Tensor):
-        return lgamma_value(x)
-    if np.any(x.data <= 0):
-        raise GraphError(f"lgamma: non-positive argument at node {x.index}")
-    out = lgamma_value(x.data)
-
-    def vjp(g):
-        return (g * digamma_value(x.data),)
-
-    return x.graph._register(out, (x,), vjp, "lgamma")
+    return _lgamma_digamma(x, digamma=False)
 
 
 # ---------------------------------------------------------------------------
 # reductions and structure
-
-
-def sum_reduce(x, axis=None):
-    out = x.data.sum(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
-
-    return x.graph._register(out, (x,), vjp, "sum")
 
 
 def mean_reduce(x, axis=None):
@@ -554,24 +348,6 @@ def mean_reduce(x, axis=None):
         return (np.broadcast_to(np.expand_dims(g, axis) / count, x.data.shape).copy(),)
 
     return x.graph._register(out, (x,), vjp, "mean")
-
-
-def max_reduce(x, axis=None):
-    """Max reduction; ties route the gradient to the first maximum."""
-    out = x.data.max(axis=axis)
-
-    def vjp(g):
-        grad = np.zeros_like(x.data)
-        if axis is None:
-            idx = np.unravel_index(np.argmax(x.data), x.data.shape)
-            grad[idx] = g
-        else:
-            idx = np.argmax(x.data, axis=axis)
-            expanded = np.expand_dims(idx, axis)
-            np.put_along_axis(grad, expanded, np.expand_dims(g, axis), axis=axis)
-        return (grad,)
-
-    return x.graph._register(out, (x,), vjp, "max")
 
 
 def softmax(x, axis=-1):
@@ -633,24 +409,6 @@ def stack(tensors, axis=0):
         return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
     return graph._register(out, tuple(tensors), vjp, "stack")
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise GraphError("concat of zero tensors")
-    graph = tensors[0].graph
-    for t in tensors:
-        if t.graph is not graph:
-            raise GraphError("concat operands belong to different graphs")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return graph._register(out, tuple(tensors), vjp, "concat")
 
 
 def rows(x, start, stop):

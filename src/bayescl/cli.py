@@ -152,7 +152,7 @@ def _merge_config(args, defaults):
     return merged
 
 
-TRAIN_DEFAULTS = {
+COMMON_TRAIN_DEFAULTS = {
     "steps": 2000,
     "ways": 25,
     "shots": 5,
@@ -165,8 +165,10 @@ TRAIN_DEFAULTS = {
     "seed": 0,
 }
 
+TRAIN_DEFAULTS = dict(COMMON_TRAIN_DEFAULTS, split_ratio=0.7, val_ratio=0.1)
+
 SYNTH_TRAIN_DEFAULTS = dict(
-    TRAIN_DEFAULTS,
+    COMMON_TRAIN_DEFAULTS,
     ways=10,
     latent_dim=16,
     class_sep=10.0,
@@ -356,17 +358,15 @@ def _word_split(manifest, ratio, seed):
 
 def cmd_train(args):
     v = _merge_config(args, TRAIN_DEFAULTS)
-    ratio = args.split_ratio if args.split_ratio is not None else 0.7
-    val_ratio = args.val_ratio if args.val_ratio is not None else 0.1
-    reg_all, train_words, _ = _word_split(args.manifest, ratio, v["seed"])
-    core_words, val_words = split_classes(train_words, 1.0 - val_ratio, v["seed"] + 1)
+    reg_all, train_words, _ = _word_split(args.manifest, v["split_ratio"], v["seed"])
+    core_words, val_words = split_classes(train_words, 1.0 - v["val_ratio"], v["seed"] + 1)
     registry = reg_all.subset(core_words)
     val_registry = reg_all.subset(val_words)
     encoder_cfg = EncoderConfig(
         architecture=v["encoder"], embed_dim=v["embed_dim"], seed=v["seed"]
     )
     data_config = {
-        "data": {"kind": "mfcc", "split_ratio": ratio, "split_seed": v["seed"]}
+        "data": {"kind": "mfcc", "split_ratio": v["split_ratio"], "split_seed": v["seed"]}
     }
     return _train_common(v, encoder_cfg, registry, val_registry, args.out, data_config)
 

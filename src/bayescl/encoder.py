@@ -106,10 +106,6 @@ def init_params(config):
     return params
 
 
-def param_count(params):
-    return sum(int(np.asarray(p).size) for p in params.values())
-
-
 def sinusoidal_positions(n_frames, width):
     """Standard sin/cos position encoding; handles odd widths."""
     pos = np.arange(n_frames, dtype=np.float64)[:, None]

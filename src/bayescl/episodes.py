@@ -78,13 +78,6 @@ class SampleRegistry:
             raise KeyError(f"classes not in registry: {missing[:5]}")
         return SampleRegistry({c: self.classes[c] for c in class_ids})
 
-    def resolved(self):
-        """A copy whose references are feature arrays, each loaded once;
-        array references pass through as the same objects."""
-        return SampleRegistry(
-            {c: [resolve_sample(r) for r in refs] for c, refs in self.classes.items()}
-        )
-
     def require(self, ways, per_class):
         """Raise with a named deficit if an episode spec cannot be satisfied."""
         if self.n_classes < ways:

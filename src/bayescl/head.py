@@ -176,7 +176,7 @@ def _rho_tensors(prior, graph):
     """Bind (or reuse) the prior's unconstrained parameters on a graph.
 
     ``prior`` may be a PriorParams or an already-bound (rho_alpha,
-    rho_beta) Tensor pair, e.g. inside grad_check builders.
+    rho_beta) Tensor pair, as ``training._batch_gradients`` passes.
     """
     if isinstance(prior, PriorParams):
         ra = graph.input_or_get("rho_alpha", np.asarray(prior.rho_alpha, dtype=np.float64))

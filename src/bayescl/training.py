@@ -128,22 +128,27 @@ def encoder_params(params):
 def encoder_inputs(registry, params):
     """A copy of ``registry`` holding what the encoder ``params`` read: each
     file loaded once and, for a stats-mlp, each clip's frames pooled once."""
-    resolved = registry.resolved()
     return SampleRegistry(
-        {c: pool_frames(refs, params) for c, refs in resolved.classes.items()}
+        {
+            c: pool_frames([resolve_sample(r) for r in refs], params)
+            for c, refs in registry.classes.items()
+        }
     )
 
 
 def _batch_gradients(meta, episodes_batch):
-    """Mean loss and mean gradients over a batch, one graph per episode."""
+    """Mean loss and mean gradients over a batch, one graph per episode.
+
+    The episodes' references must be arrays, as ``encoder_inputs`` leaves them.
+    """
     total_loss = 0.0
     grad_sum = None
     enc = encoder_params(meta)
     for episode in episodes_batch:
         graph = DiffGraph()
         try:
-            sz = embed_batch([resolve_sample(r) for r in episode.support], enc, graph)
-            qz = embed_batch([resolve_sample(r) for r in episode.query], enc, graph)
+            sz = embed_batch(episode.support, enc, graph)
+            qz = embed_batch(episode.query, enc, graph)
             ra = graph.input("rho_alpha", meta["rho_alpha"])
             rb = graph.input("rho_beta", meta["rho_beta"])
             loss = episode_loss((ra, rb), sz, qz, len(episode.class_ids), graph)

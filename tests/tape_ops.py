@@ -1,0 +1,252 @@
+"""The generic tape ops that only the tests build graphs from.
+
+``bayescl.autodiff`` holds the ops a program runs. The reference
+compositions (oracles) in ``test_head.py`` and ``test_encoder.py``, the
+gradient checks of ``test_autodiff.py`` and acceptance criterion 5 need
+more: the ops below, each a node of the same kind as the package's, plus
+``forward_eval`` and ``grad_check``. This module re-exports the package's
+names, so a test imports one namespace (``import tape_ops as ad``).
+
+``Tensor`` has no ``-`` or ``/`` operator, because no program path
+subtracts or divides tensors: a test writes ``x - y`` as ``ad.sub(x, y)``
+and ``x / y`` as ``ad.mul(x, ad.reciprocal(y))``.
+"""
+
+import numpy as np
+
+from bayescl import autodiff
+from bayescl.autodiff import *  # noqa: F403  (re-exported)
+from bayescl.autodiff import (
+    DiffGraph,
+    GraphError,
+    Tensor,
+    _lgamma_digamma,
+    _pair,
+    _unbroadcast,
+    lgamma_value,
+)
+
+__all__ = [
+    *autodiff.__all__,
+    "forward_eval",
+    "grad_check",
+    "sub",
+    "exp",
+    "log",
+    "sqrt",
+    "reciprocal",
+    "softplus",
+    "softplus_value",
+    "lgamma",
+    "digamma_value",
+    "sum_reduce",
+    "max_reduce",
+    "concat",
+]
+
+
+def forward_eval(builder, inputs):
+    """Bind ``inputs`` on a graph, run ``builder(graph, bound)``, return its Tensor.
+
+    ``builder`` receives the graph and a dict name -> leaf Tensor and must
+    return the output Tensor. The graph retains every intermediate for a
+    later ``backward``.
+    """
+    graph = DiffGraph()
+    bound = {name: graph.input(name, val) for name, val in inputs.items()}
+    out = builder(graph, bound)
+    if not isinstance(out, Tensor):
+        raise GraphError("builder must return a Tensor")
+    return out
+
+
+def grad_check(builder, point, step=1e-5):
+    """Max relative error between analytic gradient and central differences.
+
+    ``builder`` must be scalar-valued at ``point`` (dict name -> ndarray).
+    Relative error per coordinate is |analytic - numeric| / max(1e-8, |numeric|).
+    """
+    if step <= 0:
+        raise GraphError("step must be positive")
+    point = {k: np.asarray(v, dtype=np.float64) for k, v in point.items()}
+    out = forward_eval(builder, point)
+    if out.data.shape != ():
+        raise GraphError(f"grad_check requires a scalar output, got shape {out.shape}")
+    analytic = out.graph.backward(out)
+
+    def value_at(pt):
+        v = forward_eval(builder, pt)
+        return float(v.data)
+
+    worst = 0.0
+    for name, x in point.items():
+        grad = analytic[name]
+        flat = x.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            bumped = {k: (v.copy() if k == name else v) for k, v in point.items()}
+            b = bumped[name].reshape(-1)
+            b[i] = orig + step
+            f_plus = value_at(bumped)
+            b[i] = orig - step
+            f_minus = value_at(bumped)
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a = grad.reshape(-1)[i]
+            rel = abs(a - numeric) / max(1e-8, abs(numeric))
+            if rel > worst:
+                worst = rel
+    return worst
+
+
+def sub(a, b):
+    a, b = _pair(a, b)
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise GraphError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def vjp(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+
+    return a.graph._register(out, (a, b), vjp, "sub")
+
+
+def exp(x):
+    if not isinstance(x, Tensor):
+        return np.exp(np.asarray(x, dtype=np.float64))
+    with np.errstate(over="ignore"):  # overflow becomes the non-finite node error
+        out = np.exp(x.data)
+
+    def vjp(g):
+        return (g * out,)
+
+    return x.graph._register(out, (x,), vjp, "exp")
+
+
+def log(x):
+    if not isinstance(x, Tensor):
+        return np.log(np.asarray(x, dtype=np.float64))
+    if np.any(x.data <= 0):
+        raise GraphError(f"log: non-positive argument at node {x.index}")
+    out = np.log(x.data)
+
+    def vjp(g):
+        return (g / x.data,)
+
+    return x.graph._register(out, (x,), vjp, "log")
+
+
+def sqrt(x):
+    """Square root. The gradient at exactly 0 uses the subgradient 0 so that
+    zero-variance statistics stay finite; 0 is a non-differentiable locus."""
+    if not isinstance(x, Tensor):
+        return np.sqrt(np.asarray(x, dtype=np.float64))
+    if np.any(x.data < 0):
+        raise GraphError(f"sqrt: negative argument at node {x.index}")
+    out = np.sqrt(x.data)
+
+    def vjp(g):
+        d = np.where(out > 0, 0.5 / np.where(out > 0, out, 1.0), 0.0)
+        return (g * d,)
+
+    return x.graph._register(out, (x,), vjp, "sqrt")
+
+
+def reciprocal(x):
+    if not isinstance(x, Tensor):
+        return 1.0 / np.asarray(x, dtype=np.float64)
+    if np.any(x.data == 0):
+        raise GraphError(f"reciprocal: zero argument at node {x.index}")
+    out = 1.0 / x.data
+
+    def vjp(g):
+        return (-g * out * out,)
+
+    return x.graph._register(out, (x,), vjp, "reciprocal")
+
+
+def softplus_value(x):
+    """Numerically stable log(1 + e^x) on plain arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def softplus(x):
+    if not isinstance(x, Tensor):
+        return softplus_value(x)
+    out = softplus_value(x.data)
+
+    def vjp(g):
+        # derivative is the logistic sigmoid, computed stably; e is built
+        # here, not kept in the closure, so the tape holds no extra array
+        e = np.exp(-np.abs(x.data))
+        return (g * np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),)
+
+    return x.graph._register(out, (x,), vjp, "softplus")
+
+
+def digamma_value(x):
+    """Derivative of lgamma_value, from the same Lanczos series."""
+    if np.any(np.asarray(x) <= 0):
+        raise GraphError("digamma: argument must be positive")
+    return _lgamma_digamma(x)[1]
+
+
+def lgamma(x):
+    if not isinstance(x, Tensor):
+        return lgamma_value(x)
+    if np.any(x.data <= 0):
+        raise GraphError(f"lgamma: non-positive argument at node {x.index}")
+    out = lgamma_value(x.data)
+
+    def vjp(g):
+        return (g * digamma_value(x.data),)
+
+    return x.graph._register(out, (x,), vjp, "lgamma")
+
+
+def sum_reduce(x, axis=None):
+    out = x.data.sum(axis=axis)
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
+
+    return x.graph._register(out, (x,), vjp, "sum")
+
+
+def max_reduce(x, axis=None):
+    """Max reduction; ties route the gradient to the first maximum."""
+    out = x.data.max(axis=axis)
+
+    def vjp(g):
+        grad = np.zeros_like(x.data)
+        if axis is None:
+            idx = np.unravel_index(np.argmax(x.data), x.data.shape)
+            grad[idx] = g
+        else:
+            idx = np.argmax(x.data, axis=axis)
+            expanded = np.expand_dims(idx, axis)
+            np.put_along_axis(grad, expanded, np.expand_dims(g, axis), axis=axis)
+        return (grad,)
+
+    return x.graph._register(out, (x,), vjp, "max")
+
+
+def concat(tensors, axis=0):
+    tensors = list(tensors)
+    if not tensors:
+        raise GraphError("concat of zero tensors")
+    graph = tensors[0].graph
+    for t in tensors:
+        if t.graph is not graph:
+            raise GraphError("concat operands belong to different graphs")
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def vjp(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return graph._register(out, tuple(tensors), vjp, "concat")

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from bayescl import autodiff as ad
 from bayescl import encoder as E
 from bayescl import episodes as Ep
 from bayescl import head as H
@@ -21,6 +20,7 @@ from bayescl import training as T
 from bayescl.cli import main as cli_main
 from bayescl.stats import mann_whitney_u
 
+import tape_ops as ad
 from test_audio import write_pcm16  # noqa: F401  (import keeps fixtures local)
 from test_head import row_bytes
 from test_stats import brute_force_two_sided_p

@@ -408,6 +408,38 @@ def test_real_train_and_eval_pipeline(tmp_path, capsys, wav_dataset):
     assert len(curve) == 3
 
 
+def test_train_takes_its_split_ratios_from_a_config_file(tmp_path, capsys, wav_dataset):
+    root, manifest = wav_dataset
+    feat = tmp_path / "features"
+    code, _, err = run_cli(
+        capsys,
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(feat), "--shots", "2", "--query-shots", "2",
+    )
+    assert code == 0, err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"split_ratio": 0.5, "val_ratio": 0.5}))
+
+    def train(name, *flags):
+        code, _, err = run_cli(
+            capsys,
+            "train", "--manifest", str(feat / "features.jsonl"), "--steps", "2",
+            "--ways", "2", "--shots", "2", "--query-shots", "2", "--batch-episodes", "1",
+            "--embed-dim", "8", *flags, "--out", str(tmp_path / name),
+        )
+        assert code == 0, err
+        return read_tensors(tmp_path / name)[0]["data"]
+
+    by_flag = train("flag", "--split-ratio", "0.5", "--val-ratio", "0.5")
+    by_file = train("file", "--config", str(cfg))
+    assert by_flag == by_file == {"kind": "mfcc", "split_ratio": 0.5, "split_seed": 0}
+    # the same validation words, so the same log and best parameters
+    for suffix in ("", ".best", ".log.csv"):
+        flag_bytes = (tmp_path / f"flag{suffix}").read_bytes()
+        assert flag_bytes == (tmp_path / f"file{suffix}").read_bytes(), suffix
+    assert train("both", "--config", str(cfg), "--split-ratio", "0.75")["split_ratio"] == 0.75
+
+
 def test_truncated_dump_fails_train_and_eval_before_any_step(tmp_path, capsys, wav_dataset):
     root, manifest = wav_dataset
     feat = tmp_path / "features"

@@ -4,8 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from bayescl import autodiff as ad
 from bayescl import encoder as E
+
+import tape_ops as ad
 
 
 def fresh_graph():
@@ -55,7 +56,7 @@ class TestInit:
         cfg = E.EncoderConfig(embed_dim=64, hidden_dims=(128, 128), feature_dim=13)
         expected = (26 * 128 + 128) + (128 * 128 + 128) + (128 * 64 + 64)
         assert expected == 28224
-        assert E.param_count(E.init_params(cfg)) == expected
+        assert sum(p.size for p in E.init_params(cfg).values()) == expected
 
     def test_weight_range_is_glorot(self):
         params = E.init_params(E.EncoderConfig(seed=4))
@@ -186,7 +187,7 @@ def graph_pooled_embed_batch(mats, params, graph):
     for a in mats:
         mat = graph.constant(a)
         m = ad.mean_reduce(mat, axis=0)
-        dev = mat - m
+        dev = ad.sub(mat, m)
         var = ad.mean_reduce(dev * dev, axis=0)
         pooled.append(ad.concat([m, ad.sqrt(var)]))
     return E._mlp(ad.stack(pooled, axis=0), bound, E._n_layers(params))

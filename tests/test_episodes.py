@@ -274,8 +274,10 @@ def test_resolve_sample_passthrough_and_dump(tmp_path):
     assert out.shape == (2, 13)
 
 
-def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path):
+def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path, monkeypatch):
     from bayescl import audio
+    from bayescl import encoder as E
+    from bayescl import training as T
 
     arr = np.ones((3, 2))
     reg = Ep.SampleRegistry({"a": [arr]})
@@ -283,7 +285,13 @@ def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path):
         p = tmp_path / f"{j}.mfcc"
         audio.write_feature_dump(p, np.full((2, 13), float(j)))
         reg.add("b", str(p))
-    out = reg.resolved()
+    reads = []
+    read = audio.read_feature_dump
+    monkeypatch.setattr(audio, "read_feature_dump", lambda path: reads.append(path) or read(path))
+    # attention-mlp frames pass through encoder_inputs unpooled
+    params = E.init_params(E.EncoderConfig("attention-mlp"))
+    out = T.encoder_inputs(reg, params)
+    assert sorted(reads) == reg.classes["b"]
     assert out.class_ids == ["a", "b"]
     assert out.classes["a"][0] is arr
     assert [r[0, 0] for r in out.classes["b"]] == [0.0, 1.0]

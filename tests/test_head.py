@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayescl import autodiff as ad
 from bayescl import head as H
 from bayescl import pool
+
+import tape_ops as ad
 
 PRIOR = H.PriorParams(0.0, 0.0)  # alpha_0 = beta_0 = 1
 
@@ -592,7 +593,7 @@ def _tape_logits(prior, support_z, query_z, n_classes, graph):
     shots = support_z.shape[0] // n_classes
     per_class = ad.reshape(support_z, (n_classes, shots, d))  # (N, K, d)
     mu = ad.mean_reduce(per_class, axis=1)
-    var = ad.mean_reduce(per_class * per_class, axis=1) - mu * mu
+    var = ad.sub(ad.mean_reduce(per_class * per_class, axis=1), mu * mu)
     nu, scale2 = _tape_predictive(prior, graph, float(shots), var)
     return _tape_log_t(ad.reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
 
@@ -616,21 +617,23 @@ def _whole_classes(m, n):
 def _tape_predictive(prior, graph, n, var):
     ra, rb = H._rho_tensors(prior, graph)
     alpha = ad.exp(ra) + 0.5 * n
-    scale2 = (ad.exp(rb) + 0.5 * n * var) * ((n + 1.0) / n) / alpha
+    scale2 = ad.mul((ad.exp(rb) + 0.5 * n * var) * ((n + 1.0) / n), ad.reciprocal(alpha))
     return 2.0 * alpha, scale2
 
 
 def _tape_log_t(z, nu, mean, scale2):
     d = float(z.shape[-1])
     half_nu1 = 0.5 * (nu + 1.0)
-    const = (
-        d * (ad.lgamma(half_nu1) - ad.lgamma(0.5 * nu))
-        - 0.5 * d * ad.log(math.pi * nu)
-        - 0.5 * ad.sum_reduce(ad.log(scale2), axis=-1)
+    const = ad.sub(
+        ad.sub(
+            d * ad.sub(ad.lgamma(half_nu1), ad.lgamma(0.5 * nu)),
+            0.5 * d * ad.log(math.pi * nu),
+        ),
+        0.5 * ad.sum_reduce(ad.log(scale2), axis=-1),
     )
-    dev = z - mean
-    q = dev * dev / (nu * scale2)
-    return const - half_nu1 * ad.sum_reduce(ad.log(1.0 + q), axis=-1)
+    dev = ad.sub(z, mean)
+    q = ad.mul(dev * dev, ad.reciprocal(nu * scale2))
+    return ad.sub(const, half_nu1 * ad.sum_reduce(ad.log(1.0 + q), axis=-1))
 
 
 def _episode(n, k, m, d, seed):
@@ -755,20 +758,21 @@ def _loop_episode_loss(prior, support_z, query_z, n_classes, graph):
     alpha = ad.exp(ra) + 0.5 * n
     nu = 2.0 * alpha
     half_nu1 = 0.5 * (nu + 1.0)
-    shared = float(d) * (ad.lgamma(half_nu1) - ad.lgamma(0.5 * nu)) - 0.5 * float(d) * ad.log(
-        math.pi * nu
+    shared = ad.sub(
+        float(d) * ad.sub(ad.lgamma(half_nu1), ad.lgamma(0.5 * nu)),
+        0.5 * float(d) * ad.log(math.pi * nu),
     )
     scale_factor = ((n + 1.0) / n) * ad.reciprocal(alpha)
     cols = []
     for j in range(n_classes):
         block = ad.rows(support_z, int(j * n), int((j + 1) * n))
         mu = ad.mean_reduce(block, axis=0)
-        var = ad.mean_reduce(block * block, axis=0) - mu * mu
+        var = ad.sub(ad.mean_reduce(block * block, axis=0), mu * mu)
         scale2 = (ad.exp(rb) + 0.5 * n * var) * scale_factor
-        dev = query_z - mu
-        tail = ad.sum_reduce(ad.log(1.0 + dev * dev / (nu * scale2)), axis=1)
-        const = shared - 0.5 * ad.sum_reduce(ad.log(scale2))
-        cols.append(const - half_nu1 * tail)
+        dev = ad.sub(query_z, mu)
+        tail = ad.sum_reduce(ad.log(1.0 + ad.mul(dev * dev, ad.reciprocal(nu * scale2))), axis=1)
+        const = ad.sub(shared, 0.5 * ad.sum_reduce(ad.log(scale2)))
+        cols.append(ad.sub(const, half_nu1 * tail))
     y = _class_major(query_z.shape[0], n_classes)
     return ad.softmax_cross_entropy(ad.stack(cols, axis=1), y)
 

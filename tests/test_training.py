@@ -216,7 +216,7 @@ class TestTrain:
         sizes = []
 
         class RecordedGraph(ad.DiffGraph):
-            def backward(self, output=None, seed=None):
+            def backward(self, output, seed=None):
                 sizes.append(len(self))
                 return super().backward(output, seed)
 
