@@ -1,12 +1,18 @@
 """Command-line entry point wiring data preparation, training, and evaluation.
 
 Subcommands: prepare, train, eval, synth-train, synth-eval,
-inspect-checkpoint, version. Flags override values from an optional JSON
-config file (--config), which overrides built-in defaults. ``eval`` takes
-its train/test word split (ratio and seed) from the checkpoint that
-``train`` wrote, so its test words are never meta-train words. Exit codes:
-0 success, 2 usage error, 1 runtime error. Diagnostics go to stderr;
-``bayescl --verbose <command>`` adds the traceback of a runtime error.
+inspect-checkpoint, version. ``eval`` takes its train/test word split
+(ratio and seed) from the checkpoint that ``train`` wrote, so its test
+words are never meta-train words. Exit codes: 0 success, 2 usage error,
+1 runtime error. Diagnostics go to stderr; ``bayescl --verbose <command>``
+adds the traceback of a runtime error.
+
+Each command that takes ``--config`` reads its options from one table in
+``OPTIONS``: flags override the JSON config file, which overrides the
+rows' defaults. A file value of the wrong type fails before anything is
+written (``<path>: <key>: expected int, got str``). A bool is never an
+int, an int for a float is read as that float, so file and flag write
+the same bytes, and null is taken only where the default is None.
 
 A command re-run with the same inputs and seed writes the same bytes,
 whatever ``--workers``, on the same machine and numpy build. Across
@@ -15,15 +21,17 @@ on its AVX-512 and AVX2/baseline paths.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, audio, training
-from .encoder import EncoderConfig
+from .encoder import ARCHITECTURES, EncoderConfig
 from .episodes import (
     EpisodeSpec,
     SynthTaskConfig,
@@ -42,32 +50,69 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _add_common_train_flags(p):
-    p.add_argument("--steps", type=int, help="training steps")
-    p.add_argument("--ways", type=int, help="classes per episode")
-    p.add_argument("--shots", type=int, help="support shots per class")
-    p.add_argument("--query-shots", type=int, help="query shots per class")
-    p.add_argument("--batch-episodes", type=int, help="episodes per step")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--validation-every", type=int)
-    p.add_argument("--encoder", choices=["stats-mlp", "attention-mlp"])
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--config", help="JSON config file (flags override it)")
+class Option(NamedTuple):
+    """One option of a command: its config key, its flag and its default."""
+
+    name: str
+    type: type
+    default: object
+    help: str = ""
+    choices: tuple = None
+
+    def check(self, path, value):
+        """``value`` read from config file ``path``, as this option's type."""
+        if value is None and self.default is None:
+            return None
+        if self.type is float and type(value) is int:
+            return float(value)
+        if type(value) is not self.type:  # so a bool is never an int
+            got = "null" if value is None else type(value).__name__
+            raise ValueError(f"{path}: {self.name}: expected {self.type.__name__}, got {got}")
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{path}: {self.name}: expected one of {self.choices}, got {value!r}")
+        return value
 
 
-def _add_common_eval_flags(p):
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--increment", type=int)
-    p.add_argument("--max-classes", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--query-shots", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON config file (flags override it)")
+def _fields(cls):
+    return tuple(Option(f.name, f.type, f.default) for f in dataclasses.fields(cls))
+
+
+_TRAIN_OPTIONS = (
+    Option("steps", int, 2000, "training steps"),
+    Option("shots", int, 5, "support shots per class"),
+    Option("query_shots", int, 5, "query shots per class"),
+    Option("batch_episodes", int, 4, "episodes per step"),
+    Option("learning_rate", float, 1e-3),
+    Option("validation_every", int, 100),
+    Option("encoder", str, "stats-mlp", choices=ARCHITECTURES),
+    Option("embed_dim", int, 64),
+    Option("seed", int, 0),
+)
+
+_SYNTH_TASK_KEYS = tuple(f.name for f in dataclasses.fields(SynthTaskConfig))
+
+OPTIONS = {
+    "train": (
+        Option("split_ratio", float, 0.7, "meta-train class fraction"),
+        Option("val_ratio", float, 0.1, "fraction of meta-train classes held out for validation"),
+        Option("ways", int, 25, "classes per episode"),
+        *_TRAIN_OPTIONS,
+    ),
+    "synth-train": (
+        *_fields(SynthTaskConfig),
+        Option("classes", int, 80, "synthetic meta-train classes"),
+        Option("val_classes", int, 20, "held-out classes for validation"),
+        Option("samples_per_class", int, 20),
+        Option("ways", int, 10, "classes per episode"),
+        *_TRAIN_OPTIONS,
+    ),
+    "eval": _fields(ProtocolConfig),
+    "synth-eval": (
+        Option("test_classes", int, None, "synthetic test classes (default max-classes)"),
+        Option("samples_per_class", int, None, "samples per class (default shots + query-shots)"),
+        *_fields(ProtocolConfig),
+    ),
+}
 
 
 def build_parser():
@@ -91,33 +136,26 @@ def build_parser():
     p.add_argument("--query-shots", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("train", help="meta-train on prepared features")
-    p.set_defaults(func=cmd_train)
-    p.add_argument("--manifest", required=True, help="feature manifest from prepare")
-    p.add_argument("--split-ratio", type=float, help="meta-train class fraction (default 0.7)")
-    p.add_argument("--val-ratio", type=float, help="fraction of meta-train classes held out for validation (default 0.1)")
-    _add_common_train_flags(p)
-
-    p = sub.add_parser("eval", help="run the class-incremental protocol on prepared features")
-    p.set_defaults(func=cmd_eval)
-    p.add_argument("--manifest", required=True, help="feature manifest from prepare")
-    _add_common_eval_flags(p)
-
-    p = sub.add_parser("synth-train", help="meta-train on synthetic Gaussian tasks")
-    p.set_defaults(func=cmd_synth_train)
-    p.add_argument("--latent-dim", type=int)
-    p.add_argument("--class-sep", type=float)
-    p.add_argument("--within-std", type=float)
-    p.add_argument("--classes", type=int, help="synthetic meta-train classes")
-    p.add_argument("--val-classes", type=int, help="held-out classes for validation")
-    p.add_argument("--samples-per-class", type=int)
-    _add_common_train_flags(p)
-
-    p = sub.add_parser("synth-eval", help="run the protocol on synthetic test classes")
-    p.set_defaults(func=cmd_synth_eval)
-    p.add_argument("--test-classes", type=int, help="synthetic test classes (default max-classes)")
-    p.add_argument("--samples-per-class", type=int)
-    _add_common_eval_flags(p)
+    for command, func, text in (
+        ("train", cmd_train, "meta-train on prepared features"),
+        ("eval", cmd_eval, "run the class-incremental protocol on prepared features"),
+        ("synth-train", cmd_synth_train, "meta-train on synthetic Gaussian tasks"),
+        ("synth-eval", cmd_synth_eval, "run the protocol on synthetic test classes"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        if not command.startswith("synth-"):
+            p.add_argument("--manifest", required=True, help="feature manifest from prepare")
+        if command.endswith("eval"):
+            p.add_argument("--ckpt", required=True)
+            p.add_argument("--out", required=True, help="report output directory")
+        else:
+            p.add_argument("--out", required=True, help="checkpoint output path")
+        for o in OPTIONS[command]:
+            default = "" if o.default is None else f" (default {o.default})"
+            p.add_argument("--" + o.name.replace("_", "-"), type=o.type, choices=o.choices,
+                           help=o.help + default)
+        p.add_argument("--config", help="JSON config file (flags override it)")
 
     p = sub.add_parser("inspect-checkpoint", help="print checkpoint header information")
     p.set_defaults(func=cmd_inspect)
@@ -125,75 +163,31 @@ def build_parser():
     return parser
 
 
-def _merge_config(args, defaults):
-    """flags > config file > defaults; returns a plain dict."""
+def _merge_config(args):
+    """The values of ``OPTIONS[args.command]``: flags > config file > defaults."""
+    options = OPTIONS[args.command]
     file_values = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             try:
                 file_values = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{cfg_path}: not valid JSON: {exc}") from None
+                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
-            raise ValueError(f"{cfg_path}: not a JSON object")
-        unknown = set(file_values) - set(defaults)
+            raise ValueError(f"{args.config}: not a JSON object")
+        unknown = set(file_values) - {o.name for o in options}
         if unknown:
-            raise ValueError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return merged
+            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        file_values = {o.name: o.check(args.config, file_values[o.name])
+                       for o in options if o.name in file_values}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    return {o.name: flags.get(o.name, file_values.get(o.name, o.default)) for o in options}
 
 
-COMMON_TRAIN_DEFAULTS = {
-    "steps": 2000,
-    "ways": 25,
-    "shots": 5,
-    "query_shots": 5,
-    "batch_episodes": 4,
-    "learning_rate": 1e-3,
-    "validation_every": 100,
-    "encoder": "stats-mlp",
-    "embed_dim": 64,
-    "seed": 0,
-}
-
-TRAIN_DEFAULTS = dict(COMMON_TRAIN_DEFAULTS, split_ratio=0.7, val_ratio=0.1)
-
-SYNTH_TRAIN_DEFAULTS = dict(
-    COMMON_TRAIN_DEFAULTS,
-    ways=10,
-    latent_dim=16,
-    class_sep=10.0,
-    within_std=1.0,
-    classes=80,
-    val_classes=20,
-    samples_per_class=20,
-)
-
-EVAL_DEFAULTS = {
-    "increment": 25,
-    "max_classes": 200,
-    "episodes": 10,
-    "shots": 5,
-    "query_shots": 5,
-    "workers": 1,
-    "seed": 0,
-}
-
-SYNTH_EVAL_DEFAULTS = dict(EVAL_DEFAULTS, test_classes=None, samples_per_class=None)
-
-
-def _protocol_config(values):
-    # the EVAL_DEFAULTS keys are exactly ProtocolConfig's fields
-    return ProtocolConfig(**{k: values[k] for k in EVAL_DEFAULTS})
+def _at_least_one(values, *keys):
+    for key in keys:
+        if values[key] is not None and values[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {values[key]}")
 
 
 def cmd_version(args):
@@ -283,13 +277,10 @@ def _train_common(cfg_values, encoder_cfg, registry, val_registry, out, data_con
     return 0
 
 
-# the SynthTaskConfig fields, which a synthetic checkpoint's data section records
-SYNTH_KEYS = ("latent_dim", "class_sep", "within_std")
-
-
 def cmd_synth_train(args):
-    v = _merge_config(args, SYNTH_TRAIN_DEFAULTS)
-    synth_cfg = SynthTaskConfig(**{k: v[k] for k in SYNTH_KEYS})
+    v = _merge_config(args)
+    _at_least_one(v, "samples_per_class")
+    synth_cfg = SynthTaskConfig(**{k: v[k] for k in _SYNTH_TASK_KEYS})
     seeds = np.random.SeedSequence(v["seed"]).spawn(2)
     rng = np.random.default_rng(seeds[0])
     registry = synth_registry(synth_cfg, v["classes"], v["samples_per_class"], rng, prefix="train")
@@ -304,21 +295,20 @@ def cmd_synth_train(args):
         vector_input=True,
         seed=v["seed"],
     )
-    data = {k: v[k] for k in (*SYNTH_KEYS, "samples_per_class")}
+    data = {k: v[k] for k in (*_SYNTH_TASK_KEYS, "samples_per_class")}
     data_config = {"data": {"kind": "synthetic", **data}}
     return _train_common(v, encoder_cfg, registry, val_registry, args.out, data_config)
 
 
-def _evaluate(args, defaults, kind, keys, make_registry):
-    """The eval commands' shared steps.
+def _evaluate(args, v, kind, keys, make_registry):
+    """The eval commands' shared steps, on the command's values ``v``.
 
     Load the checkpoint ``args.ckpt`` and check that its ``data`` section
     has the ``kind`` and the ``keys`` the command reads; the tensor CRCs
     do not cover the header, so a damaged one gets here. Then run the
-    protocol on ``make_registry(data, values)`` and write the reports.
+    protocol on ``make_registry(data)`` and write the reports.
     """
-    v = _merge_config(args, defaults)
-    pcfg = _protocol_config(v)
+    pcfg = ProtocolConfig(**{f.name: v[f.name] for f in dataclasses.fields(ProtocolConfig)})
     params, prior, _, config = training.load_checkpoint(args.ckpt)
     data = config.get("data")
     if not isinstance(data, dict) or data.get("kind") != kind:
@@ -327,7 +317,7 @@ def _evaluate(args, defaults, kind, keys, make_registry):
     missing = [k for k in keys if k not in data]
     if missing:
         raise ContainerError(f"{args.ckpt}: data section lacks {missing}")
-    matrix, report = run_protocol(params, prior, make_registry(data, v), pcfg)
+    matrix, report = run_protocol(params, prior, make_registry(data), pcfg)
     emit_report(report, matrix, args.out)
     _log(
         f"protocol done: accuracy {report.mean_accuracy[0]:.2f}% at "
@@ -339,14 +329,18 @@ def _evaluate(args, defaults, kind, keys, make_registry):
 
 
 def cmd_synth_eval(args):
-    def registry(data, v):
-        synth_cfg = SynthTaskConfig(**{k: data[k] for k in SYNTH_KEYS})
-        n_test = v["test_classes"] or v["max_classes"]
-        per_class = v["samples_per_class"] or (v["shots"] + v["query_shots"])
+    v = _merge_config(args)
+    _at_least_one(v, "test_classes", "samples_per_class")
+
+    def registry(data):
+        synth_cfg = SynthTaskConfig(**{k: data[k] for k in _SYNTH_TASK_KEYS})
+        n_test = v["max_classes"] if v["test_classes"] is None else v["test_classes"]
+        per_class = v["samples_per_class"]
+        per_class = v["shots"] + v["query_shots"] if per_class is None else per_class
         test_rng = np.random.default_rng(np.random.SeedSequence(v["seed"] + 1).spawn(1)[0])
         return synth_registry(synth_cfg, n_test, per_class, test_rng, prefix="test")
 
-    return _evaluate(args, SYNTH_EVAL_DEFAULTS, "synthetic", SYNTH_KEYS, registry)
+    return _evaluate(args, v, "synthetic", _SYNTH_TASK_KEYS, registry)
 
 
 def _word_split(manifest, ratio, seed):
@@ -357,7 +351,7 @@ def _word_split(manifest, ratio, seed):
 
 
 def cmd_train(args):
-    v = _merge_config(args, TRAIN_DEFAULTS)
+    v = _merge_config(args)
     reg_all, train_words, _ = _word_split(args.manifest, v["split_ratio"], v["seed"])
     core_words, val_words = split_classes(train_words, 1.0 - v["val_ratio"], v["seed"] + 1)
     registry = reg_all.subset(core_words)
@@ -372,7 +366,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    def registry(data, v):
+    def registry(data):
         # evaluation uses test-split samples of meta-test words only
         _, _, test_words = _word_split(args.manifest, data["split_ratio"], data["split_seed"])
         reg_test_split = registry_from_manifest(args.manifest, split="test")
@@ -381,7 +375,7 @@ def cmd_eval(args):
             _log(f"warning: {len(missing)} meta-test words have no test-split samples")
         return reg_test_split.subset([w for w in test_words if w in reg_test_split.classes])
 
-    return _evaluate(args, EVAL_DEFAULTS, "mfcc", ("split_ratio", "split_seed"), registry)
+    return _evaluate(args, _merge_config(args), "mfcc", ("split_ratio", "split_seed"), registry)
 
 
 def cmd_inspect(args):

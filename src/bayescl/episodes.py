@@ -7,6 +7,7 @@ within the episode; across episodes sampling is with replacement.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,8 +190,12 @@ class SynthTaskConfig:
     within_std: float = 1.0
 
     def __post_init__(self):
-        if self.class_sep <= 0 or self.within_std < 0:
-            raise ValueError("class_sep must be > 0 and within_std >= 0")
+        if self.latent_dim < 1:
+            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if not (math.isfinite(self.class_sep) and self.class_sep > 0):
+            raise ValueError(f"class_sep must be finite and > 0, got {self.class_sep}")
+        if not (math.isfinite(self.within_std) and self.within_std >= 0):
+            raise ValueError(f"within_std must be finite and >= 0, got {self.within_std}")
 
 
 def _synth_sample(cfg, mean, rng):

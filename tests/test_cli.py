@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import wave
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from bayescl import __version__, audio
-from bayescl.cli import main
+from bayescl.cli import OPTIONS, main
+from bayescl.episodes import SynthTaskConfig
+from bayescl.protocol import ProtocolConfig
 from bayescl.tensorio import read_tensors
 
 
@@ -159,6 +162,13 @@ def test_synth_eval_names_a_checkpoint_whose_data_header_is_damaged(tmp_path, ca
         ("--learning-rate", "inf", "learning_rate"),
         ("--learning-rate", "-1", "learning_rate"),
         ("--learning-rate", "0", "learning_rate"),
+        ("--latent-dim", "0", "latent_dim"),
+        ("--class-sep", "inf", "class_sep"),
+        ("--class-sep", "nan", "class_sep"),
+        ("--class-sep", "0", "class_sep"),
+        ("--within-std", "nan", "within_std"),
+        ("--within-std", "-1", "within_std"),
+        ("--samples-per-class", "0", "samples_per_class"),
     ],
 )
 def test_bad_training_setting_fails_before_training(tmp_path, capsys, flag, value, field):
@@ -232,6 +242,85 @@ def test_unreadable_config_file_is_named(tmp_path, capsys, text, message):
     assert code == 1
     assert err.strip().startswith(f"error: {cfg}: {message}")
     assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"steps": "5"}, "steps: expected int, got str"),
+        ({"steps": True}, "steps: expected int, got bool"),
+        ({"steps": 5.0}, "steps: expected int, got float"),
+        ({"steps": None}, "steps: expected int, got null"),
+        ({"encoder": 3}, "encoder: expected str, got int"),
+        ({"encoder": "mlp"}, "encoder: expected one of ('stats-mlp', 'attention-mlp'), got 'mlp'"),
+        ({"split_ratio": "0.5"}, "split_ratio: expected float, got str"),
+    ],
+)
+def test_config_value_of_the_wrong_type_fails_before_writing(tmp_path, capsys, values, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(tmp_path / "m.jsonl"), "--config", str(cfg),
+        "--out", str(out / "ck"),
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == f"error: {cfg}: {message}"
+    assert list(out.iterdir()) == []
+
+
+def test_config_int_for_a_float_writes_the_bytes_of_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"class_sep": 3}))
+    small = ("--steps", "4", "--ways", "4", "--classes", "8", "--val-classes", "4",
+             "--embed-dim", "8", "--validation-every", "2")
+    for name, flags in (("flag", ("--class-sep", "3")), ("file", ("--config", str(cfg)))):
+        code, _, err = run_cli(capsys, "synth-train", *small, *flags, "--out", str(tmp_path / name))
+        assert code == 0, err
+    assert read_tensors(tmp_path / "file")[0]["data"]["class_sep"] == 3.0
+    for suffix in ("", ".best", ".log.csv"):
+        flag_bytes = (tmp_path / f"flag{suffix}").read_bytes()
+        assert flag_bytes == (tmp_path / f"file{suffix}").read_bytes(), suffix
+
+
+def test_synth_eval_takes_null_where_the_default_is_none(tmp_path, capsys):
+    ckpt, report = synth_pipeline(tmp_path, capsys)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"test_classes": None, "samples_per_class": None}))
+    code, _, err = run_cli(
+        capsys, "synth-eval", "--ckpt", str(ckpt), "--max-classes", "50", "--increment", "25",
+        "--episodes", "2", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "null"),
+    )
+    assert code == 0, err
+    for name in ("curve.csv", "volatility.csv", "per_word.csv"):
+        assert (report / name).read_bytes() == (tmp_path / "null" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--test-classes", "test_classes"), ("--samples-per-class", "samples_per_class"),
+])
+def test_synth_eval_rejects_a_zero_count_before_reading_anything(tmp_path, capsys, flag, field):
+    code, _, err = run_cli(
+        capsys, "synth-eval", "--ckpt", str(tmp_path / "missing"), flag, "0",
+        "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == f"error: {field} must be >= 1, got 0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_tables_match_the_config_dataclasses():
+    protocol_fields = [f.name for f in dataclasses.fields(ProtocolConfig)]
+    assert [o.name for o in OPTIONS["eval"]] == protocol_fields
+    assert set(protocol_fields) <= {o.name for o in OPTIONS["synth-eval"]}
+    synth_fields = {f.name for f in dataclasses.fields(SynthTaskConfig)}
+    assert synth_fields <= {o.name for o in OPTIONS["synth-train"]}
+    for options in OPTIONS.values():
+        assert len({o.name for o in options}) == len(options)
+        for o in options:
+            checked = o.check("defaults", o.default)
+            assert checked == o.default and type(checked) is type(o.default), o
 
 
 # --- real-audio pipeline ----------------------------------------------------
