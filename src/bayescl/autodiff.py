@@ -5,20 +5,23 @@ application in execution order (define-by-run); ``backward`` replays the
 tape in reverse, accumulating adjoints. There is no graph rewriting:
 plain topological evaluation, one graph per episode.
 
-Two primitives outside this module fuse a chain of the generic ops below
-into one node, because per-node work, not arithmetic, dominated a
-training episode: ``encoder.dense`` (one MLP layer: matmul, add and
-softplus) and ``head._student_t_logits`` (the episode's Student-t logits,
-from the support and query embeddings and the prior's rho). Each repeats
-its chain's numpy operations and adjoint accumulations in the chain's
+Most of a training episode's tape is two fused primitives outside this
+module, because per-node work, not arithmetic, dominated an episode:
+``encoder.dense`` (one MLP layer: matmul, add and softplus) and
+``head._student_t_logits`` (the episode's Student-t logits, from the
+support and query embeddings and the prior's rho). Each repeats a chain
+of generic ops' numpy operations and adjoint accumulations in the chain's
 order, so its values and gradients are the chain's bits; the chains stay
 in ``tests/test_encoder.py`` and ``tests/test_head.py`` as the oracles.
 Every node, fused or not, passes the same finiteness guard.
 
-This module holds only the ops a program runs. The generic ops the
-oracles are built from beyond those (``sub``, ``exp``, ``log``,
-``reciprocal`` and the rest, with ``forward_eval`` and ``grad_check``)
-live in ``tests/tape_ops.py``, beside the oracles that use them.
+This module holds only what a program runs: the tape, the loss
+(``softmax_cross_entropy``), the ``rows`` and ``reshape`` that
+``encoder.embed`` takes a single embedding with, and ``lgamma_value``.
+The generic ops the oracles are built from (``add``, ``mul``,
+``matmul``, ``exp``, ``log`` and the rest, with ``forward_eval`` and
+``grad_check``) live in ``tests/tape_ops.py``, beside the oracles that
+use them.
 """
 
 import numpy as np
@@ -27,16 +30,9 @@ __all__ = [
     "GraphError",
     "Tensor",
     "DiffGraph",
-    "add",
-    "mul",
-    "matmul",
     "lgamma_value",
-    "mean_reduce",
-    "softmax",
     "softmax_cross_entropy",
-    "stack",
     "rows",
-    "transpose",
     "reshape",
 ]
 
@@ -49,10 +45,6 @@ class Tensor:
     """A node on a DiffGraph holding a float64 ndarray value."""
 
     __slots__ = ("graph", "index", "data", "parents", "vjp", "op", "name")
-
-    # keep numpy from absorbing Tensors into object arrays; reflected
-    # operators below handle ndarray-Tensor arithmetic instead
-    __array_ufunc__ = None
 
     def __init__(self, graph, index, data, parents, vjp, op, name=None):
         self.graph = graph
@@ -74,25 +66,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
-
-    # operator sugar; all dispatch to the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class DiffGraph:
@@ -188,8 +161,8 @@ class DiffGraph:
                         f"adjoint shape {pg.shape} != value shape "
                         f"{parent.data.shape} at node {node.index} ({node.op})"
                     )
-                # never in place: add and reshape hand the same array (or a
-                # view of it) to several parents
+                # never in place: an op may hand the same array (or a view
+                # of it) to several parents, as reshape and add do
                 a = adjoints[parent.index]
                 adjoints[parent.index] = pg if a is None else a + pg
         grads = {}
@@ -203,22 +176,6 @@ class DiffGraph:
 # primitive helpers
 
 
-def _lift(x, graph):
-    if isinstance(x, Tensor):
-        if x.graph is not graph:
-            raise GraphError("operands belong to different graphs")
-        return x
-    return graph.constant(x)
-
-
-def _pair(a, b):
-    if isinstance(a, Tensor):
-        return a, _lift(b, a.graph)
-    if isinstance(b, Tensor):
-        return _lift(a, b.graph), b
-    raise GraphError("at least one operand must be a Tensor")
-
-
 def _unbroadcast(g, shape):
     """Sum ``g`` down to ``shape`` after numpy broadcasting."""
     if g.shape == shape:
@@ -230,56 +187,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def add(a, b):
-    a, b = _pair(a, b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise GraphError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return a.graph._register(out, (a, b), vjp, "add")
-
-
-def mul(a, b):
-    a, b = _pair(a, b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise GraphError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return a.graph._register(out, (a, b), vjp, "mul")
-
-
-def matmul(a, b):
-    a, b = _pair(a, b)
-    ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise GraphError("matmul supports 1-D and 2-D operands only")
-    if ad.shape[-1] != bd.shape[0]:
-        raise GraphError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-
-    def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad  # dot product, g is scalar
-
-    return a.graph._register(out, (a, b), vjp, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +242,7 @@ def lgamma_value(x):
 
 
 # ---------------------------------------------------------------------------
-# reductions and structure
-
-
-def mean_reduce(x, axis=None):
-    out = x.data.mean(axis=axis)
-    count = x.data.size if axis is None else x.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.data.shape).copy(),)
-
-    return x.graph._register(out, (x,), vjp, "mean")
-
-
-def softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return x.graph._register(out, (x,), vjp, "softmax")
+# the loss and row structure
 
 
 def softmax_cross_entropy(logits, labels):
@@ -395,22 +278,6 @@ def softmax_cross_entropy(logits, labels):
     return logits.graph._register(out, (logits,), vjp, "softmax_cross_entropy")
 
 
-def stack(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise GraphError("stack of zero tensors")
-    graph = tensors[0].graph
-    for t in tensors:
-        if t.graph is not graph:
-            raise GraphError("stack operands belong to different graphs")
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return graph._register(out, tuple(tensors), vjp, "stack")
-
-
 def rows(x, start, stop):
     """Contiguous row slice x[start:stop] along axis 0."""
     if not (0 <= start < stop <= x.data.shape[0]):
@@ -425,17 +292,6 @@ def rows(x, start, stop):
         return (grad,)
 
     return x.graph._register(out, (x,), vjp, "rows")
-
-
-def transpose(x):
-    if x.data.ndim != 2:
-        raise GraphError("transpose expects a 2-D tensor")
-    out = x.data.T.copy()
-
-    def vjp(g):
-        return (g.T.copy(),)
-
-    return x.graph._register(out, (x,), vjp, "transpose")
 
 
 def reshape(x, shape):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, audio, training
-from .encoder import ARCHITECTURES, EncoderConfig
+from .encoder import EncoderConfig
 from .episodes import (
     EpisodeSpec,
     SynthTaskConfig,
@@ -57,19 +57,19 @@ class Option(NamedTuple):
     type: type
     default: object
     help: str = ""
-    choices: tuple = None
 
     def check(self, path, value):
         """``value`` read from config file ``path``, as this option's type."""
         if value is None and self.default is None:
             return None
         if self.type is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError as exc:  # JSON ints have no size limit
+                raise ValueError(f"{path}: {self.name}: {exc}") from None
         if type(value) is not self.type:  # so a bool is never an int
             got = "null" if value is None else type(value).__name__
             raise ValueError(f"{path}: {self.name}: expected {self.type.__name__}, got {got}")
-        if self.choices and value not in self.choices:
-            raise ValueError(f"{path}: {self.name}: expected one of {self.choices}, got {value!r}")
         return value
 
 
@@ -84,7 +84,6 @@ _TRAIN_OPTIONS = (
     Option("batch_episodes", int, 4, "episodes per step"),
     Option("learning_rate", float, 1e-3),
     Option("validation_every", int, 100),
-    Option("encoder", str, "stats-mlp", choices=ARCHITECTURES),
     Option("embed_dim", int, 64),
     Option("seed", int, 0),
 )
@@ -153,8 +152,7 @@ def build_parser():
             p.add_argument("--out", required=True, help="checkpoint output path")
         for o in OPTIONS[command]:
             default = "" if o.default is None else f" (default {o.default})"
-            p.add_argument("--" + o.name.replace("_", "-"), type=o.type, choices=o.choices,
-                           help=o.help + default)
+            p.add_argument("--" + o.name.replace("_", "-"), type=o.type, help=o.help + default)
         p.add_argument("--config", help="JSON config file (flags override it)")
 
     p = sub.add_parser("inspect-checkpoint", help="print checkpoint header information")
@@ -289,11 +287,7 @@ def cmd_synth_train(args):
         synth_cfg, v["val_classes"], v["samples_per_class"], val_rng, prefix="val"
     )
     encoder_cfg = EncoderConfig(
-        architecture=v["encoder"],
-        embed_dim=v["embed_dim"],
-        feature_dim=v["latent_dim"],
-        vector_input=True,
-        seed=v["seed"],
+        embed_dim=v["embed_dim"], feature_dim=v["latent_dim"], vector_input=True, seed=v["seed"]
     )
     data = {k: v[k] for k in (*_SYNTH_TASK_KEYS, "samples_per_class")}
     data_config = {"data": {"kind": "synthetic", **data}}
@@ -356,9 +350,7 @@ def cmd_train(args):
     core_words, val_words = split_classes(train_words, 1.0 - v["val_ratio"], v["seed"] + 1)
     registry = reg_all.subset(core_words)
     val_registry = reg_all.subset(val_words)
-    encoder_cfg = EncoderConfig(
-        architecture=v["encoder"], embed_dim=v["embed_dim"], seed=v["seed"]
-    )
+    encoder_cfg = EncoderConfig(embed_dim=v["embed_dim"], seed=v["seed"])
     data_config = {
         "data": {"kind": "mfcc", "split_ratio": v["split_ratio"], "split_seed": v["seed"]}
     }

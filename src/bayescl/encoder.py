@@ -1,42 +1,26 @@
-"""Differentiable encoders mapping a feature matrix to an embedding vector.
+"""The differentiable encoder mapping a feature matrix to an embedding vector.
 
-Two small architectures share one MLP trunk:
+One architecture, ``stats-mlp``: per-coefficient mean and standard
+deviation over frames (a 2F statistics vector), then an MLP. It is
+invariant to frame order, and the pooling does not depend on the
+weights, so it runs off the tape (``pool_frames``).
 
-* ``stats-mlp``: per-coefficient mean and standard deviation over frames
-  (a 2F statistics vector), then an MLP. Invariant to frame order.
-* ``attention-mlp``: one single-head self-attention layer over frames
-  with sinusoidal position encoding, mean-pooled, then the same MLP.
-  Position encoding makes it sensitive to frame order.
-
-Inputs may also be plain feature vectors (synthetic tasks); those feed
-the MLP directly, so only a stats-mlp takes them (``vector_input``): an
-attention-mlp with nothing to attend over would be the same MLP.
+Inputs may also be plain feature vectors (synthetic tasks,
+``vector_input``); those feed the MLP directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    DiffGraph,
-    GraphError,
-    Tensor,
-    _unbroadcast,
-    matmul,
-    mean_reduce,
-    reshape,
-    rows,
-    softmax,
-    stack,
-    transpose,
-)
-
-ARCHITECTURES = ("stats-mlp", "attention-mlp")
+from .autodiff import DiffGraph, GraphError, Tensor, _unbroadcast, reshape, rows
 
 
 @dataclass
 class EncoderConfig:
-    architecture: str = "stats-mlp"
+    # not a field: the one architecture, named in checkpoint headers
+    architecture = "stats-mlp"
+
     embed_dim: int = 64
     hidden_dims: tuple = (128, 128)
     feature_dim: int = 13
@@ -44,10 +28,6 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
-            )
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -55,15 +35,11 @@ class EncoderConfig:
             raise ValueError("hidden_dims must be non-empty")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        if self.vector_input and self.architecture != "stats-mlp":
-            raise ValueError(f"architecture {self.architecture!r} cannot take vector_input=True")
 
     @property
     def mlp_input_dim(self):
-        # stats-mlp pools mean and std per coefficient; attention keeps the width
-        if self.architecture == "stats-mlp" and not self.vector_input:
-            return 2 * self.feature_dim
-        return self.feature_dim
+        # frames pool to a mean and a std per coefficient
+        return self.feature_dim if self.vector_input else 2 * self.feature_dim
 
     def to_dict(self):
         return {
@@ -78,6 +54,9 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        architecture = d.pop("architecture", cls.architecture)
+        if architecture != cls.architecture:
+            raise ValueError(f"unknown architecture {architecture!r}, expected 'stats-mlp'")
         d["hidden_dims"] = tuple(d["hidden_dims"])
         return cls(**d)
 
@@ -90,28 +69,16 @@ def _xavier(rng, fan_in, fan_out):
 def init_params(config):
     """Glorot-uniform weights, zero biases; deterministic in the seed.
 
-    Draw order is fixed (attention projections first, then MLP layers in
-    depth order) so identical configs give bit-identical parameters.
+    Draw order is fixed (MLP layers in depth order) so identical configs
+    give bit-identical parameters.
     """
     rng = np.random.default_rng(config.seed)
     params = {}
-    if config.architecture == "attention-mlp":
-        f = config.feature_dim
-        for name in ("attn.wq", "attn.wk", "attn.wv"):
-            params[name] = _xavier(rng, f, f)
     dims = [config.mlp_input_dim, *config.hidden_dims, config.embed_dim]
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
         params[f"mlp.{i}.w"] = _xavier(rng, a, b)
         params[f"mlp.{i}.b"] = np.zeros(b)
     return params
-
-
-def sinusoidal_positions(n_frames, width):
-    """Standard sin/cos position encoding; handles odd widths."""
-    pos = np.arange(n_frames, dtype=np.float64)[:, None]
-    k = np.arange(width)
-    angle = pos / np.power(10000.0, 2.0 * (k // 2) / width)
-    return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 def _features_array(x):
@@ -185,15 +152,13 @@ def _check_frames(a):
         raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
 
 
-def pool_frames(features, params):
-    """``features`` with each frame matrix pooled to its (2F,) statistics if
-    ``params`` is a stats-mlp; vectors and attention-mlp frames pass through.
+def pool_frames(features):
+    """``features`` with each frame matrix pooled to its (2F,) statistics;
+    vectors pass through.
 
     The pooling does not depend on the weights, so a clip pooled once embeds
     to the same bytes as its frames, however often it is embedded.
     """
-    if "attn.wq" in params:
-        return list(features)
     out = []
     for a in map(_features_array, features):
         if a.ndim != 1:
@@ -201,16 +166,6 @@ def pool_frames(features, params):
             a = _frame_stats(a)
         out.append(a)
     return out
-
-
-def _attention_pool(mat, bound, graph):
-    t, f = mat.shape
-    a = mat + graph.constant(sinusoidal_positions(t, f))
-    q = matmul(a, bound["attn.wq"])
-    k = matmul(a, bound["attn.wk"])
-    v = matmul(a, bound["attn.wv"])
-    scores = matmul(q, transpose(k)) * (1.0 / np.sqrt(float(f)))
-    return mean_reduce(matmul(softmax(scores, axis=-1), v), axis=0)
 
 
 def _n_layers(params):
@@ -223,10 +178,9 @@ def _n_layers(params):
 def embed_batch(features, params, graph):
     """Embed a list of feature matrices/vectors; returns a (B, d) Tensor.
 
-    Row i equals ``embed(features[i])``: vectors of equal length share a
-    single MLP pass, frame matrices are pooled per sample first. A
-    stats-mlp pools off the tape through ``pool_frames``, and its pooled
-    rows enter the graph as one (B, 2F) constant, like vector inputs.
+    Row i equals ``embed(features[i])``: frame matrices are pooled per
+    sample off the tape (``pool_frames``), and the pooled or vector rows
+    enter the graph as one (B, width) constant for a single MLP pass.
     """
     if not features:
         raise ValueError("embed_batch of an empty list")
@@ -238,15 +192,7 @@ def embed_batch(features, params, graph):
     if not all(a.ndim == 1 for a in arrays):
         for a in arrays:
             _check_frames(a)
-        if "attn.wq" in params:  # depends on the weights, so it stays on the tape
-            x = stack([_attention_pool(graph.constant(a), bound, graph) for a in arrays])
-            if x.shape[1] != in_dim:
-                raise GraphError(
-                    f"pooled width {x.shape[1]} does not match "
-                    f"encoder input dimension {in_dim}"
-                )
-            return _mlp(x, bound, n_layers)
-        arrays = pool_frames(arrays, params)
+        arrays = pool_frames(arrays)
 
     widths = {a.shape[0] for a in arrays}
     if widths != {in_dim}:

@@ -154,14 +154,14 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
 def run_protocol(params, prior, registry, cfg):
     """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
 
-    The registry's files are read, and its stats-mlp clips pooled, once
-    before any episode (``encoder_inputs``). With ``cfg.workers > 1``
+    The registry's files are read, and its clips pooled, once before
+    any episode (``encoder_inputs``). With ``cfg.workers > 1``
     episodes run in worker processes; the model and that registry are
     sent to each worker once, and each job is a seed.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()
-    registry = encoder_inputs(registry, params)
+    registry = encoder_inputs(registry)
     results = spawn_map(_run_episode, (params, prior, registry, cfg), seeds, cfg.workers)
     matrix = AccuracyMatrix(cfg.checkpoints, cfg.query_shots, [r[0] for r in results])
     runtime = {k: sum(r[1][k] for r in results) for k in results[0][1]}

@@ -125,14 +125,11 @@ def encoder_params(params):
     return {k: v for k, v in params.items() if k not in ("rho_alpha", "rho_beta")}
 
 
-def encoder_inputs(registry, params):
-    """A copy of ``registry`` holding what the encoder ``params`` read: each
-    file loaded once and, for a stats-mlp, each clip's frames pooled once."""
+def encoder_inputs(registry):
+    """A copy of ``registry`` holding what the encoder reads: each file
+    loaded once and each clip's frames pooled once."""
     return SampleRegistry(
-        {
-            c: pool_frames([resolve_sample(r) for r in refs], params)
-            for c, refs in registry.classes.items()
-        }
+        {c: pool_frames([resolve_sample(r) for r in refs]) for c, refs in registry.classes.items()}
     )
 
 
@@ -200,16 +197,16 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     ``val_registry`` (held-out classes) and reused at every validation
     point so the accuracy curve is comparable across steps. Both
     registries go through ``encoder_inputs`` up front, so every file is
-    read and every stats-mlp clip pooled once, and a malformed file fails
-    before the first step.
+    read and every clip pooled once, and a malformed file fails before
+    the first step.
     """
     registry.require(cfg.spec.ways, cfg.spec.samples_per_class)
     meta = dict(init_params(encoder_cfg))
     meta["rho_alpha"] = np.asarray(0.0)
     meta["rho_beta"] = np.asarray(0.0)
-    registry = encoder_inputs(registry, meta)
+    registry = encoder_inputs(registry)
     if val_registry is not None:
-        val_registry = encoder_inputs(val_registry, meta)
+        val_registry = encoder_inputs(val_registry)
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     episode_rng = np.random.default_rng(seeds[0])
     val_rng = np.random.default_rng(seeds[1])

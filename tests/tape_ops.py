@@ -7,9 +7,12 @@ more: the ops below, each a node of the same kind as the package's, plus
 ``forward_eval`` and ``grad_check``. This module re-exports the package's
 names, so a test imports one namespace (``import tape_ops as ad``).
 
-``Tensor`` has no ``-`` or ``/`` operator, because no program path
-subtracts or divides tensors: a test writes ``x - y`` as ``ad.sub(x, y)``
-and ``x / y`` as ``ad.mul(x, ad.reciprocal(y))``.
+``Tensor`` has no operators at all, because no program path does
+arithmetic on tensors outside a fused node: a test writes ``x + y`` as
+``ad.add(x, y)``, ``x * y`` as ``ad.mul(x, y)``, ``x @ y`` as
+``ad.matmul(x, y)``, ``x - y`` as ``ad.sub(x, y)`` and ``x / y`` as
+``ad.mul(x, ad.reciprocal(y))``. Either operand of a binary op may be
+a plain array, which enters the graph as a constant.
 """
 
 import numpy as np
@@ -21,7 +24,6 @@ from bayescl.autodiff import (
     GraphError,
     Tensor,
     _lgamma_digamma,
-    _pair,
     _unbroadcast,
     lgamma_value,
 )
@@ -30,6 +32,9 @@ __all__ = [
     *autodiff.__all__,
     "forward_eval",
     "grad_check",
+    "add",
+    "mul",
+    "matmul",
     "sub",
     "exp",
     "log",
@@ -40,7 +45,11 @@ __all__ = [
     "lgamma",
     "digamma_value",
     "sum_reduce",
+    "mean_reduce",
     "max_reduce",
+    "softmax",
+    "stack",
+    "transpose",
     "concat",
 ]
 
@@ -96,6 +105,72 @@ def grad_check(builder, point, step=1e-5):
             if rel > worst:
                 worst = rel
     return worst
+
+
+def _lift(x, graph):
+    if isinstance(x, Tensor):
+        if x.graph is not graph:
+            raise GraphError("operands belong to different graphs")
+        return x
+    return graph.constant(x)
+
+
+def _pair(a, b):
+    if isinstance(a, Tensor):
+        return a, _lift(b, a.graph)
+    if isinstance(b, Tensor):
+        return _lift(a, b.graph), b
+    raise GraphError("at least one operand must be a Tensor")
+
+
+def add(a, b):
+    a, b = _pair(a, b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise GraphError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def vjp(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return a.graph._register(out, (a, b), vjp, "add")
+
+
+def mul(a, b):
+    a, b = _pair(a, b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise GraphError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def vjp(g):
+        return (
+            _unbroadcast(g * b.data, a.data.shape),
+            _unbroadcast(g * a.data, b.data.shape),
+        )
+
+    return a.graph._register(out, (a, b), vjp, "mul")
+
+
+def matmul(a, b):
+    a, b = _pair(a, b)
+    ad, bd = a.data, b.data
+    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+        raise GraphError("matmul supports 1-D and 2-D operands only")
+    if ad.shape[-1] != bd.shape[0]:
+        raise GraphError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
+    out = ad @ bd
+
+    def vjp(g):
+        if ad.ndim == 2 and bd.ndim == 2:
+            return g @ bd.T, ad.T @ g
+        if ad.ndim == 2 and bd.ndim == 1:
+            return np.outer(g, bd), ad.T @ g
+        if ad.ndim == 1 and bd.ndim == 2:
+            return bd @ g, np.outer(ad, g)
+        return g * bd, g * ad  # dot product, g is scalar
+
+    return a.graph._register(out, (a, b), vjp, "matmul")
 
 
 def sub(a, b):
@@ -250,3 +325,54 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, splits, axis=axis))
 
     return graph._register(out, tuple(tensors), vjp, "concat")
+
+
+def mean_reduce(x, axis=None):
+    out = x.data.mean(axis=axis)
+    count = x.data.size if axis is None else x.data.shape[axis]
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g / count, x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.data.shape).copy(),)
+
+    return x.graph._register(out, (x,), vjp, "mean")
+
+
+def softmax(x, axis=-1):
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return x.graph._register(out, (x,), vjp, "softmax")
+
+
+def stack(tensors, axis=0):
+    tensors = list(tensors)
+    if not tensors:
+        raise GraphError("stack of zero tensors")
+    graph = tensors[0].graph
+    for t in tensors:
+        if t.graph is not graph:
+            raise GraphError("stack operands belong to different graphs")
+    out = np.stack([t.data for t in tensors], axis=axis)
+
+    def vjp(g):
+        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+
+    return graph._register(out, tuple(tensors), vjp, "stack")
+
+
+def transpose(x):
+    if x.data.ndim != 2:
+        raise GraphError("transpose expects a 2-D tensor")
+    out = x.data.T.copy()
+
+    def vjp(g):
+        return (g.T.copy(),)
+
+    return x.graph._register(out, (x,), vjp, "transpose")

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_ops as ad
+from bayescl import autodiff
 from bayescl.autodiff import _lgamma_digamma
 
 
@@ -14,7 +18,7 @@ def build_graph(builder, inputs):
 
 class TestForward:
     def test_square(self):
-        out = ad.forward_eval(lambda g, t: t["x"] * t["x"], {"x": 3.0})
+        out = ad.forward_eval(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0})
         assert out.data == 9.0
 
     def test_softplus_at_zero(self):
@@ -49,7 +53,7 @@ class TestForward:
 
 class TestBackward:
     def test_square_derivative(self):
-        g, out = build_graph(lambda g, t: t["x"] * t["x"], {"x": 3.0})
+        g, out = build_graph(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0})
         assert g.backward(out)["x"] == 6.0
 
     def test_sum_gradient_is_ones(self):
@@ -61,24 +65,24 @@ class TestBackward:
         assert g.backward(out)["x"] == pytest.approx(0.5, abs=1e-15)
 
     def test_seed_shape_checked(self):
-        g, out = build_graph(lambda g, t: t["x"] * 2.0, {"x": np.ones(3)})
+        g, out = build_graph(lambda g, t: ad.mul(t["x"], 2.0), {"x": np.ones(3)})
         with pytest.raises(ad.GraphError, match="seed shape"):
             g.backward(out, seed=np.ones(2))
 
     def test_repeated_backward_does_not_accumulate(self):
-        g, out = build_graph(lambda g, t: t["x"] * t["x"], {"x": 3.0})
+        g, out = build_graph(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0})
         first = g.backward(out)["x"].copy()
         second = g.backward(out)["x"]
         np.testing.assert_array_equal(first, second)
 
     def test_seed_contraction(self):
-        g, out = build_graph(lambda g, t: t["x"] * 2.0, {"x": np.ones(3)})
+        g, out = build_graph(lambda g, t: ad.mul(t["x"], 2.0), {"x": np.ones(3)})
         grads = g.backward(out, seed=np.array([1.0, 10.0, 100.0]))
         np.testing.assert_array_equal(grads["x"], [2.0, 20.0, 200.0])
 
     def test_unused_input_gets_zeros(self):
         def f(g, t):
-            return t["x"] * 1.0
+            return ad.mul(t["x"], 1.0)
 
         out = ad.forward_eval(f, {"x": 2.0, "unused": np.ones(3)})
         grads = out.graph.backward(out)
@@ -86,7 +90,7 @@ class TestBackward:
 
     def test_broadcast_bias_gradient_shape(self):
         def f(g, t):
-            return ad.sum_reduce(t["m"] + t["b"])
+            return ad.sum_reduce(ad.add(t["m"], t["b"]))
 
         out = ad.forward_eval(f, {"m": np.ones((4, 3)), "b": np.zeros(3)})
         grads = out.graph.backward(out)
@@ -110,13 +114,13 @@ def test_backward_linearity(a, b, x, y):
     """grad(a*f + b*g) == a*grad(f) + b*grad(g) over the primitive set."""
 
     def f(graph, t):
-        return ad.log(t["x"]) * ad.softplus(t["y"])
+        return ad.mul(ad.log(t["x"]), ad.softplus(t["y"]))
 
     def g_(graph, t):
-        return ad.exp(t["x"] * 0.3) + ad.sqrt(t["y"])
+        return ad.add(ad.exp(ad.mul(t["x"], 0.3)), ad.sqrt(t["y"]))
 
     def combined(graph, t):
-        return a * f(graph, t) + b * g_(graph, t)
+        return ad.add(ad.mul(f(graph, t), a), ad.mul(g_(graph, t), b))
 
     point = {"x": x, "y": y}
     out_f = ad.forward_eval(f, point)
@@ -137,7 +141,7 @@ def test_determinism_bit_identical():
 
     def f(g, t):
         h = ad.softplus(ad.matmul(t["x"], g.constant(rng_w)))
-        return ad.sum_reduce(ad.log(h + 1.0))
+        return ad.sum_reduce(ad.log(ad.add(h, 1.0)))
 
     rng_w = rng.normal(size=(3, 4))
     outs, grads = [], []
@@ -151,16 +155,16 @@ def test_determinism_bit_identical():
 
 class TestGradCheck:
     def test_square(self):
-        err = ad.grad_check(lambda g, t: t["x"] * t["x"], {"x": 3.0}, step=1e-5)
+        err = ad.grad_check(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0}, step=1e-5)
         assert err < 1e-6
 
     def test_constant_function_zero_error(self):
-        err = ad.grad_check(lambda g, t: t["x"] * 0.0, {"x": 1.5}, step=1e-5)
+        err = ad.grad_check(lambda g, t: ad.mul(t["x"], 0.0), {"x": 1.5}, step=1e-5)
         assert err == 0.0
 
     def test_non_scalar_output_rejected(self):
         with pytest.raises(ad.GraphError, match="scalar"):
-            ad.grad_check(lambda g, t: t["x"] * 2.0, {"x": np.ones(3)}, step=1e-5)
+            ad.grad_check(lambda g, t: ad.mul(t["x"], 2.0), {"x": np.ones(3)}, step=1e-5)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ad.GraphError, match="step"):
@@ -172,7 +176,7 @@ class TestGradCheck:
 def _probe(g, t_out, key="__probe"):
     rng = np.random.default_rng(0)
     w = g.constant(rng.uniform(0.5, 1.5, size=t_out.shape))
-    return ad.sum_reduce(t_out * w)
+    return ad.sum_reduce(ad.mul(t_out, w))
 
 
 PRIMITIVE_CASES = {
@@ -253,7 +257,7 @@ def test_sqrt_subgradient_zero_at_zero():
     def f(g, t):
         m = ad.mean_reduce(t["x"], axis=0)
         dev = ad.sub(t["x"], m)
-        return ad.sum_reduce(ad.sqrt(ad.mean_reduce(dev * dev, axis=0)))
+        return ad.sum_reduce(ad.sqrt(ad.mean_reduce(ad.mul(dev, dev), axis=0)))
 
     x = np.ones((4, 3))  # identical rows: variance exactly 0
     out = ad.forward_eval(f, {"x": x})
@@ -300,9 +304,9 @@ def three_exp_softplus(x):
 
 def mlp_loss(softplus):
     def build(g, t):
-        h = softplus(ad.matmul(t["x"], t["w1"]) + t["b1"])
-        z = softplus(ad.matmul(h, t["w2"]) + t["b2"])
-        return ad.sum_reduce(z * g.constant(np.linspace(-2.0, 2.0, 5)))
+        h = softplus(ad.add(ad.matmul(t["x"], t["w1"]), t["b1"]))
+        z = softplus(ad.add(ad.matmul(h, t["w2"]), t["b2"]))
+        return ad.sum_reduce(ad.mul(z, g.constant(np.linspace(-2.0, 2.0, 5))))
 
     return build
 
@@ -310,13 +314,13 @@ def mlp_loss(softplus):
 def fan_out_loss(g, t):
     # p and q each feed a mul, then an add created after it: backward
     # reaches the add first, and it hands one adjoint array to both
-    p = t["a"] * 2.0
-    q = t["b"] + 1.0
-    d = p * q
-    c = p + q
+    p = ad.mul(t["a"], 2.0)
+    q = ad.add(t["b"], 1.0)
+    d = ad.mul(p, q)
+    c = ad.add(p, q)
     r = ad.reshape(ad.reshape(c, (4, 3)), (3, 4))
-    loss = ad.sum_reduce(r * g.constant(np.arange(12.0).reshape(3, 4)))
-    return loss + ad.sum_reduce(d) + ad.sum_reduce(t["a"])
+    loss = ad.sum_reduce(ad.mul(r, g.constant(np.arange(12.0).reshape(3, 4))))
+    return ad.add(ad.add(loss, ad.sum_reduce(d)), ad.sum_reduce(t["a"]))
 
 
 class TestAdjointsNotChangedInPlace:
@@ -350,3 +354,24 @@ class TestAdjointsNotChangedInPlace:
         w = np.arange(12.0).reshape(3, 4)
         np.testing.assert_allclose(grads["a"], 2 * (w + pt["b"] + 1.0) + 1.0)
         np.testing.assert_allclose(grads["b"], w + 2 * pt["a"])
+
+
+def test_every_shipped_op_has_a_program_caller():
+    # an op only the tests use belongs in tape_ops, not in the package
+    used = set()
+    for path in Path(autodiff.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff" and node.level == 1
+            for alias in node.names
+        }
+        used |= {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        } & imported
+    ops = set(autodiff.__all__) - {"GraphError", "Tensor", "DiffGraph"}
+    assert ops - used == set()

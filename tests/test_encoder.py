@@ -15,21 +15,20 @@ def fresh_graph():
 
 class TestConfig:
     def test_rejects_unknown_architecture(self):
-        with pytest.raises(ValueError, match="architecture"):
-            E.EncoderConfig(architecture="transformer")
+        d = E.EncoderConfig().to_dict()
+        d["architecture"] = "transformer"
+        with pytest.raises(ValueError, match="unknown architecture 'transformer'"):
+            E.EncoderConfig.from_dict(d)
 
     def test_rejects_empty_hidden(self):
         with pytest.raises(ValueError, match="hidden"):
             E.EncoderConfig(hidden_dims=())
 
-    def test_attention_on_vector_input_rejected(self):
-        # with no frames there is nothing to attend over: it would be a stats-mlp
-        with pytest.raises(ValueError, match=r"'attention-mlp'.*vector_input=True"):
-            E.EncoderConfig("attention-mlp", vector_input=True)
-
     def test_round_trips_through_dict(self):
-        cfg = E.EncoderConfig("attention-mlp", 32, (64, 32), 13, False, 5)
-        assert E.EncoderConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = E.EncoderConfig(32, (64, 32), 13, False, 5)
+        d = cfg.to_dict()
+        assert d["architecture"] == "stats-mlp"
+        assert E.EncoderConfig.from_dict(d) == cfg
 
 
 class TestInit:
@@ -89,16 +88,6 @@ class TestEmbed:
         a = E.embed(frames, params, fresh_graph()).data
         b = E.embed(frames[rng.permutation(12)], params, fresh_graph()).data
         assert a.tobytes() == b.tobytes()
-
-    def test_attention_mlp_is_order_sensitive(self):
-        cfg = E.EncoderConfig("attention-mlp", 6, (8,), 4, seed=1)
-        params = E.init_params(cfg)
-        frames = np.zeros((3, 4))
-        frames[0, 0] = 1.0  # content tied to position 0
-        swapped = frames[[1, 0, 2]]
-        a = E.embed(frames, params, fresh_graph()).data
-        b = E.embed(swapped, params, fresh_graph()).data
-        assert not np.array_equal(a, b)
 
     def test_batch_of_one_equals_single_embed(self):
         rng = np.random.default_rng(6)
@@ -188,7 +177,7 @@ def graph_pooled_embed_batch(mats, params, graph):
         mat = graph.constant(a)
         m = ad.mean_reduce(mat, axis=0)
         dev = ad.sub(mat, m)
-        var = ad.mean_reduce(dev * dev, axis=0)
+        var = ad.mean_reduce(ad.mul(dev, dev), axis=0)
         pooled.append(ad.concat([m, ad.sqrt(var)]))
     return E._mlp(ad.stack(pooled, axis=0), bound, E._n_layers(params))
 
@@ -196,7 +185,7 @@ def graph_pooled_embed_batch(mats, params, graph):
 def embed_and_grads(embed_fn, mats, params, w):
     graph = fresh_graph()
     out = embed_fn(mats, params, graph)
-    grads = graph.backward(ad.sum_reduce(out * graph.constant(w)))
+    grads = graph.backward(ad.sum_reduce(ad.mul(out, graph.constant(w))))
     return out.data, grads, len(graph)
 
 
@@ -240,7 +229,7 @@ class TestPoolingOffTape:
         rng = np.random.default_rng(14)
         params = E.init_params(self.CFG)
         mats = [rng.normal(scale=3.0, size=(int(t), 13)) for t in rng.integers(1, 30, size=7)]
-        pooled = E.pool_frames(mats, params)
+        pooled = E.pool_frames(mats)
         assert [p.shape for p in pooled] == [(26,)] * 7
         w = rng.normal(size=(7, self.CFG.embed_dim))
         out, grads, _ = embed_and_grads(E.embed_batch, pooled, params, w)
@@ -249,18 +238,14 @@ class TestPoolingOffTape:
         for name in params:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
-    def test_vectors_and_attention_frames_pass_through(self):
+    def test_vectors_pass_through(self):
         rng = np.random.default_rng(15)
         vecs = [rng.normal(size=26) for _ in range(3)]
-        assert all(a is b for a, b in zip(E.pool_frames(vecs, E.init_params(self.CFG)), vecs))
-        cfg = E.EncoderConfig("attention-mlp", 6, (8,), 13, seed=1)
-        mats = [rng.normal(size=(4, 13)) for _ in range(3)]
-        assert all(a is b for a, b in zip(E.pool_frames(mats, E.init_params(cfg)), mats))
+        assert all(a is b for a, b in zip(E.pool_frames(vecs), vecs))
 
     def test_pooling_an_empty_matrix_rejected(self):
-        params = E.init_params(self.CFG)
         with pytest.raises(ad.GraphError, match="frames, coeffs"):
-            E.pool_frames([np.ones((3, 13)), np.ones((0, 13))], params)
+            E.pool_frames([np.ones((3, 13)), np.ones((0, 13))])
 
 
 def _tape_mlp(x, bound, n_layers):
@@ -268,7 +253,7 @@ def _tape_mlp(x, bound, n_layers):
     ``encoder.dense`` fuses into one node."""
     h = x
     for i in range(n_layers):
-        h = ad.matmul(h, bound[f"mlp.{i}.w"]) + bound[f"mlp.{i}.b"]
+        h = ad.add(ad.matmul(h, bound[f"mlp.{i}.w"]), bound[f"mlp.{i}.b"])
         if i < n_layers - 1:
             h = ad.softplus(h)
     return h
@@ -282,7 +267,9 @@ def two_embeds_and_grads(first, second, params, seed):
     a = E.embed_batch(first, params, graph)
     b = E.embed_batch(second, params, graph)
     wa, wb = rng.normal(size=a.shape), rng.normal(size=b.shape)
-    loss = ad.sum_reduce(a * graph.constant(wa)) + ad.sum_reduce(b * graph.constant(wb))
+    loss = ad.add(
+        ad.sum_reduce(ad.mul(a, graph.constant(wa))), ad.sum_reduce(ad.mul(b, graph.constant(wb)))
+    )
     return a.data, b.data, graph.backward(loss), graph
 
 
@@ -316,13 +303,6 @@ class TestDense:
         vecs = list(rng.normal(scale=5.0, size=(100, 16)))
         self.assert_matches_tape_mlp(monkeypatch, vecs[:50], vecs[50:], params)
 
-    def test_attention_mlp(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        cfg = E.EncoderConfig("attention-mlp", 8, (12, 10), 13, seed=22)
-        params = E.init_params(cfg)
-        mats = [rng.normal(scale=2.0, size=(int(t), 13)) for t in rng.integers(1, 12, size=9)]
-        self.assert_matches_tape_mlp(monkeypatch, mats[:5], mats[5:], params)
-
     def test_one_node_per_layer(self):
         cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)
         graph = fresh_graph()
@@ -348,17 +328,19 @@ class TestDense:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("arch", ["stats-mlp", "attention-mlp"])
-    def test_scalar_of_embedding_grad_check(self, arch):
+    # frame matrices are pooled to (2F,) statistics, vectors feed the MLP as they are
+    @pytest.mark.parametrize("inputs", ["stats-mlp", "vector-input"])
+    def test_scalar_of_embedding_grad_check(self, inputs):
         rng = np.random.default_rng(10)
-        cfg = E.EncoderConfig(arch, embed_dim=5, hidden_dims=(6,), feature_dim=4, seed=4)
+        vector_input = inputs == "vector-input"
+        cfg = E.EncoderConfig(5, (6,), 4, vector_input, seed=4)
         params = E.init_params(cfg)
-        mats = [rng.normal(size=(5, 4)) for _ in range(3)]
+        mats = [rng.normal(size=4 if vector_input else (5, 4)) for _ in range(3)]
         w = rng.normal(size=(3, 5))
 
         def builder(graph, t):
             enc = {k: t[k] for k in params}
             out = E.embed_batch(mats, enc, graph)
-            return ad.sum_reduce(out * graph.constant(w))
+            return ad.sum_reduce(ad.mul(out, graph.constant(w)))
 
         assert ad.grad_check(builder, dict(params), step=1e-5) <= 1e-4

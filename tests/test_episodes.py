@@ -279,7 +279,7 @@ def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path, monke
     from bayescl import encoder as E
     from bayescl import training as T
 
-    arr = np.ones((3, 2))
+    arr = np.ones(26)
     reg = Ep.SampleRegistry({"a": [arr]})
     for j in range(2):
         p = tmp_path / f"{j}.mfcc"
@@ -288,11 +288,11 @@ def test_resolved_loads_each_dump_once_and_passes_arrays_through(tmp_path, monke
     reads = []
     read = audio.read_feature_dump
     monkeypatch.setattr(audio, "read_feature_dump", lambda path: reads.append(path) or read(path))
-    # attention-mlp frames pass through encoder_inputs unpooled
-    params = E.init_params(E.EncoderConfig("attention-mlp"))
-    out = T.encoder_inputs(reg, params)
+    out = T.encoder_inputs(reg)
     assert sorted(reads) == reg.classes["b"]
     assert out.class_ids == ["a", "b"]
     assert out.classes["a"][0] is arr
-    assert [r[0, 0] for r in out.classes["b"]] == [0.0, 1.0]
+    # each dump's frames pooled to their means and (zero) deviations
+    for j, r in enumerate(out.classes["b"]):
+        assert r.tobytes() == E._frame_stats(np.full((2, 13), float(j))).tobytes()
     assert reg.classes["b"] == [str(tmp_path / "0.mfcc"), str(tmp_path / "1.mfcc")]

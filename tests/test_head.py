@@ -593,7 +593,7 @@ def _tape_logits(prior, support_z, query_z, n_classes, graph):
     shots = support_z.shape[0] // n_classes
     per_class = ad.reshape(support_z, (n_classes, shots, d))  # (N, K, d)
     mu = ad.mean_reduce(per_class, axis=1)
-    var = ad.sub(ad.mean_reduce(per_class * per_class, axis=1), mu * mu)
+    var = ad.sub(ad.mean_reduce(ad.mul(per_class, per_class), axis=1), ad.mul(mu, mu))
     nu, scale2 = _tape_predictive(prior, graph, float(shots), var)
     return _tape_log_t(ad.reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
 
@@ -616,24 +616,25 @@ def _whole_classes(m, n):
 
 def _tape_predictive(prior, graph, n, var):
     ra, rb = H._rho_tensors(prior, graph)
-    alpha = ad.exp(ra) + 0.5 * n
-    scale2 = ad.mul((ad.exp(rb) + 0.5 * n * var) * ((n + 1.0) / n), ad.reciprocal(alpha))
-    return 2.0 * alpha, scale2
+    alpha = ad.add(ad.exp(ra), 0.5 * n)
+    beta = ad.add(ad.exp(rb), ad.mul(var, 0.5 * n))
+    scale2 = ad.mul(ad.mul(beta, (n + 1.0) / n), ad.reciprocal(alpha))
+    return ad.mul(alpha, 2.0), scale2
 
 
 def _tape_log_t(z, nu, mean, scale2):
     d = float(z.shape[-1])
-    half_nu1 = 0.5 * (nu + 1.0)
+    half_nu1 = ad.mul(ad.add(nu, 1.0), 0.5)
     const = ad.sub(
         ad.sub(
-            d * ad.sub(ad.lgamma(half_nu1), ad.lgamma(0.5 * nu)),
-            0.5 * d * ad.log(math.pi * nu),
+            ad.mul(ad.sub(ad.lgamma(half_nu1), ad.lgamma(ad.mul(nu, 0.5))), d),
+            ad.mul(ad.log(ad.mul(nu, math.pi)), 0.5 * d),
         ),
-        0.5 * ad.sum_reduce(ad.log(scale2), axis=-1),
+        ad.mul(ad.sum_reduce(ad.log(scale2), axis=-1), 0.5),
     )
     dev = ad.sub(z, mean)
-    q = ad.mul(dev * dev, ad.reciprocal(nu * scale2))
-    return ad.sub(const, half_nu1 * ad.sum_reduce(ad.log(1.0 + q), axis=-1))
+    q = ad.mul(ad.mul(dev, dev), ad.reciprocal(ad.mul(nu, scale2)))
+    return ad.sub(const, ad.mul(half_nu1, ad.sum_reduce(ad.log(ad.add(q, 1.0)), axis=-1)))
 
 
 def _episode(n, k, m, d, seed):
@@ -755,24 +756,25 @@ def _loop_episode_loss(prior, support_z, query_z, n_classes, graph):
     ra, rb = prior
     n = float(support_z.shape[0] // n_classes)
     d = support_z.shape[1]
-    alpha = ad.exp(ra) + 0.5 * n
-    nu = 2.0 * alpha
-    half_nu1 = 0.5 * (nu + 1.0)
+    alpha = ad.add(ad.exp(ra), 0.5 * n)
+    nu = ad.mul(alpha, 2.0)
+    half_nu1 = ad.mul(ad.add(nu, 1.0), 0.5)
     shared = ad.sub(
-        float(d) * ad.sub(ad.lgamma(half_nu1), ad.lgamma(0.5 * nu)),
-        0.5 * float(d) * ad.log(math.pi * nu),
+        ad.mul(ad.sub(ad.lgamma(half_nu1), ad.lgamma(ad.mul(nu, 0.5))), float(d)),
+        ad.mul(ad.log(ad.mul(nu, math.pi)), 0.5 * float(d)),
     )
-    scale_factor = ((n + 1.0) / n) * ad.reciprocal(alpha)
+    scale_factor = ad.mul(ad.reciprocal(alpha), (n + 1.0) / n)
     cols = []
     for j in range(n_classes):
         block = ad.rows(support_z, int(j * n), int((j + 1) * n))
         mu = ad.mean_reduce(block, axis=0)
-        var = ad.sub(ad.mean_reduce(block * block, axis=0), mu * mu)
-        scale2 = (ad.exp(rb) + 0.5 * n * var) * scale_factor
+        var = ad.sub(ad.mean_reduce(ad.mul(block, block), axis=0), ad.mul(mu, mu))
+        scale2 = ad.mul(ad.add(ad.exp(rb), ad.mul(var, 0.5 * n)), scale_factor)
         dev = ad.sub(query_z, mu)
-        tail = ad.sum_reduce(ad.log(1.0 + ad.mul(dev * dev, ad.reciprocal(nu * scale2))), axis=1)
-        const = ad.sub(shared, 0.5 * ad.sum_reduce(ad.log(scale2)))
-        cols.append(ad.sub(const, half_nu1 * tail))
+        q = ad.mul(ad.mul(dev, dev), ad.reciprocal(ad.mul(nu, scale2)))
+        tail = ad.sum_reduce(ad.log(ad.add(q, 1.0)), axis=1)
+        const = ad.sub(shared, ad.mul(ad.sum_reduce(ad.log(scale2)), 0.5))
+        cols.append(ad.sub(const, ad.mul(half_nu1, tail)))
     y = _class_major(query_z.shape[0], n_classes)
     return ad.softmax_cross_entropy(ad.stack(cols, axis=1), y)
 

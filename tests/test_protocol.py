@@ -188,14 +188,14 @@ class TestReadOnce:
             assert a.correct.tobytes() == b.correct.tobytes()
 
 
-def train_and_evaluate(regs, architecture):
+def train_and_evaluate(regs):
     train_reg = regs["train"]
     core, val = train_reg.subset(train_reg.class_ids[:4]), train_reg.subset(train_reg.class_ids[4:])
     tcfg = T.TrainConfig(
         steps=4, batch_episodes=2, spec=Ep.EpisodeSpec(2, 2, 2),
         validation_every=2, validation_episodes=2,
     )
-    ecfg = E.EncoderConfig(architecture, embed_dim=8, hidden_dims=(8,), feature_dim=13, seed=0)
+    ecfg = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=13, seed=0)
     params, prior, history = T.train(tcfg, core, ecfg, val)
     pcfg = P.ProtocolConfig(increment=2, max_classes=6, shots=3, query_shots=3, episodes=3, seed=4)
     matrix, _ = P.run_protocol(params, prior, regs["test"], pcfg)
@@ -203,20 +203,17 @@ def train_and_evaluate(regs, architecture):
 
 
 class TestPoolOnce:
-    @pytest.mark.parametrize("architecture", ["stats-mlp", "attention-mlp"])
-    def test_pooling_each_clip_once_matches_pooling_per_use(
-        self, dump_registries, monkeypatch, architecture
-    ):
+    def test_pooling_each_clip_once_matches_pooling_per_use(self, dump_registries, monkeypatch):
         pooled = []
         stats = E._frame_stats
         monkeypatch.setattr(E, "_frame_stats", lambda a: pooled.append(a) or stats(a))
-        params, history, matrix = train_and_evaluate(dump_registries, architecture)
+        params, history, matrix = train_and_evaluate(dump_registries)
         clips = sum(len(refs) for reg in dump_registries.values() for refs in reg.classes.values())
-        assert len(pooled) == (clips if architecture == "stats-mlp" else 0)
+        assert len(pooled) == clips
 
         # reference: registries keep their frames and embed_batch pools them per use
-        monkeypatch.setattr(T, "pool_frames", lambda refs, params: list(refs))
-        ref_params, ref_history, ref_matrix = train_and_evaluate(dump_registries, architecture)
+        monkeypatch.setattr(T, "pool_frames", list)
+        ref_params, ref_history, ref_matrix = train_and_evaluate(dump_registries)
         assert params.keys() == ref_params.keys()
         for name in params:
             assert params[name].tobytes() == ref_params[name].tobytes(), name

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from bayescl import encoder as E
 from bayescl import episodes as Ep
 from bayescl import training as T
 from bayescl.head import PriorParams, episode_loss
-from bayescl.tensorio import ContainerError
+from bayescl.tensorio import ContainerError, write_tensors
 
 
 class TestAdam:
@@ -106,6 +107,21 @@ class TestCheckpoint:
         path = tmp_path / "ck"
         T.save_checkpoint(self._params(cfg_a), cfg_b, path)
         with pytest.raises(ContainerError, match="shape"):
+            T.load_checkpoint(path)
+
+    def test_attention_mlp_checkpoint_rejected(self, tmp_path):
+        # the layout an attention-mlp encoder wrote: attention projections
+        # before an MLP fed the feature width
+        rng = np.random.default_rng(3)
+        encoder = {"architecture": "attention-mlp", "embed_dim": 4, "hidden_dims": [5],
+                   "feature_dim": 3, "vector_input": False, "seed": 2}
+        shapes = {"attn.wq": (3, 3), "attn.wk": (3, 3), "attn.wv": (3, 3), "mlp.0.w": (3, 5),
+                  "mlp.0.b": (5,), "mlp.1.w": (5, 4), "mlp.1.b": (4,), "rho_alpha": (),
+                  "rho_beta": ()}
+        tensors = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        path = tmp_path / "attention.ckpt"
+        write_tensors(path, {"kind": "meta-checkpoint", "encoder": encoder}, tensors)
+        with pytest.raises(ContainerError, match=re.escape(str(path)) + ".*'attention-mlp'"):
             T.load_checkpoint(path)
 
 
