@@ -5,6 +5,10 @@ application in execution order (define-by-run); ``backward`` replays the
 tape in reverse, accumulating adjoints. There is no graph rewriting:
 plain topological evaluation, one graph per episode.
 
+Leaves are bound once per graph with ``DiffGraph.input``, and a second
+bind of a name raises ``GraphError``: a leaf used twice (the encoder
+weights in an episode's support and query embeddings) is passed on.
+
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
 ``encoder.dense`` (one MLP layer: matmul, add and softplus) and
@@ -71,7 +75,9 @@ class Tensor:
 class DiffGraph:
     """Append-only tape of primitive applications.
 
-    Single-threaded by contract; distinct graphs may be used concurrently.
+    Leaves are bound once: ``input`` raises ``GraphError`` for a name
+    already bound on this graph. Single-threaded by contract; distinct
+    graphs may be used concurrently.
     """
 
     def __init__(self):
@@ -97,22 +103,6 @@ class DiffGraph:
             raise GraphError(f"input {name!r} already bound on this graph")
         t = self._register(data, (), None, "input", name)
         self._inputs[name] = t
-        return t
-
-    def input_or_get(self, name, data):
-        """Bind a named leaf, or return the existing binding for ``name``.
-
-        Rebinding with different data is an error; identity of the backing
-        array is accepted as sameness to keep repeated calls cheap.
-        """
-        t = self._inputs.get(name)
-        if t is None:
-            return self.input(name, data)
-        if t.data is data:
-            return t
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.shape != t.data.shape or not np.array_equal(arr, t.data):
-            raise GraphError(f"input {name!r} already bound with different data")
         return t
 
     def constant(self, data):

@@ -179,13 +179,15 @@ def _merge_config(args):
         file_values = {o.name: o.check(args.config, file_values[o.name])
                        for o in options if o.name in file_values}
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    return {o.name: flags.get(o.name, file_values.get(o.name, o.default)) for o in options}
+    values = {o.name: flags.get(o.name, file_values.get(o.name, o.default)) for o in options}
+    _at_least(values, 0, "seed")  # before any read; numpy's SeedSequence would not name it
+    return values
 
 
-def _at_least_one(values, *keys):
+def _at_least(values, low, *keys):
     for key in keys:
-        if values[key] is not None and values[key] < 1:
-            raise ValueError(f"{key} must be >= 1, got {values[key]}")
+        if values[key] is not None and values[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {values[key]}")
 
 
 def cmd_version(args):
@@ -204,6 +206,7 @@ def _extract_one(matrices, job):
 
 
 def cmd_prepare(args):
+    _at_least(vars(args), 1, "shots", "query_shots", "workers")
     records = read_manifest(args.manifest)
     root = Path(args.audio_root) if args.audio_root else None
     out_dir = Path(args.features_dir)
@@ -277,7 +280,7 @@ def _train_common(cfg_values, encoder_cfg, registry, val_registry, out, data_con
 
 def cmd_synth_train(args):
     v = _merge_config(args)
-    _at_least_one(v, "samples_per_class")
+    _at_least(v, 1, "samples_per_class")
     synth_cfg = SynthTaskConfig(**{k: v[k] for k in _SYNTH_TASK_KEYS})
     seeds = np.random.SeedSequence(v["seed"]).spawn(2)
     rng = np.random.default_rng(seeds[0])
@@ -324,7 +327,7 @@ def _evaluate(args, v, kind, keys, make_registry):
 
 def cmd_synth_eval(args):
     v = _merge_config(args)
-    _at_least_one(v, "test_classes", "samples_per_class")
+    _at_least(v, 1, "test_classes", "samples_per_class")
 
     def registry(data):
         synth_cfg = SynthTaskConfig(**{k: data[k] for k in _SYNTH_TASK_KEYS})
@@ -346,6 +349,9 @@ def _word_split(manifest, ratio, seed):
 
 def cmd_train(args):
     v = _merge_config(args)
+    for key in ("split_ratio", "val_ratio"):
+        if not 0.0 < v[key] < 1.0:
+            raise ValueError(f"{key} must be strictly between 0 and 1, got {v[key]}")
     reg_all, train_words, _ = _word_split(args.manifest, v["split_ratio"], v["seed"])
     core_words, val_words = split_classes(train_words, 1.0 - v["val_ratio"], v["seed"] + 1)
     registry = reg_all.subset(core_words)

@@ -86,7 +86,8 @@ def _features_array(x):
 
 
 def _bind(params, graph):
-    """Bind parameter arrays as named graph inputs; pass bound Tensors through."""
+    """Bind parameter arrays with ``graph.input``, once per graph; pass
+    bound Tensors through."""
     out = {}
     for name, arr in params.items():
         if isinstance(arr, Tensor):
@@ -94,7 +95,7 @@ def _bind(params, graph):
                 raise GraphError(f"parameter {name!r} lives on a different graph")
             out[name] = arr
         else:
-            out[name] = graph.input_or_get(name, arr)
+            out[name] = graph.input(name, arr)
     return out
 
 

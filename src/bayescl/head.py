@@ -51,7 +51,6 @@ import numpy as np
 from . import tensorio
 from .autodiff import (
     GraphError,
-    Tensor,
     _lgamma_digamma,
     _unbroadcast,
     lgamma_value,
@@ -172,19 +171,6 @@ def _log_t_const(nu, scale2, d):
     return half_nu1, const
 
 
-def _rho_tensors(prior, graph):
-    """Bind (or reuse) the prior's unconstrained parameters on a graph.
-
-    ``prior`` may be a PriorParams or an already-bound (rho_alpha,
-    rho_beta) Tensor pair, as ``training._batch_gradients`` passes.
-    """
-    if isinstance(prior, PriorParams):
-        ra = graph.input_or_get("rho_alpha", np.asarray(prior.rho_alpha, dtype=np.float64))
-        rb = graph.input_or_get("rho_beta", np.asarray(prior.rho_beta, dtype=np.float64))
-        return ra, rb
-    return prior
-
-
 _LOGITS_OP = "student_t_logits"
 
 
@@ -192,24 +178,28 @@ def _domain_error(what):
     return GraphError(f"{_LOGITS_OP}: {what}")
 
 
-def _student_t_logits(prior, support_z, query_z, n_classes, graph):
+def _student_t_logits(rho, support_z, query_z, n_classes):
     """(M, N) Student-t logits of the queries under N equal-shot classes,
     as one tape node.
 
     ``support_z`` is (N*K, d) with rows grouped by class, ``query_z`` is
-    (M, d). The forward repeats, in order, the numpy operations of the
-    generic-op composition this node replaces (class means and variances,
-    alpha = e^rho_alpha + K/2, nu = 2 alpha, scale^2 = (e^rho_beta
-    + K/2 var) (K+1)/K / alpha, then the Student-t density), with every
-    ``x / y`` as ``x * (1 / y)``. The vjp is the adjoint of each of those
-    steps in reverse, and an adjoint with several uses accumulates in the
-    order the composition's tape would. So values and gradients are the
-    composition's bits; ``tests/test_head.py`` keeps the composition as
-    the oracle. The domain checks of its log, reciprocal and lgamma steps
-    stay, and raise ``GraphError`` naming this op; the tape's finiteness
-    guard covers the logits.
+    (M, d) and ``rho`` the bound (rho_alpha, rho_beta) pair, all four on
+    the graph the node joins. The forward repeats, in order, the numpy
+    operations of the generic-op composition this node replaces (class
+    means and variances, alpha = e^rho_alpha + K/2, nu = 2 alpha,
+    scale^2 = (e^rho_beta + K/2 var) (K+1)/K / alpha, then the Student-t
+    density), with every ``x / y`` as ``x * (1 / y)``. The vjp is the
+    adjoint of each of those steps in reverse, and an adjoint with several
+    uses accumulates in the order the composition's tape would. So values
+    and gradients are the composition's bits; ``tests/test_head.py`` keeps
+    the composition as the oracle. The domain checks of its log,
+    reciprocal and lgamma steps stay, and raise ``GraphError`` naming
+    this op; the tape's finiteness guard covers the logits.
     """
-    ra, rb = _rho_tensors(prior, graph)
+    ra, rb = rho
+    graph = support_z.graph
+    if any(t.graph is not graph for t in (query_z, ra, rb)):
+        raise GraphError(f"{_LOGITS_OP}: support, query and rho are on different graphs")
     S, Q = support_z.data, query_z.data
     (M, d), K = Q.shape, S.shape[0] // n_classes
     if S.shape[1:] != (d,):
@@ -394,24 +384,22 @@ def predict(head, z):
     return list(head.posteriors)[int(np.argmax(class_scores(head, z[None, :])))]
 
 
-def episode_loss(prior, support_z, query_z, n_classes, graph):
+def episode_loss(rho, support_z, query_z, n_classes):
     """Mean query cross-entropy of one episode, differentiable end to end.
 
-    ``support_z`` is an (N*K, d) and ``query_z`` an (N*Q, d) Tensor, each
-    in the layout of ``episodes.Episode``: row i belongs to class i // K
-    (support) or i // Q (query). A row count that does not split into
-    ``n_classes`` equal non-empty classes raises ``ValueError``. Gradients
-    flow into the embeddings and into rho_alpha / rho_beta.
+    ``rho`` is the bound (rho_alpha, rho_beta) pair, ``support_z`` an
+    (N*K, d) and ``query_z`` an (N*Q, d) Tensor, each in the layout of
+    ``episodes.Episode``: row i belongs to class i // K (support) or i // Q
+    (query). The loss joins their graph, where each leaf is bound once;
+    Tensors from different graphs raise ``GraphError``, and a row count
+    that does not split into ``n_classes`` equal non-empty classes raises
+    ``ValueError``. Gradients flow into the embeddings and into rho.
     """
-    if not isinstance(support_z, Tensor):
-        support_z = graph.constant(np.asarray(support_z, dtype=np.float64))
-    if not isinstance(query_z, Tensor):
-        query_z = graph.constant(np.asarray(query_z, dtype=np.float64))
     for name, z in (("support", support_z), ("query", query_z)):
         rows = z.shape[0]
         if n_classes < 1 or rows < n_classes or rows % n_classes:
             raise ValueError(f"{rows} {name} rows do not split into {n_classes} equal classes")
-    logits = _student_t_logits(prior, support_z, query_z, n_classes, graph)
+    logits = _student_t_logits(rho, support_z, query_z, n_classes)
     y = np.repeat(np.arange(n_classes), query_z.shape[0] // n_classes)
     return softmax_cross_entropy(logits, y)
 

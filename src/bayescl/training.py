@@ -136,28 +136,30 @@ def encoder_inputs(registry):
 def _batch_gradients(meta, episodes_batch):
     """Mean loss and mean gradients over a batch, one graph per episode.
 
-    The episodes' references must be arrays, as ``encoder_inputs`` leaves them.
+    Each episode's graph binds every entry of ``meta`` once, in ``meta``
+    order, and both embeddings and the loss take those Tensors. The
+    episodes' references must be arrays, as ``encoder_inputs`` leaves them.
     """
     total_loss = 0.0
     grad_sum = None
-    enc = encoder_params(meta)
     for episode in episodes_batch:
         graph = DiffGraph()
         try:
+            bound = {k: graph.input(k, v) for k, v in meta.items()}
+            enc = encoder_params(bound)
             sz = embed_batch(episode.support, enc, graph)
             qz = embed_batch(episode.query, enc, graph)
-            ra = graph.input("rho_alpha", meta["rho_alpha"])
-            rb = graph.input("rho_beta", meta["rho_beta"])
-            loss = episode_loss((ra, rb), sz, qz, len(episode.class_ids), graph)
+            rho = bound["rho_alpha"], bound["rho_beta"]
+            loss = episode_loss(rho, sz, qz, len(episode.class_ids))
             grads = graph.backward(loss)
         finally:
             graph.release()  # free the tape now, not at the next collection
         total_loss += float(loss.data)
         if grad_sum is None:
-            grad_sum = {k: grads.get(k, np.zeros_like(v)).copy() for k, v in meta.items()}
+            grad_sum = {k: g.copy() for k, g in grads.items()}
         else:
             for k in grad_sum:
-                grad_sum[k] += grads.get(k, 0.0)
+                grad_sum[k] += grads[k]
     n = len(episodes_batch)
     return total_loss / n, {k: g / n for k, g in grad_sum.items()}
 

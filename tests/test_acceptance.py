@@ -214,7 +214,7 @@ def test_criterion_05_gradient_suite():
             enc = {name: t[name] for name in params}
             sz = E.embed_batch(sup_x, enc, graph)
             qz = E.embed_batch(qry_x, enc, graph)
-            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), sz, qz, n_ways, graph)
+            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), sz, qz, n_ways)
 
         worst_ep = max(worst_ep, ad.grad_check(builder, point, step=4e-4))
     elapsed = time.perf_counter() - start

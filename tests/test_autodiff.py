@@ -51,6 +51,15 @@ class TestForward:
             ad.add(a, b)
 
 
+    def test_binding_a_name_twice_rejected(self):
+        g = ad.DiffGraph()
+        w = g.input("w", np.ones(3))
+        with pytest.raises(ad.GraphError, match="input 'w' already bound on this graph"):
+            g.input("w", np.ones(3))  # even with the same value
+        assert len(g) == 1
+        assert g.backward(ad.sum_reduce(w))["w"].tolist() == [1.0, 1.0, 1.0]
+
+
 class TestBackward:
     def test_square_derivative(self):
         g, out = build_graph(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0})

@@ -299,6 +299,43 @@ def test_synth_eval_rejects_a_zero_count_before_reading_anything(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd", ["train", "eval", "synth-train", "synth-eval"])
+def test_negative_seed_fails_naming_it_before_anything_is_read(tmp_path, capsys, cmd, source):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    # inputs that do not exist: reading any of them would fail otherwise
+    inputs = [] if cmd.startswith("synth-") else ["--manifest", str(tmp_path / "m.jsonl")]
+    if cmd.endswith("eval"):
+        inputs += ["--ckpt", str(tmp_path / "ck")]
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    code, _, err = run_cli(capsys, cmd, *inputs, *seed, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.strip().splitlines()[-1] == "error: seed must be >= 0, got -1"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--val-ratio", "0"), "val_ratio must be strictly between 0 and 1, got 0.0"),
+    (("--val-ratio", "1.5"), "val_ratio must be strictly between 0 and 1, got 1.5"),
+    (("--split-ratio", "1"), "split_ratio must be strictly between 0 and 1, got 1.0"),
+    (("--split-ratio", "nan"), "split_ratio must be strictly between 0 and 1, got nan"),
+    ({"val_ratio": -0.25}, "val_ratio must be strictly between 0 and 1, got -0.25"),
+], ids=["val-zero", "val-above-one", "split-one", "split-nan", "val-in-config"])
+def test_train_ratio_outside_zero_and_one_fails_before_reading(tmp_path, capsys, flags, message):
+    if isinstance(flags, dict):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ("--config", str(cfg))
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(tmp_path / "m.jsonl"), *flags,
+        "--out", str(tmp_path / "ck"),
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "ck").exists()
+
+
 def test_option_tables_match_the_config_dataclasses():
     protocol_fields = [f.name for f in dataclasses.fields(ProtocolConfig)]
     assert [o.name for o in OPTIONS["eval"]] == protocol_fields
@@ -453,6 +490,25 @@ def test_prepare_rejects_clips_that_would_share_a_dump(tmp_path, capsys):
     assert str(tmp_path / "cat/train/0.wav") in err and str(tmp_path / "cat/test/0.wav") in err
     assert not (feat / "features.jsonl").exists()
     assert not list(feat.rglob("*.mfcc"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--shots", "-5"), ("--query-shots", "0"), ("--workers", "0"),
+])
+def test_prepare_count_below_one_fails_before_reading_or_creating(
+    tmp_path, capsys, wav_dataset, flag, value
+):
+    root, manifest = wav_dataset
+    feat = tmp_path / "features"
+    code, _, err = run_cli(
+        capsys,
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(feat), flag, value,
+    )
+    assert code == 1
+    field = flag[2:].replace("-", "_")
+    assert err.strip().splitlines()[-1] == f"error: {field} must be >= 1, got {value}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_real_train_and_eval_pipeline(tmp_path, capsys, wav_dataset):

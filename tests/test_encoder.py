@@ -260,12 +260,14 @@ def _tape_mlp(x, bound, n_layers):
 
 
 def two_embeds_and_grads(first, second, params, seed):
-    """Two embeds on one graph, as a training episode's support and query:
-    each weight's and bias's gradient sums the two."""
+    """Two embeds on one graph from weights bound once, as a training
+    episode's support and query: each weight's and bias's gradient sums
+    the two."""
     rng = np.random.default_rng(seed)
     graph = fresh_graph()
-    a = E.embed_batch(first, params, graph)
-    b = E.embed_batch(second, params, graph)
+    bound = {name: graph.input(name, p) for name, p in params.items()}
+    a = E.embed_batch(first, bound, graph)
+    b = E.embed_batch(second, bound, graph)
     wa, wb = rng.normal(size=a.shape), rng.normal(size=b.shape)
     loss = ad.add(
         ad.sum_reduce(ad.mul(a, graph.constant(wa))), ad.sum_reduce(ad.mul(b, graph.constant(wb)))
@@ -302,6 +304,20 @@ class TestDense:
         params = E.init_params(cfg)
         vecs = list(rng.normal(scale=5.0, size=(100, 16)))
         self.assert_matches_tape_mlp(monkeypatch, vecs[:50], vecs[50:], params)
+
+    def test_second_embed_from_arrays_rebinds_and_fails(self):
+        cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)
+        params, graph = E.init_params(cfg), fresh_graph()
+        E.embed_batch([np.ones(3)], params, graph)
+        with pytest.raises(ad.GraphError, match="input 'mlp.0.w' already bound"):
+            E.embed_batch([np.ones(3)], params, graph)
+
+    def test_bound_weights_from_another_graph_rejected(self):
+        cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8,), feature_dim=3, vector_input=True)
+        other = fresh_graph()
+        bound = {name: other.input(name, p) for name, p in E.init_params(cfg).items()}
+        with pytest.raises(ad.GraphError, match="'mlp.0.w' lives on a different graph"):
+            E.embed_batch([np.ones(3)], bound, fresh_graph())
 
     def test_one_node_per_layer(self):
         cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)

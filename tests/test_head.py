@@ -17,6 +17,17 @@ import tape_ops as ad
 PRIOR = H.PriorParams(0.0, 0.0)  # alpha_0 = beta_0 = 1
 
 
+def bind_rho(graph, prior=PRIOR):
+    """``prior``'s (rho_alpha, rho_beta), each bound once on ``graph``."""
+    return graph.input("rho_alpha", prior.rho_alpha), graph.input("rho_beta", prior.rho_beta)
+
+
+def constant_episode_loss(prior, support, query, n):
+    """``episode_loss`` on a new graph: ``prior`` bound, the embeddings constants."""
+    g = ad.DiffGraph()
+    return H.episode_loss(bind_rho(g, prior), g.constant(support), g.constant(query), n)
+
+
 def one_class_head(rng, d, n=None, prior=PRIOR):
     n = n or int(rng.integers(1, 12))
     Z = rng.normal(rng.normal(0, 2, size=d), rng.uniform(0.5, 2.0), size=(n, d))
@@ -485,8 +496,7 @@ class TestEpisodeLoss:
         block = rng.normal(size=(k, d))
         support = np.tile(block, (n, 1))  # identical class statistics
         query = rng.normal(size=(n * q, d))
-        g = ad.DiffGraph()
-        loss = H.episode_loss(PRIOR, support, query, n, g)
+        loss = constant_episode_loss(PRIOR, support, query, n)
         assert float(loss.data) == pytest.approx(math.log(25.0), abs=1e-9)
 
     def test_separated_classes_drive_loss_to_zero(self):
@@ -495,8 +505,7 @@ class TestEpisodeLoss:
         means = rng.normal(0, 50, size=(n, d))
         support = np.concatenate([rng.normal(m, 0.01, size=(k, d)) for m in means])
         query = np.concatenate([rng.normal(m, 0.01, size=(q, d)) for m in means])
-        g = ad.DiffGraph()
-        loss = H.episode_loss(PRIOR, support, query, n, g)
+        loss = constant_episode_loss(PRIOR, support, query, n)
         assert float(loss.data) < 0.01
 
     @pytest.mark.parametrize(
@@ -507,9 +516,9 @@ class TestEpisodeLoss:
     def test_rows_that_do_not_split_into_classes_rejected(
         self, support_rows, query_rows, n, which
     ):
-        g = ad.DiffGraph()
+        support, query = np.zeros((support_rows, 2)), np.zeros((query_rows, 2))
         with pytest.raises(ValueError, match=f"{which} rows do not split into {n} equal classes"):
-            H.episode_loss(PRIOR, np.zeros((support_rows, 2)), np.zeros((query_rows, 2)), n, g)
+            constant_episode_loss(PRIOR, support, query, n)
 
     def test_gradients_reach_rho_and_embeddings(self):
         rng = np.random.default_rng(13)
@@ -518,7 +527,7 @@ class TestEpisodeLoss:
         query = rng.normal(size=(n * q, d))
 
         def builder(graph, t):
-            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n, graph)
+            return H.episode_loss((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n)
 
         point = {
             "rho_alpha": np.asarray(0.2),
@@ -545,7 +554,7 @@ class TestEpisodeLoss:
         def run(loss_fn):
             g = ad.DiffGraph()
             t = {name: g.input(name, v) for name, v in point.items()}
-            loss = loss_fn((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n, g)
+            loss = loss_fn((t["rho_alpha"], t["rho_beta"]), t["s"], t["q"], n)
             return float(loss.data), g.backward(loss)
 
         loss, grads = run(H.episode_loss)
@@ -570,7 +579,7 @@ class TestEpisodeLoss:
         top = scores.max(axis=1)
         lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         expected = float(np.mean(lse - scores[np.arange(n * q), y]))
-        loss = H.episode_loss(prior, support.reshape(n * k, d), query, n, ad.DiffGraph())
+        loss = constant_episode_loss(prior, support.reshape(n * k, d), query, n)
         assert abs(float(loss.data) - expected) <= 1e-12 * abs(expected)
 
     def test_head_tape_size_does_not_grow_with_ways(self):
@@ -579,14 +588,15 @@ class TestEpisodeLoss:
             g = ad.DiffGraph()
             s = g.input("s", rng.normal(size=(n * 5, 8)))
             q = g.input("q", rng.normal(size=(n * 5, 8)))
+            rho = bind_rho(g)
             before = len(g)
-            H.episode_loss(PRIOR, s, q, n, g)
+            H.episode_loss(rho, s, q, n)
             return len(g) - before
 
         assert head_nodes(5) == head_nodes(25)
 
 
-def _tape_logits(prior, support_z, query_z, n_classes, graph):
+def _tape_logits(rho, support_z, query_z, n_classes):
     """Reference: the Student-t logits composed of generic tape ops, one node
     per step, which ``head._student_t_logits`` fuses into one node."""
     d = support_z.shape[1]
@@ -594,13 +604,13 @@ def _tape_logits(prior, support_z, query_z, n_classes, graph):
     per_class = ad.reshape(support_z, (n_classes, shots, d))  # (N, K, d)
     mu = ad.mean_reduce(per_class, axis=1)
     var = ad.sub(ad.mean_reduce(ad.mul(per_class, per_class), axis=1), ad.mul(mu, mu))
-    nu, scale2 = _tape_predictive(prior, graph, float(shots), var)
+    nu, scale2 = _tape_predictive(rho, float(shots), var)
     return _tape_log_t(ad.reshape(query_z, (query_z.shape[0], 1, d)), nu, mu, scale2)
 
 
-def _tape_episode_loss(prior, support_z, query_z, n_classes, graph):
+def _tape_episode_loss(rho, support_z, query_z, n_classes):
     """Reference ``episode_loss``: ``_tape_logits`` and the cross-entropy."""
-    logits = _tape_logits(prior, support_z, query_z, n_classes, graph)
+    logits = _tape_logits(rho, support_z, query_z, n_classes)
     return ad.softmax_cross_entropy(logits, _class_major(query_z.shape[0], n_classes))
 
 
@@ -614,8 +624,8 @@ def _whole_classes(m, n):
     return -(-m // n) * n
 
 
-def _tape_predictive(prior, graph, n, var):
-    ra, rb = H._rho_tensors(prior, graph)
+def _tape_predictive(rho, n, var):
+    ra, rb = rho
     alpha = ad.add(ad.exp(ra), 0.5 * n)
     beta = ad.add(ad.exp(rb), ad.mul(var, 0.5 * n))
     scale2 = ad.mul(ad.mul(beta, (n + 1.0) / n), ad.reciprocal(alpha))
@@ -645,13 +655,10 @@ def _episode(n, k, m, d, seed):
 
 
 def _loss_and_grads(loss_fn, prior, support, query, n):
-    """Loss and gradients with support and query bound as inputs; ``prior``
-    is a PriorParams (bound by the loss) or a (rho_alpha, rho_beta) pair."""
+    """Loss and gradients with support, query and ``prior``'s rho bound as inputs."""
     g = ad.DiffGraph()
     s, q = g.input("support", support), g.input("query", query)
-    if not isinstance(prior, H.PriorParams):
-        prior = (g.input("rho_alpha", prior[0]), g.input("rho_beta", prior[1]))
-    loss = loss_fn(prior, s, q, n, g)
+    loss = loss_fn(bind_rho(g, prior), s, q, n)
     return loss.data, g.backward(loss)
 
 
@@ -663,7 +670,9 @@ class TestFusedLogits:
         "n, k, m, d", [(2, 1, 1, 1), (3, 1, 4, 5), (4, 7, 3, 2), (10, 5, 50, 64), (25, 5, 125, 64)]
     )
     @pytest.mark.parametrize(
-        "prior", [(np.asarray(0.3), np.asarray(-0.4)), H.PriorParams(-1.2, 0.8)], ids=["rho", "prior"]
+        "prior",
+        [H.PriorParams(0.3, -0.4), H.PriorParams(-1.2, 0.8)],
+        ids=["rho", "negative-rho-alpha"],
     )
     def test_loss_and_gradients_are_the_composition_bits(self, n, k, m, d, prior):
         episode = _episode(n, k, _whole_classes(m, n), d, seed=1000 * n + 100 * k + m)
@@ -686,7 +695,7 @@ class TestFusedLogits:
             g = ad.DiffGraph()
             s, q = g.input("support", support), g.input("query", query)
             rho = (g.input("rho_alpha", prior[0]), g.input("rho_beta", prior[1]))
-            out = logits_fn(rho, s, q, n, g)
+            out = logits_fn(rho, s, q, n)
             return out.data, g.backward(out, seed=cotangent)
 
         for i in range(100):
@@ -705,7 +714,8 @@ class TestFusedLogits:
 
         def run(loss_fn):
             g = ad.DiffGraph()
-            loss = loss_fn(H.PriorParams(0.2, -0.3), g.constant(support), g.constant(query), 5, g)
+            rho = bind_rho(g, H.PriorParams(0.2, -0.3))
+            loss = loss_fn(rho, g.constant(support), g.constant(query), 5)
             return loss.data, g.backward(loss)
 
         (loss, grads), (ref, ref_grads) = run(H.episode_loss), run(_tape_episode_loss)
@@ -718,10 +728,20 @@ class TestFusedLogits:
         support, query = _episode(10, 5, 50, 16, seed=4)
         g = ad.DiffGraph()
         s, q = g.input("s", support), g.input("q", query)
-        H.episode_loss(PRIOR, s, q, 10, g)
-        assert [t.op for t in g._nodes[2:]] == [
-            "input", "input", "student_t_logits", "softmax_cross_entropy"
-        ]
+        rho = bind_rho(g)
+        loss = H.episode_loss(rho, s, q, 10)
+        assert [t.op for t in g._nodes[4:]] == ["student_t_logits", "softmax_cross_entropy"]
+        assert loss.parents[0].parents == (s, q, *rho)
+
+    @pytest.mark.parametrize("stray", ["rho_alpha", "rho_beta", "support", "query"])
+    def test_tensors_from_another_graph_rejected(self, stray):
+        support, query = _episode(3, 2, 3, 4, seed=6)
+        g, other = ad.DiffGraph(), ad.DiffGraph()
+        values = {"rho_alpha": 0.0, "rho_beta": 0.0, "support": support, "query": query}
+        t = {name: (other if name == stray else g).input(name, v) for name, v in values.items()}
+        with pytest.raises(ad.GraphError, match="student_t_logits: .* different graphs"):
+            H.episode_loss((t["rho_alpha"], t["rho_beta"]), t["support"], t["query"], 3)
+        assert (len(g), len(other)) == (3, 1)
 
     def test_overflowing_query_fails_in_the_forward(self):
         # (1e160)^2 overflows: the composition stops at its dev * dev node,
@@ -746,14 +766,13 @@ class TestFusedLogits:
             _loss_and_grads(H.episode_loss, prior, support, np.ones((3, 3)), 3)
 
     def test_width_mismatch_rejected(self):
-        g = ad.DiffGraph()
         with pytest.raises(ad.GraphError, match="differ in width"):
-            H.episode_loss(PRIOR, np.zeros((4, 3)), np.zeros((2, 2)), 2, g)
+            constant_episode_loss(PRIOR, np.zeros((4, 3)), np.zeros((2, 2)), 2)
 
 
-def _loop_episode_loss(prior, support_z, query_z, n_classes, graph):
+def _loop_episode_loss(rho, support_z, query_z, n_classes):
     """Reference: the Student-t logits built one class at a time."""
-    ra, rb = prior
+    ra, rb = rho
     n = float(support_z.shape[0] // n_classes)
     d = support_z.shape[1]
     alpha = ad.add(ad.exp(ra), 0.5 * n)

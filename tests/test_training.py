@@ -9,7 +9,7 @@ from bayescl import autodiff as ad
 from bayescl import encoder as E
 from bayescl import episodes as Ep
 from bayescl import training as T
-from bayescl.head import PriorParams, episode_loss
+from bayescl.head import PriorParams
 from bayescl.tensorio import ContainerError, write_tensors
 
 
@@ -228,12 +228,13 @@ class TestTrain:
 
     def test_synth_training_tape_has_at_most_18_nodes_per_episode(self, monkeypatch):
         # the benchmark's synth-train episode: 10-way 5+5-shot on a
-        # 16 -> 128 -> 128 -> 64 vector encoder (80 nodes when each op was a node)
-        sizes = []
+        # 16 -> 128 -> 128 -> 64 vector encoder (80 nodes when each op was a
+        # node); every meta-parameter is bound once, in meta order
+        tapes = []
 
         class RecordedGraph(ad.DiffGraph):
             def backward(self, output, seed=None):
-                sizes.append(len(self))
+                tapes.append([(t.op, t.name) for t in self._nodes])
                 return super().backward(output, seed)
 
         monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
@@ -244,8 +245,12 @@ class TestTrain:
         enc_cfg = E.EncoderConfig(embed_dim=64, feature_dim=16, vector_input=True, seed=25)
         meta = dict(E.init_params(enc_cfg), rho_alpha=np.asarray(0.0), rho_beta=np.asarray(0.0))
         T._batch_gradients(meta, batch)
-        assert len(sizes) == 2
-        assert all(n <= 18 for n in sizes), sizes
+        embed = [("const", None)] + [("dense", None)] * 3
+        expected = [("input", name) for name in meta] + embed + embed + [
+            ("student_t_logits", None), ("softmax_cross_entropy", None)
+        ]
+        assert len(expected) == 18
+        assert tapes == [expected, expected]
 
     def test_full_run_determinism(self):
         def run():
