@@ -672,7 +672,7 @@ class TestFusedLogits:
     @pytest.mark.parametrize(
         "prior",
         [H.PriorParams(0.3, -0.4), H.PriorParams(-1.2, 0.8)],
-        ids=["rho", "negative-rho-alpha"],
+        ids=["rho", "prior"],
     )
     def test_loss_and_gradients_are_the_composition_bits(self, n, k, m, d, prior):
         episode = _episode(n, k, _whole_classes(m, n), d, seed=1000 * n + 100 * k + m)
