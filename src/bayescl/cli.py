@@ -258,16 +258,18 @@ def cmd_prepare(args):
     return 0
 
 
-def _train_common(cfg_values, encoder_cfg, registry, val_registry, out, data_config):
-    spec = EpisodeSpec(cfg_values["ways"], cfg_values["shots"], cfg_values["query_shots"])
-    tcfg = training.TrainConfig(
-        steps=cfg_values["steps"],
-        batch_episodes=cfg_values["batch_episodes"],
-        spec=spec,
-        learning_rate=cfg_values["learning_rate"],
-        seed=cfg_values["seed"],
-        validation_every=cfg_values["validation_every"],
+def _train_config(v):
+    return training.TrainConfig(
+        steps=v["steps"],
+        batch_episodes=v["batch_episodes"],
+        spec=EpisodeSpec(v["ways"], v["shots"], v["query_shots"]),
+        learning_rate=v["learning_rate"],
+        seed=v["seed"],
+        validation_every=v["validation_every"],
     )
+
+
+def _train_common(tcfg, encoder_cfg, registry, val_registry, out, data_config):
     params, prior, history = training.train(tcfg, registry, encoder_cfg, val_registry)
     training.save_run(out, params, encoder_cfg, history, extra_config=data_config)
     best_acc = history.best_accuracy if history.val_accuracy else float("nan")
@@ -282,6 +284,10 @@ def cmd_synth_train(args):
     v = _merge_config(args)
     _at_least(v, 1, "samples_per_class")
     synth_cfg = SynthTaskConfig(**{k: v[k] for k in _SYNTH_TASK_KEYS})
+    encoder_cfg = EncoderConfig(
+        embed_dim=v["embed_dim"], feature_dim=v["latent_dim"], vector_input=True, seed=v["seed"]
+    )
+    tcfg = _train_config(v)
     seeds = np.random.SeedSequence(v["seed"]).spawn(2)
     rng = np.random.default_rng(seeds[0])
     registry = synth_registry(synth_cfg, v["classes"], v["samples_per_class"], rng, prefix="train")
@@ -289,12 +295,9 @@ def cmd_synth_train(args):
     val_registry = synth_registry(
         synth_cfg, v["val_classes"], v["samples_per_class"], val_rng, prefix="val"
     )
-    encoder_cfg = EncoderConfig(
-        embed_dim=v["embed_dim"], feature_dim=v["latent_dim"], vector_input=True, seed=v["seed"]
-    )
     data = {k: v[k] for k in (*_SYNTH_TASK_KEYS, "samples_per_class")}
     data_config = {"data": {"kind": "synthetic", **data}}
-    return _train_common(v, encoder_cfg, registry, val_registry, args.out, data_config)
+    return _train_common(tcfg, encoder_cfg, registry, val_registry, args.out, data_config)
 
 
 def _evaluate(args, v, kind, keys, make_registry):
@@ -328,6 +331,9 @@ def _evaluate(args, v, kind, keys, make_registry):
 def cmd_synth_eval(args):
     v = _merge_config(args)
     _at_least(v, 1, "test_classes", "samples_per_class")
+    if v["test_classes"] is not None and v["test_classes"] < v["max_classes"]:
+        raise ValueError(f"test_classes must be >= max_classes, "
+                         f"got {v['test_classes']} < {v['max_classes']}")
 
     def registry(data):
         synth_cfg = SynthTaskConfig(**{k: data[k] for k in _SYNTH_TASK_KEYS})
@@ -352,15 +358,16 @@ def cmd_train(args):
     for key in ("split_ratio", "val_ratio"):
         if not 0.0 < v[key] < 1.0:
             raise ValueError(f"{key} must be strictly between 0 and 1, got {v[key]}")
+    encoder_cfg = EncoderConfig(embed_dim=v["embed_dim"], seed=v["seed"])
+    tcfg = _train_config(v)
     reg_all, train_words, _ = _word_split(args.manifest, v["split_ratio"], v["seed"])
     core_words, val_words = split_classes(train_words, 1.0 - v["val_ratio"], v["seed"] + 1)
     registry = reg_all.subset(core_words)
     val_registry = reg_all.subset(val_words)
-    encoder_cfg = EncoderConfig(embed_dim=v["embed_dim"], seed=v["seed"])
     data_config = {
         "data": {"kind": "mfcc", "split_ratio": v["split_ratio"], "split_seed": v["seed"]}
     }
-    return _train_common(v, encoder_cfg, registry, val_registry, args.out, data_config)
+    return _train_common(tcfg, encoder_cfg, registry, val_registry, args.out, data_config)
 
 
 def cmd_eval(args):

@@ -156,8 +156,8 @@ def run_protocol(params, prior, registry, cfg):
 
     The registry's files are read, and its clips pooled, once before
     any episode (``encoder_inputs``). With ``cfg.workers > 1``
-    episodes run in worker processes; the model and that registry are
-    sent to each worker once, and each job is a seed.
+    episodes run in worker processes: each worker gets the model, that
+    registry and its share of the episode seeds in one message.
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()

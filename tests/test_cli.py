@@ -300,6 +300,24 @@ def test_synth_eval_rejects_a_zero_count_before_reading_anything(tmp_path, capsy
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+def test_synth_eval_fewer_test_classes_than_max_classes_fails_before_reading(
+    tmp_path, capsys, source
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"test_classes": 10}))
+    test_classes = ["--test-classes", "10"] if source == "flag" else ["--config", str(cfg)]
+    code, _, err = run_cli(
+        capsys, "synth-eval", "--ckpt", str(tmp_path / "missing"), *test_classes,
+        "--max-classes", "50", "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == (
+        "error: test_classes must be >= max_classes, got 10 < 50"
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("cmd", ["train", "eval", "synth-train", "synth-eval"])
 def test_negative_seed_fails_naming_it_before_anything_is_read(tmp_path, capsys, cmd, source):
     cfg = tmp_path / "c.json"
@@ -334,6 +352,21 @@ def test_train_ratio_outside_zero_and_one_fails_before_reading(tmp_path, capsys,
     assert code == 1
     assert err.strip().splitlines()[-1] == f"error: {message}"
     assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--steps", "0"), "steps must be >= 1"),
+    (("--embed-dim", "0"), "embed_dim must be >= 1"),
+    (("--ways", "1"), "an episode needs at least 2 ways"),
+], ids=["steps", "embed-dim", "ways"])
+def test_train_bad_setting_fails_before_the_manifest_is_read(tmp_path, capsys, flags, message):
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(tmp_path / "missing.jsonl"), *flags,
+        "--out", str(tmp_path / "ck"),
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_option_tables_match_the_config_dataclasses():

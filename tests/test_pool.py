@@ -9,7 +9,40 @@ def test_workers_give_the_same_list_in_order():
     jobs = [5, 3, 8, 1, 13, 2, 21]
     serial = pool.spawn_map(operator.sub, (100,), jobs, 1)
     assert serial == [95, 97, 92, 99, 87, 98, 79]
-    assert pool.spawn_map(operator.sub, (100,), jobs, 2) == serial
+    # shares of 4+3 and 3+3+1 jobs, then fewer jobs than workers
+    for workers in (2, 3):
+        assert pool.spawn_map(operator.sub, (100,), jobs, workers) == serial
+    assert pool.spawn_map(operator.sub, (100,), jobs[:2], 3) == serial[:2]
+
+
+def test_a_pool_raises_the_first_failing_jobs_exception():
+    with pytest.raises(ZeroDivisionError):
+        pool.spawn_map(operator.truediv, (6,), [1, 0, 2], 2)
+    # both shares fail; the job first in order names its error
+    with pytest.raises(TypeError, match="'str'"):
+        pool.spawn_map(operator.truediv, (6,), [1, "a", 0], 2)
+
+
+def test_each_worker_gets_its_share_in_one_message(monkeypatch):
+    chunksizes = []
+
+    class Recorder:
+        def __init__(self, workers, mp_context):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            chunksizes.append(chunksize)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Recorder)
+    assert pool.spawn_map(operator.sub, (100,), [5, 3, 8, 1, 13, 2, 21], 3)[-1] == 79
+    assert chunksizes == [3]  # shares of 3, 3 and 1 jobs
 
 
 def test_no_jobs_start_no_pool(monkeypatch):
