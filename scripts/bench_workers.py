@@ -17,8 +17,10 @@ once to warm the file cache, and ``--repeats`` times timed. The settings
 alternate run by run, and their order reverses every repeat, so drift on
 the host reaches them alike. BLAS is either pinned to one thread per
 process, as perfbench pins it, or left at OpenBLAS's default of one
-thread per core, as a user runs it; with two workers the default puts
-two BLAS threads per worker on each core. ``prepare`` starts from an
+thread per core, as a user runs it. Where ``pool.spawn_map`` starts its
+workers with one BLAS thread (``pool.BLAS_VARS``), the default reaches
+only the parent process; where it does not, two workers at the default
+put two BLAS threads per worker on each core. ``prepare`` starts from an
 empty features directory every run. ``synth-eval`` runs the criterion-8
 protocol: 200 test classes, increment 25, 5+5 shots, 10 episodes.
 
@@ -43,12 +45,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 
+from bayescl.pool import BLAS_VARS  # noqa: E402
 from bayescl.protocol import _numpy_build  # noqa: E402
 from perfbench import corpus  # noqa: E402
 
 WORKERS = (1, 2)
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 WORDS, CLIPS_PER_SPLIT = 40, 30
 TRAIN = ["synth-train", "--latent-dim", "16", "--class-sep", "10", "--within-std", "1",
          "--classes", "80", "--val-classes", "20", "--samples-per-class", "20",

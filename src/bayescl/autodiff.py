@@ -8,6 +8,8 @@ plain topological evaluation, one graph per episode.
 Leaves are bound once per graph with ``DiffGraph.input``, and a second
 bind of a name raises ``GraphError``: a leaf used twice (the encoder
 weights in an episode's support and query embeddings) is passed on.
+``DiffGraph._register``, which every op adds its node with, is the one
+place that rejects a parent from another graph; no op checks it again.
 
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
@@ -63,10 +65,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
@@ -76,8 +74,9 @@ class DiffGraph:
     """Append-only tape of primitive applications.
 
     Leaves are bound once: ``input`` raises ``GraphError`` for a name
-    already bound on this graph. Single-threaded by contract; distinct
-    graphs may be used concurrently.
+    already bound on this graph, and ``_register`` for a parent on another
+    graph. Single-threaded by contract; distinct graphs may be used
+    concurrently.
     """
 
     def __init__(self):
@@ -88,6 +87,12 @@ class DiffGraph:
         return len(self._nodes)
 
     def _register(self, data, parents, vjp, op, name=None):
+        for p in parents:
+            if p.graph is not self:
+                raise GraphError(
+                    f"{op}: operands on different graphs "
+                    f"({p.name or p.op!r} lives on a different graph)"
+                )
         data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(data).all():
             raise GraphError(
@@ -238,32 +243,27 @@ def lgamma_value(x):
 def softmax_cross_entropy(logits, labels):
     """Mean negative log softmax probability of ``labels``.
 
-    ``logits`` is (N,) with an int label, or (M, N) with an int vector of
-    length M. Returns a scalar Tensor; backward produces the usual
-    (softmax - onehot) / M pattern.
+    ``logits`` is 2-D only, (M, N), with an int vector of length M. Returns
+    a scalar Tensor; backward produces the usual (softmax - onehot) / M.
     """
     x = logits.data
-    squeeze = x.ndim == 1
-    x2 = x[None, :] if squeeze else x
-    if x2.ndim != 2:
-        raise GraphError("softmax_cross_entropy expects 1-D or 2-D logits")
-    y = np.atleast_1d(np.asarray(labels))
-    if y.shape != (x2.shape[0],):
-        raise GraphError(
-            f"labels shape {y.shape} does not match logits rows {x2.shape[0]}"
-        )
-    if y.dtype.kind not in "iu" or np.any(y < 0) or np.any(y >= x2.shape[1]):
+    if x.ndim != 2:
+        raise GraphError(f"softmax_cross_entropy expects 2-D logits, got shape {x.shape}")
+    y = np.asarray(labels)
+    if y.shape != (x.shape[0],):
+        raise GraphError(f"labels shape {y.shape} does not match logits rows {x.shape[0]}")
+    if y.dtype.kind not in "iu" or np.any(y < 0) or np.any(y >= x.shape[1]):
         raise GraphError("labels must be integer class indices within range")
-    m = x2.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x2 - m).sum(axis=1))
-    rows = np.arange(x2.shape[0])
-    out = np.mean(lse - x2[rows, y])
+    m = x.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    rows = np.arange(x.shape[0])
+    out = np.mean(lse - x[rows, y])
 
     def vjp(g):
-        p = np.exp(x2 - lse[:, None])
+        p = np.exp(x - lse[:, None])
         p[rows, y] -= 1.0
-        p *= float(g) / x2.shape[0]
-        return (p[0] if squeeze else p,)
+        p *= float(g) / x.shape[0]
+        return (p,)
 
     return logits.graph._register(out, (logits,), vjp, "softmax_cross_entropy")
 

@@ -210,15 +210,11 @@ def cmd_prepare(args):
     records = read_manifest(args.manifest)
     root = Path(args.audio_root) if args.audio_root else None
     out_dir = Path(args.features_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     needed = args.shots + args.query_shots
-    by_word = {}
-    for rec in records:
-        by_word.setdefault((rec["word"], rec["split"]), []).append(rec)
     counts = {}
-    for (word, _split), recs in by_word.items():
-        counts[word] = counts.get(word, 0) + len(recs)
+    for rec in records:
+        counts[rec["word"]] = counts.get(rec["word"], 0) + 1
     kept_words = set()
     for word, count in counts.items():
         if count < needed:
@@ -241,7 +237,7 @@ def cmd_prepare(args):
             raise ValueError(f"{sources[dump]} and {src} would both be written to {dump}")
         sources[dump] = str(src)
         entries.append({"word": rec["word"], "path": dump, "split": rec["split"]})
-    for word in kept_words:
+    for word in kept_words:  # the first one makes out_dir
         (out_dir / word).mkdir(parents=True, exist_ok=True)
     # idempotent re-runs reuse the cache
     jobs = [(src, dump) for dump, src in sources.items() if not Path(dump).exists()]

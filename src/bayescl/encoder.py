@@ -88,15 +88,7 @@ def _features_array(x):
 def _bind(params, graph):
     """Bind parameter arrays with ``graph.input``, once per graph; pass
     bound Tensors through."""
-    out = {}
-    for name, arr in params.items():
-        if isinstance(arr, Tensor):
-            if arr.graph is not graph:
-                raise GraphError(f"parameter {name!r} lives on a different graph")
-            out[name] = arr
-        else:
-            out[name] = graph.input(name, arr)
-    return out
+    return {k: v if isinstance(v, Tensor) else graph.input(k, v) for k, v in params.items()}
 
 
 def dense(x, w, b, activate):

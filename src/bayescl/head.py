@@ -174,17 +174,14 @@ def _log_t_const(nu, scale2, d):
 _LOGITS_OP = "student_t_logits"
 
 
-def _domain_error(what):
-    return GraphError(f"{_LOGITS_OP}: {what}")
-
-
 def _student_t_logits(rho, support_z, query_z, n_classes):
     """(M, N) Student-t logits of the queries under N equal-shot classes,
     as one tape node.
 
     ``support_z`` is (N*K, d) with rows grouped by class, ``query_z`` is
-    (M, d) and ``rho`` the bound (rho_alpha, rho_beta) pair, all four on
-    the graph the node joins. The forward repeats, in order, the numpy
+    (M, d) and ``rho`` the bound (rho_alpha, rho_beta) pair; the tape
+    rejects any of the four that lives on another graph than
+    ``support_z``. The forward repeats, in order, the numpy
     operations of the generic-op composition this node replaces (class
     means and variances, alpha = e^rho_alpha + K/2, nu = 2 alpha,
     scale^2 = (e^rho_beta + K/2 var) (K+1)/K / alpha, then the Student-t
@@ -192,14 +189,13 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     adjoint of each of those steps in reverse, and an adjoint with several
     uses accumulates in the order the composition's tape would. So values
     and gradients are the composition's bits; ``tests/test_head.py`` keeps
-    the composition as the oracle. The domain checks of its log,
-    reciprocal and lgamma steps stay, and raise ``GraphError`` naming
-    this op; the tape's finiteness guard covers the logits.
+    the composition as the oracle. Two checks raise ``GraphError`` naming
+    this op: e^rho_alpha overflowing, before the lgamma steps see an
+    infinite alpha, and a non-positive scale^2, which the log would reject
+    (alpha >= 1/2, so every other log, reciprocal and lgamma argument is
+    positive). The tape's finiteness guard covers the logits.
     """
     ra, rb = rho
-    graph = support_z.graph
-    if any(t.graph is not graph for t in (query_z, ra, rb)):
-        raise GraphError(f"{_LOGITS_OP}: support, query and rho are on different graphs")
     S, Q = support_z.data, query_z.data
     (M, d), K = Q.shape, S.shape[0] // n_classes
     if S.shape[1:] != (d,):
@@ -208,8 +204,10 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     pc = S.reshape((n_classes, K, d))
     mu = pc.mean(axis=1)
     var = (pc * pc).mean(axis=1) - mu * mu
-    with np.errstate(over="ignore"):  # overflow ends at the non-finite guard
+    with np.errstate(over="ignore"):  # e^rho_beta overflow ends at the non-finite guard
         ea, eb = np.exp(ra.data), np.exp(rb.data)
+    if not np.isfinite(ea):
+        raise GraphError(f"{_LOGITS_OP}: exp(rho_alpha = {float(ra.data)!r}) overflows")
     alpha = ea + 0.5 * n
     # rounding can leave var a hair negative; beta_0 > 0 keeps beta positive
     bs = (eb + var * (0.5 * n)) * ((n + 1.0) / n)
@@ -217,23 +215,16 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     scale2 = bs * r_alpha
     nu = alpha * 2.0
     half_nu1 = (nu + 1.0) * 0.5
-    half_nu = nu * 0.5
-    if half_nu1 <= 0 or half_nu <= 0:
-        raise _domain_error("non-positive lgamma argument")
     lg1, dg1 = _lgamma_digamma(half_nu1)
-    lg2, dg2 = _lgamma_digamma(half_nu)
+    lg2, dg2 = _lgamma_digamma(nu * 0.5)
     pi_nu = nu * math.pi
-    if pi_nu <= 0:
-        raise _domain_error("non-positive pi * nu")
     if np.any(scale2 <= 0):
-        raise _domain_error("non-positive scale^2")
+        raise GraphError(f"{_LOGITS_OP}: non-positive scale^2")
     shared = (lg1 - lg2) * float(d) - np.log(pi_nu) * (0.5 * d)
     const = shared - np.log(scale2).sum(axis=-1) * 0.5
     dev = Q.reshape((M, 1, d)) - mu
     dev2 = dev * dev
     den = nu * scale2
-    if np.any(den == 0):
-        raise _domain_error("zero nu * scale^2")
     r_den = 1.0 / den
     opq = dev2 * r_den + 1.0
     tail = np.log(opq).sum(axis=-1)
@@ -263,9 +254,7 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
         g_alpha = g_nu * 2.0 + -_unbroadcast(g_scale2 * bs, ()) * r_alpha * r_alpha
         g_bsum = (g_scale2 * r_alpha) * ((n + 1.0) / n)
         g_ra, g_rb = g_alpha * ea, _unbroadcast(g_bsum, ()) * eb
-        g_q = None if query_z.op == "const" else _unbroadcast(g_dev, (M, 1, d)).reshape(Q.shape)
-        if support_z.op == "const":
-            return None, g_q, g_ra, g_rb
+        g_q = _unbroadcast(g_dev, (M, 1, d)).reshape(Q.shape)
         # var = mean(pc * pc) - mu * mu, mu = mean(pc)
         g_var = g_bsum * (0.5 * n)
         c = -g_var * mu
@@ -274,7 +263,7 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
         g_pc = (c + c) + np.expand_dims(g_mu, 1) / K
         return g_pc.reshape(S.shape), g_q, g_ra, g_rb
 
-    return graph._register(logits, (support_z, query_z, ra, rb), vjp, _LOGITS_OP)
+    return support_z.graph._register(logits, (support_z, query_z, ra, rb), vjp, _LOGITS_OP)
 
 
 _BLOCK_ELEMENTS = 2**16  # class_scores buffer per thread: 512 KB of float64
@@ -435,7 +424,7 @@ def load_head(path):
         for i, rec in enumerate(config["classes"]):
             cid, n = rec["id"], rec["n"]
             sum_z, sum_z2 = tensors[f"class.{i}.sum_z"], tensors[f"class.{i}.sum_z2"]
-            if not (isinstance(n, int) and sum_z.ndim == 1 and sum_z2.shape == sum_z.shape):
+            if not (type(n) is int and sum_z.ndim == 1 and sum_z2.shape == sum_z.shape):
                 raise ValueError(f"class {cid!r} has malformed statistics")
             if n < 1:
                 raise ValueError(f"class {cid!r} has no observations")

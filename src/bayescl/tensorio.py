@@ -99,7 +99,7 @@ def _directory_entry(path, entry):
         raise ContainerError(f"{path}: malformed tensor directory entry {entry!r}")
     name, shape, start, nbytes, crc = (entry[k] for k in keys)
     counts = [start, nbytes, crc, *shape] if isinstance(shape, list) else [None]
-    if not isinstance(name, str) or not all(isinstance(v, int) and v >= 0 for v in counts):
+    if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in counts):  # no bool
         raise ContainerError(f"{path}: malformed tensor directory entry {entry!r}")
     if 8 * math.prod(shape) != nbytes:
         raise ContainerError(

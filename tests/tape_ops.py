@@ -108,11 +108,7 @@ def grad_check(builder, point, step=1e-5):
 
 
 def _lift(x, graph):
-    if isinstance(x, Tensor):
-        if x.graph is not graph:
-            raise GraphError("operands belong to different graphs")
-        return x
-    return graph.constant(x)
+    return x if isinstance(x, Tensor) else graph.constant(x)
 
 
 def _pair(a, b):
@@ -313,10 +309,6 @@ def concat(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise GraphError("concat of zero tensors")
-    graph = tensors[0].graph
-    for t in tensors:
-        if t.graph is not graph:
-            raise GraphError("concat operands belong to different graphs")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -324,7 +316,7 @@ def concat(tensors, axis=0):
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return graph._register(out, tuple(tensors), vjp, "concat")
+    return tensors[0].graph._register(out, tuple(tensors), vjp, "concat")
 
 
 def mean_reduce(x, axis=None):
@@ -355,16 +347,12 @@ def stack(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise GraphError("stack of zero tensors")
-    graph = tensors[0].graph
-    for t in tensors:
-        if t.graph is not graph:
-            raise GraphError("stack operands belong to different graphs")
     out = np.stack([t.data for t in tensors], axis=axis)
 
     def vjp(g):
         return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
-    return graph._register(out, tuple(tensors), vjp, "stack")
+    return tensors[0].graph._register(out, tuple(tensors), vjp, "stack")
 
 
 def transpose(x):

@@ -8,12 +8,38 @@ from hypothesis import strategies as st
 
 import tape_ops as ad
 from bayescl import autodiff
+from bayescl import encoder as E
+from bayescl import head as H
 from bayescl.autodiff import _lgamma_digamma
 
 
 def build_graph(builder, inputs):
     out = ad.forward_eval(builder, inputs)
     return out.graph, out
+
+
+def _episode_loss(t):
+    return H.episode_loss((t["rho_alpha"], t["rho_beta"]), t["support"], t["query"], 2)
+
+
+MIXED_GRAPH_VALUES = {
+    "x": np.ones((2, 3)), "y": np.ones((2, 3)), "w": np.ones((3, 4)), "b": np.zeros(4),
+    "support": np.arange(12.0).reshape(4, 3), "query": np.ones((4, 3)),
+    "rho_alpha": 0.0, "rho_beta": 0.0,
+}
+# case -> (build from the bound tensors, the one bound on another graph,
+# the operand the error names)
+MIXED_GRAPH_CASES = {
+    "dense weight": (lambda t: E.dense(t["x"], t["w"], t["b"], True), "w", "w"),
+    "dense bias": (lambda t: E.dense(t["x"], t["w"], t["b"], True), "b", "b"),
+    # the node joins the support's graph, so the query is the stranger
+    "episode_loss support": (_episode_loss, "support", "query"),
+    "episode_loss query": (_episode_loss, "query", "query"),
+    "episode_loss rho": (_episode_loss, "rho_alpha", "rho_alpha"),
+    "add": (lambda t: ad.add(t["x"], t["y"]), "y", "y"),
+    "concat": (lambda t: ad.concat([t["x"], t["y"]]), "y", "y"),
+    "stack": (lambda t: ad.stack([t["x"], t["y"]]), "y", "y"),
+}
 
 
 class TestForward:
@@ -50,6 +76,24 @@ class TestForward:
         with pytest.raises(ad.GraphError, match="different graphs"):
             ad.add(a, b)
 
+    @pytest.mark.parametrize("case", MIXED_GRAPH_CASES)
+    def test_every_joining_op_rejects_mixed_graphs(self, case):
+        # one operand bound on another graph; _register names the one that
+        # is not on the node's graph (the first operand's) and adds no node
+        build, stray, named = MIXED_GRAPH_CASES[case]
+        g, other = ad.DiffGraph(), ad.DiffGraph()
+        values = MIXED_GRAPH_VALUES
+        t = {name: (other if name == stray else g).input(name, v) for name, v in values.items()}
+        with pytest.raises(
+            ad.GraphError, match=rf"different graphs \('{named}' lives on a different graph\)$"
+        ):
+            build(t)
+        assert (len(g), len(other)) == (len(values) - 1, 1)
+
+    def test_one_dimensional_logits_rejected(self):
+        g = ad.DiffGraph()
+        with pytest.raises(ad.GraphError, match="expects 2-D logits"):
+            ad.softmax_cross_entropy(g.input("x", np.zeros(3)), np.array([1]))
 
     def test_binding_a_name_twice_rejected(self):
         g = ad.DiffGraph()

@@ -1,0 +1,53 @@
+"""The harnesses behind the committed ``BENCH_*.json`` rows
+(``scripts/bench_workers.py``, ``scripts/bench_class_scores.py``) reach
+into the package by name and by CLI flag. A refactor that drops one fails
+the harness only when someone reruns it, so each is checked here, without
+timing anything."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from bayescl.cli import build_parser
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # fails if a name it imports is gone
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench_workers():
+    return load_script("bench_workers")
+
+
+@pytest.fixture(scope="module")
+def bench_class_scores():
+    return load_script("bench_class_scores")
+
+
+def test_bench_workers_reaches_existing_names(bench_workers):
+    assert callable(bench_workers._numpy_build)  # protocol._numpy_build
+    assert callable(bench_workers.corpus.write_corpus)
+    assert len(bench_workers.BLAS_VARS) == 5  # pool.BLAS_VARS
+
+
+def test_bench_class_scores_reaches_existing_names(bench_class_scores):
+    H = bench_class_scores.H
+    assert "_THREADS" in vars(H)  # the thread count it sets per setting
+    assert callable(H.scoring_threads) and callable(H.class_scores)
+    assert callable(bench_class_scores._numpy_build)
+
+
+def test_bench_workers_flags_parse(bench_workers):
+    parser = build_parser()
+    parser.parse_args([*bench_workers.TRAIN, "--out", "m.ckpt"])
+    parser.parse_args(["synth-eval", "--ckpt", "m.ckpt", "--out", "r", "--workers", "2",
+                       *bench_workers.PROTOCOL])
+    parser.parse_args(["prepare", "--manifest", "m.jsonl", "--audio-root", "w",
+                       "--features-dir", "f", "--workers", "2"])

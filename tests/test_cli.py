@@ -525,6 +525,23 @@ def test_prepare_rejects_clips_that_would_share_a_dump(tmp_path, capsys):
     assert not list(feat.rglob("*.mfcc"))
 
 
+def test_prepare_with_no_word_kept_creates_no_features_dir(tmp_path, capsys, wav_dataset):
+    root, manifest = wav_dataset
+    feat = tmp_path / "features"
+    code, _, err = run_cli(
+        capsys,
+        "prepare", "--manifest", str(manifest), "--audio-root", str(root),
+        "--features-dir", str(feat), "--shots", "5", "--query-shots", "5",
+    )
+    assert code == 1
+    lines = err.strip().splitlines()
+    # one rejection per word, in manifest order, then the error
+    assert lines[:-1] == [f"rejecting word {w!r}: {n} samples < 10 required"
+                          for w, n in [*((f"tone{i}", 8) for i in range(8)), ("rare", 3)]]
+    assert lines[-1] == "error: no word has enough samples for the requested shots"
+    assert not feat.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--shots", "-5"), ("--query-shots", "0"), ("--workers", "0"),
 ])

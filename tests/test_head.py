@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -764,6 +765,17 @@ class TestFusedLogits:
             _loss_and_grads(_tape_episode_loss, prior, support, np.ones((3, 3)), 3)
         with pytest.raises(ad.GraphError, match=r"^student_t_logits: non-positive scale\^2$"):
             _loss_and_grads(H.episode_loss, prior, support, np.ones((3, 3)), 3)
+
+    def test_overflowing_rho_alpha_fails_before_the_lgamma_steps(self):
+        # e^1000 overflows; an infinite alpha would reach the Lanczos series
+        # and fail there as a bare RuntimeWarning under -W error
+        support, query = _episode(3, 2, 6, 5, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ad.GraphError, match=r"^student_t_logits: exp\(rho_alpha = 1000\.0\) overflows$"
+            ):
+                _loss_and_grads(H.episode_loss, H.PriorParams(1000.0, 0.0), support, query, 3)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ad.GraphError, match="differ in width"):

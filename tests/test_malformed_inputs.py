@@ -5,7 +5,11 @@ the file; any other exception is a reader bug.
 """
 
 import io
+import json
+import re
+import struct
 import wave
+import zlib
 
 import numpy as np
 import pytest
@@ -102,3 +106,25 @@ def test_mutated_file_raises_only_the_typed_error_naming_it(fmt, tmp_path_factor
             assert str(path) in str(exc)
 
     check()
+
+
+def test_a_bool_is_never_a_count_in_a_head_snapshot(tmp_path):
+    path = tmp_path / "head.bin"
+    config = {
+        "kind": "head-snapshot",
+        "prior": {"rho_alpha": 0.0, "rho_beta": 0.0},
+        "classes": [{"id": "a", "n": True}],
+    }
+    write_tensors(path, config, {"class.0.sum_z": np.ones(3), "class.0.sum_z2": np.ones(3)})
+    with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: malformed head snapshot"):
+        H.load_head(path)
+
+
+def test_a_bool_is_never_a_count_in_a_tensor_directory(tmp_path):
+    path = tmp_path / "t.bin"
+    raw = np.ones(1).astype("<f8").tobytes()
+    entry = {"name": "t", "shape": [True], "offset": 0, "nbytes": 8, "crc32": zlib.crc32(raw)}
+    header = json.dumps({"config": {}, "tensors": [entry]}).encode("ascii")
+    path.write_bytes(b"BCLT" + struct.pack("<II", 1, len(header)) + header + raw)
+    with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: malformed tensor directory"):
+        read_tensors(path)

@@ -1,4 +1,5 @@
 import operator
+import os
 
 import pytest
 
@@ -59,3 +60,14 @@ def test_fewer_than_one_worker_rejected(workers):
         pool.spawn_map(operator.sub, (100,), [1, 2], workers)
     with pytest.raises(ValueError, match="workers"):
         pool.spawn_map(operator.sub, (100,), [], workers)
+
+
+def test_workers_start_with_one_blas_thread_and_the_environment_is_restored(monkeypatch):
+    # one variable set to another count, the rest unset, as a user may have them
+    first, *rest = pool.BLAS_VARS
+    monkeypatch.setenv(first, "4")
+    for name in rest:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert pool.spawn_map(os.getenv, (), list(pool.BLAS_VARS), 2) == ["1"] * len(pool.BLAS_VARS)
+    assert dict(os.environ) == before
