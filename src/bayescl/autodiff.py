@@ -9,7 +9,8 @@ Leaves are bound once per graph with ``DiffGraph.input``, and a second
 bind of a name raises ``GraphError``: a leaf used twice (the encoder
 weights in an episode's support and query embeddings) is passed on.
 ``DiffGraph._register``, which every op adds its node with, is the one
-place that rejects a parent from another graph; no op checks it again.
+place that rejects a parent that is not a Tensor or lives on another
+graph, naming the op; no op checks it again.
 
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
@@ -22,12 +23,10 @@ in ``tests/test_encoder.py`` and ``tests/test_head.py`` as the oracles.
 Every node, fused or not, passes the same finiteness guard.
 
 This module holds only what a program runs: the tape, the loss
-(``softmax_cross_entropy``), the ``rows`` and ``reshape`` that
-``encoder.embed`` takes a single embedding with, and ``lgamma_value``.
-The generic ops the oracles are built from (``add``, ``mul``,
-``matmul``, ``exp``, ``log`` and the rest, with ``forward_eval`` and
-``grad_check``) live in ``tests/tape_ops.py``, beside the oracles that
-use them.
+(``softmax_cross_entropy``) and ``lgamma_value``. The generic ops the
+oracles are built from (``add``, ``mul``, ``matmul``, ``reshape`` and the
+rest, with ``forward_eval`` and ``grad_check``) live in
+``tests/tape_ops.py``, beside the oracles that use them.
 """
 
 import numpy as np
@@ -38,8 +37,6 @@ __all__ = [
     "DiffGraph",
     "lgamma_value",
     "softmax_cross_entropy",
-    "rows",
-    "reshape",
 ]
 
 
@@ -74,9 +71,9 @@ class DiffGraph:
     """Append-only tape of primitive applications.
 
     Leaves are bound once: ``input`` raises ``GraphError`` for a name
-    already bound on this graph, and ``_register`` for a parent on another
-    graph. Single-threaded by contract; distinct graphs may be used
-    concurrently.
+    already bound on this graph, and ``_register`` for a parent that is
+    not a Tensor or lives on another graph. Single-threaded by contract;
+    distinct graphs may be used concurrently.
     """
 
     def __init__(self):
@@ -88,6 +85,8 @@ class DiffGraph:
 
     def _register(self, data, parents, vjp, op, name=None):
         for p in parents:
+            if not isinstance(p, Tensor):
+                raise GraphError(f"{op}: operand of type {type(p).__name__} is not a Tensor")
             if p.graph is not self:
                 raise GraphError(
                     f"{op}: operands on different graphs "
@@ -157,7 +156,7 @@ class DiffGraph:
                         f"{parent.data.shape} at node {node.index} ({node.op})"
                     )
                 # never in place: an op may hand the same array (or a view
-                # of it) to several parents, as reshape and add do
+                # of it) to several parents, as the generic add does
                 a = adjoints[parent.index]
                 adjoints[parent.index] = pg if a is None else a + pg
         grads = {}
@@ -237,7 +236,7 @@ def lgamma_value(x):
 
 
 # ---------------------------------------------------------------------------
-# the loss and row structure
+# the loss
 
 
 def softmax_cross_entropy(logits, labels):
@@ -267,27 +266,3 @@ def softmax_cross_entropy(logits, labels):
 
     return logits.graph._register(out, (logits,), vjp, "softmax_cross_entropy")
 
-
-def rows(x, start, stop):
-    """Contiguous row slice x[start:stop] along axis 0."""
-    if not (0 <= start < stop <= x.data.shape[0]):
-        raise GraphError(
-            f"rows: slice [{start}:{stop}] out of range for {x.data.shape[0]} rows"
-        )
-    out = x.data[start:stop]
-
-    def vjp(g):
-        grad = np.zeros_like(x.data)
-        grad[start:stop] = g
-        return (grad,)
-
-    return x.graph._register(out, (x,), vjp, "rows")
-
-
-def reshape(x, shape):
-    out = x.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(x.data.shape),)
-
-    return x.graph._register(out, (x,), vjp, "reshape")

@@ -237,11 +237,21 @@ def cmd_prepare(args):
             raise ValueError(f"{sources[dump]} and {src} would both be written to {dump}")
         sources[dump] = str(src)
         entries.append({"word": rec["word"], "path": dump, "split": rec["split"]})
-    for word in kept_words:  # the first one makes out_dir
-        (out_dir / word).mkdir(parents=True, exist_ok=True)
-    # idempotent re-runs reuse the cache
+    # re-runs reuse the cache; a failed run removes the dumps and directories it made
     jobs = [(src, dump) for dump, src in sources.items() if not Path(dump).exists()]
-    spawn_map(_extract_one, (audio.mfcc_matrices(),), jobs, args.workers)
+    made = []
+    try:
+        for d in (*reversed(out_dir.parents), out_dir, *(out_dir / w for w in kept_words)):
+            if not d.exists():
+                d.mkdir()
+                made.append(d)
+        spawn_map(_extract_one, (audio.mfcc_matrices(),), jobs, args.workers)
+    except BaseException:
+        for _, dump in jobs:
+            Path(dump).unlink(missing_ok=True)
+        for d in reversed(made):
+            d.rmdir()
+        raise
 
     manifest_out = out_dir / "features.jsonl"
     with open(manifest_out, "w", encoding="utf-8") as fh:

@@ -1,19 +1,23 @@
-"""The differentiable encoder mapping a feature matrix to an embedding vector.
+"""The differentiable encoder mapping a clip's pooled features to an embedding vector.
 
 One architecture, ``stats-mlp``: per-coefficient mean and standard
 deviation over frames (a 2F statistics vector), then an MLP. It is
 invariant to frame order, and the pooling does not depend on the
-weights, so it runs off the tape (``pool_frames``).
+weights, so it runs once per clip, off the tape, in ``pool_frames``.
+Plain feature vectors (synthetic tasks, ``vector_input``) pass through
+it and feed the MLP directly.
 
-Inputs may also be plain feature vectors (synthetic tasks,
-``vector_input``); those feed the MLP directly.
+``embed_batch`` reads one input form: the (width,) rows ``pool_frames``
+returns and weights already bound on its graph with ``DiffGraph.input``.
+A frame matrix among the rows, or a raw weight array, raises
+``GraphError``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffGraph, GraphError, Tensor, _unbroadcast, reshape, rows
+from .autodiff import DiffGraph, GraphError, _unbroadcast
 
 
 @dataclass
@@ -81,16 +85,6 @@ def init_params(config):
     return params
 
 
-def _features_array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-def _bind(params, graph):
-    """Bind parameter arrays with ``graph.input``, once per graph; pass
-    bound Tensors through."""
-    return {k: v if isinstance(v, Tensor) else graph.input(k, v) for k, v in params.items()}
-
-
 def dense(x, w, b, activate):
     """One MLP layer, ``softplus(x @ w + b)`` or with ``activate`` false
     ``x @ w + b``, as one tape node.
@@ -140,22 +134,19 @@ def _frame_stats(a):
     return np.concatenate([m, np.sqrt((dev * dev).mean(axis=0))])
 
 
-def _check_frames(a):
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
-
-
 def pool_frames(features):
     """``features`` with each frame matrix pooled to its (2F,) statistics;
     vectors pass through.
 
     The pooling does not depend on the weights, so a clip pooled once embeds
-    to the same bytes as its frames, however often it is embedded.
+    to the same bytes however often it is embedded.
     """
     out = []
-    for a in map(_features_array, features):
+    for a in features:
+        a = np.asarray(a, dtype=np.float64)
         if a.ndim != 1:
-            _check_frames(a)
+            if a.ndim != 2 or a.shape[0] < 1:
+                raise GraphError(f"expected a (frames, coeffs) matrix, got shape {a.shape}")
             a = _frame_stats(a)
         out.append(a)
     return out
@@ -168,48 +159,44 @@ def _n_layers(params):
     return n
 
 
-def embed_batch(features, params, graph):
-    """Embed a list of feature matrices/vectors; returns a (B, d) Tensor.
+def embed_batch(rows, bound, graph):
+    """Embed pooled rows; returns a (B, d) Tensor on ``graph``.
 
-    Row i equals ``embed(features[i])``: frame matrices are pooled per
-    sample off the tape (``pool_frames``), and the pooled or vector rows
-    enter the graph as one (B, width) constant for a single MLP pass.
+    ``rows`` are (in_dim,) arrays, as ``pool_frames`` returns them, and
+    ``bound`` maps each ``mlp.{i}.w`` and ``mlp.{i}.b`` to a Tensor bound
+    on ``graph``. The rows enter the graph as one (B, in_dim) constant
+    for a single MLP pass. A row of any other shape raises ``GraphError``
+    naming the shapes and the input dimension; a weight that is not a
+    Tensor on ``graph`` fails in the tape (``DiffGraph._register``).
     """
-    if not features:
+    if not rows:
         raise ValueError("embed_batch of an empty list")
-    bound = _bind(params, graph)
-    n_layers = _n_layers(params)
-    in_dim = params["mlp.0.w"].shape[0]
-    arrays = [_features_array(x) for x in features]
-
-    if not all(a.ndim == 1 for a in arrays):
-        for a in arrays:
-            _check_frames(a)
-        arrays = pool_frames(arrays)
-
-    widths = {a.shape[0] for a in arrays}
-    if widths != {in_dim}:
+    in_dim = bound["mlp.0.w"].shape[0]
+    shapes = {np.shape(r) for r in rows}
+    if shapes != {(in_dim,)}:
         raise GraphError(
-            f"vector or pooled inputs of width {sorted(widths)} do not match "
-            f"encoder input dimension {in_dim}"
+            f"rows of shape {sorted(shapes)} do not match encoder input dimension {in_dim}"
         )
-    return _mlp(graph.constant(np.stack(arrays)), bound, n_layers)
+    return _mlp(graph.constant(np.stack(rows)), bound, _n_layers(bound))
 
 
-def embed(features, params, graph):
-    """Embed one clip (or vector); returns a (d,) Tensor on ``graph``."""
-    out = embed_batch([features], params, graph)
-    return reshape(rows(out, 0, 1), (out.shape[1],))
+def embed(features, bound, graph):
+    """One clip's frame matrix (or one vector), pooled and embedded with
+    weights bound on ``graph``: a (1, d) Tensor. No program calls it;
+    ``perfbench/tracer.py`` wraps it by name."""
+    return embed_batch(pool_frames([features]), bound, graph)
 
 
-def embed_batch_values(features, params):
-    """Plain-ndarray embeddings via a throwaway graph (evaluation path).
+def embed_batch_values(rows, params):
+    """Plain-ndarray embeddings of pooled ``rows`` via a throwaway graph
+    (evaluation path), which binds the weight arrays ``params`` once.
 
     The graph is released before returning, so its intermediates are
     freed at once instead of waiting for the cyclic garbage collector.
     """
     graph = DiffGraph()
     try:
-        return embed_batch(features, params, graph).data
+        bound = {k: graph.input(k, v) for k, v in params.items()}
+        return embed_batch(rows, bound, graph).data
     finally:
         graph.release()

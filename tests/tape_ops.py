@@ -50,6 +50,7 @@ __all__ = [
     "softmax",
     "stack",
     "transpose",
+    "reshape",
     "concat",
 ]
 
@@ -364,3 +365,12 @@ def transpose(x):
         return (g.T.copy(),)
 
     return x.graph._register(out, (x,), vjp, "transpose")
+
+
+def reshape(x, shape):
+    out = x.data.reshape(shape)
+
+    def vjp(g):
+        return (g.reshape(x.data.shape),)
+
+    return x.graph._register(out, (x,), vjp, "reshape")

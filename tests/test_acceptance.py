@@ -204,8 +204,9 @@ def test_criterion_05_gradient_suite():
         rng = np.random.default_rng(seed)
         cfg = E.EncoderConfig(embed_dim=7, hidden_dims=(10, 9), feature_dim=6, seed=seed)
         params = E.init_params(cfg)
-        sup_x = [rng.normal(size=(5, 6)) for _ in range(n_ways * k)]
-        qry_x = [rng.normal(size=(4, 6)) for _ in range(n_ways * q)]
+        # pooled off the tape, once per clip, as training does
+        sup_x = E.pool_frames([rng.normal(size=(5, 6)) for _ in range(n_ways * k)])
+        qry_x = E.pool_frames([rng.normal(size=(4, 6)) for _ in range(n_ways * q)])
         point = dict(params)
         point["rho_alpha"] = np.asarray(rng.normal() * 0.3)
         point["rho_beta"] = np.asarray(rng.normal() * 0.3)

@@ -232,6 +232,10 @@ def _probe(g, t_out, key="__probe"):
     return ad.sum_reduce(ad.mul(t_out, w))
 
 
+def _dense_point(r):
+    return {"x": r.normal(size=(4, 3)), "w": r.normal(size=(3, 5)), "b": r.normal(size=5)}
+
+
 PRIMITIVE_CASES = {
     "add": (lambda g, t: _probe(g, ad.add(t["a"], t["b"])), lambda r: {"a": r.normal(size=(3, 2)), "b": r.normal(size=(3, 2))}),
     "sub": (lambda g, t: _probe(g, ad.sub(t["a"], t["b"])), lambda r: {"a": r.normal(size=4), "b": r.normal(size=4)}),
@@ -254,9 +258,20 @@ PRIMITIVE_CASES = {
     "lgamma": (lambda g, t: _probe(g, ad.lgamma(t["x"])), lambda r: {"x": r.uniform(0.6, 8.0, size=5)}),
     "stack": (lambda g, t: _probe(g, ad.stack([t["a"], t["b"]], axis=1)), lambda r: {"a": r.normal(size=3), "b": r.normal(size=3)}),
     "concat": (lambda g, t: _probe(g, ad.concat([t["a"], t["b"]])), lambda r: {"a": r.normal(size=3), "b": r.normal(size=2)}),
-    "rows": (lambda g, t: _probe(g, ad.rows(t["x"], 1, 3)), lambda r: {"x": r.normal(size=(4, 2))}),
     "transpose": (lambda g, t: _probe(g, ad.transpose(t["x"])), lambda r: {"x": r.normal(size=(2, 3))}),
     "reshape": (lambda g, t: _probe(g, ad.reshape(t["x"], (6,))), lambda r: {"x": r.normal(size=(2, 3))}),
+    # the fused nodes a program runs
+    "dense": (lambda g, t: _probe(g, E.dense(t["x"], t["w"], t["b"], True)), _dense_point),
+    "dense_linear": (lambda g, t: _probe(g, E.dense(t["x"], t["w"], t["b"], False)), _dense_point),
+    "student_t_logits": (
+        lambda g, t: _probe(
+            g, H._student_t_logits((t["rho_alpha"], t["rho_beta"]), t["support"], t["query"], 3)
+        ),
+        lambda r: {
+            "support": r.normal(size=(6, 4)), "query": r.normal(size=(5, 4)),
+            "rho_alpha": r.normal(scale=0.3), "rho_beta": r.normal(scale=0.3),
+        },
+    ),
 }
 
 
@@ -371,7 +386,7 @@ def fan_out_loss(g, t):
     q = ad.add(t["b"], 1.0)
     d = ad.mul(p, q)
     c = ad.add(p, q)
-    r = ad.reshape(ad.reshape(c, (4, 3)), (3, 4))
+    r = ad.transpose(ad.transpose(c))
     loss = ad.sum_reduce(ad.mul(r, g.constant(np.arange(12.0).reshape(3, 4))))
     return ad.add(ad.add(loss, ad.sum_reduce(d)), ad.sum_reduce(t["a"]))
 

@@ -542,6 +542,54 @@ def test_prepare_with_no_word_kept_creates_no_features_dir(tmp_path, capsys, wav
     assert not feat.exists()
 
 
+def tree(path):
+    """Every directory and file under ``path``: relative path -> bytes (None for a directory)."""
+    return {
+        str(p.relative_to(path)): None if p.is_dir() else p.read_bytes() for p in path.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_prepare_removes_the_directories_it_made(tmp_path, capsys, workers):
+    # 50 clips over 5 words, none of them on disk
+    rows = [{"word": f"w{i}", "path": f"w{i}/{j}.wav", "split": "train"}
+            for i in range(5) for j in range(10)]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, _, err = run_cli(
+        capsys, "prepare", "--manifest", str(manifest), "--audio-root", str(tmp_path / "audio"),
+        "--features-dir", str(tmp_path / "out" / "features"), "--workers", workers,
+    )
+    assert code == 1
+    missing = tmp_path / "audio" / "w0" / "0.wav"
+    assert err.strip().splitlines()[-1] == f"error: [Errno 2] No such file or directory: '{missing}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_prepare_keeps_what_an_earlier_run_made(tmp_path, capsys, wav_dataset, workers):
+    root, manifest = wav_dataset
+    feat = tmp_path / "features"
+    argv = ["prepare", "--audio-root", str(root), "--features-dir", str(feat),
+            "--shots", "3", "--query-shots", "2", "--workers", workers]
+    code, _, err = run_cli(capsys, *argv, "--manifest", str(manifest))
+    assert code == 0, err
+    before = tree(feat)
+    # five more clips for a prepared word and for a new one: the first is
+    # extracted, the other four are not on disk
+    make_tone_wav(tmp_path / "new.wav", 700.0)
+    extra = [(word, str(tmp_path / name)) for word in ("tone0", "ghost")
+             for name in ("new.wav", "a.wav", "b.wav", "c.wav", "d.wav")]
+    grown = tmp_path / "grown.jsonl"
+    grown.write_text(manifest.read_text() + "".join(
+        json.dumps({"word": word, "path": path, "split": "train"}) + "\n" for word, path in extra
+    ))
+    code, _, err = run_cli(capsys, *argv, "--manifest", str(grown))
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith("error: [Errno 2] No such file or directory")
+    assert tree(feat) == before
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--shots", "-5"), ("--query-shots", "0"), ("--workers", "0"),
 ])

@@ -13,6 +13,23 @@ def fresh_graph():
     return ad.DiffGraph()
 
 
+def bind(params, graph):
+    """The weight arrays ``params`` bound on ``graph``, once each."""
+    return {name: graph.input(name, p) for name, p in params.items()}
+
+
+def embed_frames(features, params, graph):
+    """``embed_batch`` of frame matrices (or vectors) and weight arrays:
+    pooled with ``pool_frames``, then bound on ``graph``."""
+    return E.embed_batch(E.pool_frames(features), bind(params, graph), graph)
+
+
+def embed_one(features, params):
+    """``embed`` of one clip on a fresh graph that binds ``params``."""
+    graph = fresh_graph()
+    return E.embed(features, bind(params, graph), graph)
+
+
 class TestConfig:
     def test_rejects_unknown_architecture(self):
         d = E.EncoderConfig().to_dict()
@@ -70,8 +87,8 @@ class TestEmbed:
     def test_output_shape_for_various_frame_counts(self):
         params = E.init_params(self.CFG)
         for t in (1, 2, 17):
-            out = E.embed(np.random.default_rng(t).normal(size=(t, 4)), params, fresh_graph())
-            assert out.shape == (6,)
+            out = embed_one(np.random.default_rng(t).normal(size=(t, 4)), params)
+            assert out.shape == (1, 6)
 
     def test_single_frame_std_half_is_zero(self):
         mat = np.array([[1.0, -2.0, 3.0, 0.5]])
@@ -85,17 +102,17 @@ class TestEmbed:
         rng = np.random.default_rng(5)
         frames = rng.integers(-8, 8, size=(12, 4)).astype(np.float64)
         params = E.init_params(self.CFG)
-        a = E.embed(frames, params, fresh_graph()).data
-        b = E.embed(frames[rng.permutation(12)], params, fresh_graph()).data
+        a = embed_one(frames, params).data
+        b = embed_one(frames[rng.permutation(12)], params).data
         assert a.tobytes() == b.tobytes()
 
     def test_batch_of_one_equals_single_embed(self):
         rng = np.random.default_rng(6)
         params = E.init_params(self.CFG)
         m = rng.normal(size=(5, 4))
-        batch = E.embed_batch([m], params, fresh_graph()).data
-        single = E.embed(m, params, fresh_graph()).data
-        assert batch[0].tobytes() == single.tobytes()
+        batch = embed_frames([m], params, fresh_graph()).data
+        single = embed_one(m, params).data
+        assert batch.tobytes() == single.tobytes()
 
     def test_embed_batch_rows_match_single_embeds(self):
         # BLAS blocking may differ per batch size, so rows of a larger
@@ -103,16 +120,16 @@ class TestEmbed:
         rng = np.random.default_rng(6)
         params = E.init_params(self.CFG)
         mats = [rng.normal(size=(t, 4)) for t in (3, 5, 2)]
-        batch = E.embed_batch(mats, params, fresh_graph()).data
+        batch = embed_frames(mats, params, fresh_graph()).data
         for i, m in enumerate(mats):
-            single = E.embed(m, params, fresh_graph()).data
-            np.testing.assert_allclose(batch[i], single, rtol=1e-14, atol=1e-15)
+            single = embed_one(m, params).data
+            np.testing.assert_allclose(batch[i], single[0], rtol=1e-14, atol=1e-15)
 
     def test_duplicated_inputs_give_duplicated_rows(self):
         rng = np.random.default_rng(7)
         params = E.init_params(self.CFG)
         m = rng.normal(size=(4, 4))
-        batch = E.embed_batch([m, m], params, fresh_graph()).data
+        batch = embed_frames([m, m], params, fresh_graph()).data
         assert batch[0].tobytes() == batch[1].tobytes()
 
     def test_full_support_batch_shape(self):
@@ -121,30 +138,48 @@ class TestEmbed:
         cfg = E.EncoderConfig(embed_dim=16, hidden_dims=(16,), feature_dim=13, seed=2)
         params = E.init_params(cfg)
         mats = [rng.normal(size=(6, 13)) for _ in range(125)]
-        out = E.embed_batch(mats, params, fresh_graph())
+        out = embed_frames(mats, params, fresh_graph())
         assert out.shape == (125, 16)
 
     def test_vector_inputs_use_direct_path(self):
         cfg = E.EncoderConfig(embed_dim=5, hidden_dims=(6,), feature_dim=3, vector_input=True, seed=3)
         params = E.init_params(cfg)
         vecs = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -1.0, 0.5])]
-        out = E.embed_batch(vecs, params, fresh_graph())
+        out = embed_frames(vecs, params, fresh_graph())
         assert out.shape == (2, 5)
 
     def test_width_mismatch_rejected(self):
         params = E.init_params(self.CFG)
         with pytest.raises(ad.GraphError, match="input dimension"):
-            E.embed(np.ones((3, 9)), params, fresh_graph())
+            embed_one(np.ones((3, 9)), params)
+
+    def test_frame_matrix_row_rejected(self):
+        # embed_batch reads pooled rows only; frames are pooled by pool_frames
+        graph = fresh_graph()
+        bound = bind(E.init_params(self.CFG), graph)
+        with pytest.raises(
+            ad.GraphError,
+            match=r"^rows of shape \[\(3, 4\), \(8,\)\] do not match encoder input dimension 8$",
+        ):
+            E.embed_batch([np.ones(8), np.ones((3, 4))], bound, graph)
+
+    def test_raw_weight_arrays_rejected(self):
+        # weights are bound once per graph by the caller, never by embed_batch
+        params = E.init_params(self.CFG)
+        graph = fresh_graph()
+        with pytest.raises(ad.GraphError, match=r"^dense: operand of type ndarray is not a Tensor$"):
+            E.embed_batch([np.ones(8)], params, graph)
+        assert [t.op for t in graph._nodes] == ["const"]
 
     def test_empty_batch_rejected(self):
-        params = E.init_params(self.CFG)
+        graph = fresh_graph()
         with pytest.raises(ValueError, match="empty"):
-            E.embed_batch([], params, fresh_graph())
+            E.embed_batch([], bind(E.init_params(self.CFG), graph), graph)
 
     def test_embeddings_finite_for_finite_inputs(self):
         rng = np.random.default_rng(9)
         params = E.init_params(self.CFG)
-        out = E.embed(rng.normal(scale=50.0, size=(20, 4)), params, fresh_graph())
+        out = embed_one(rng.normal(scale=50.0, size=(20, 4)), params)
         assert np.all(np.isfinite(out.data))
 
     def test_embed_batch_values_frees_its_graph_without_the_collector(self, monkeypatch):
@@ -158,10 +193,10 @@ class TestEmbed:
         monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
         rng = np.random.default_rng(11)
         params = E.init_params(self.CFG)
-        mats = [rng.normal(size=(6, 4)) for _ in range(3)]
+        rows = E.pool_frames([rng.normal(size=(6, 4)) for _ in range(3)])
         gc.disable()
         try:
-            out = E.embed_batch_values(mats, params)
+            out = E.embed_batch_values(rows, params)
             assert len(graphs) == 1
             assert graphs[0]() is None
         finally:
@@ -171,7 +206,7 @@ class TestEmbed:
 
 def graph_pooled_embed_batch(mats, params, graph):
     """Reference stats-mlp batch: each clip pooled on the tape, then stacked."""
-    bound = E._bind(params, graph)
+    bound = bind(params, graph)
     pooled = []
     for a in mats:
         mat = graph.constant(a)
@@ -198,7 +233,7 @@ class TestPoolingOffTape:
         params = E.init_params(self.CFG)
         mats = [rng.normal(scale=4.0, size=(t, 13)) for t in frames]
         w = rng.normal(size=(len(mats), self.CFG.embed_dim))
-        out, grads, _ = embed_and_grads(E.embed_batch, mats, params, w)
+        out, grads, _ = embed_and_grads(embed_frames, mats, params, w)
         ref, ref_grads, _ = embed_and_grads(graph_pooled_embed_batch, mats, params, w)
         assert out.tobytes() == ref.tobytes()
         assert grads.keys() == ref_grads.keys() == params.keys()
@@ -211,19 +246,20 @@ class TestPoolingOffTape:
         sizes = []
         for n in (10, 100):
             mats = [rng.normal(size=(int(t), 13)) for t in rng.integers(1, 30, size=n)]
-            sizes.append(embed_and_grads(E.embed_batch, mats, params, np.ones((n, 6)))[2])
+            sizes.append(embed_and_grads(embed_frames, mats, params, np.ones((n, 6)))[2])
         assert sizes[0] == sizes[1]
 
     def test_non_finite_frames_rejected(self):
         params = E.init_params(self.CFG)
         mats = [np.ones((3, 13)), np.full((2, 13), np.nan)]
         with pytest.raises(ad.GraphError, match="non-finite"):
-            E.embed_batch(mats, params, fresh_graph())
+            embed_frames(mats, params, fresh_graph())
 
     def test_vector_among_matrices_rejected(self):
+        # the vector passes pool_frames as it is, 13 wide against the 26 pooled
         params = E.init_params(self.CFG)
-        with pytest.raises(ad.GraphError, match="frames, coeffs"):
-            E.embed_batch([np.ones((3, 13)), np.ones(13)], params, fresh_graph())
+        with pytest.raises(ad.GraphError, match=r"\[\(13,\), \(26,\)\] .* input dimension 26"):
+            embed_frames([np.ones((3, 13)), np.ones(13)], params, fresh_graph())
 
     def test_pooling_once_embeds_like_pooling_per_use(self):
         rng = np.random.default_rng(14)
@@ -232,7 +268,9 @@ class TestPoolingOffTape:
         pooled = E.pool_frames(mats)
         assert [p.shape for p in pooled] == [(26,)] * 7
         w = rng.normal(size=(7, self.CFG.embed_dim))
-        out, grads, _ = embed_and_grads(E.embed_batch, pooled, params, w)
+        out, grads, _ = embed_and_grads(
+            lambda rows, p, graph: E.embed_batch(rows, bind(p, graph), graph), pooled, params, w
+        )
         ref, ref_grads, _ = embed_and_grads(graph_pooled_embed_batch, mats, params, w)
         assert out.tobytes() == ref.tobytes()
         for name in params:
@@ -295,6 +333,7 @@ class TestDense:
         cfg = E.EncoderConfig(embed_dim=16, hidden_dims=(32, 24), feature_dim=13, seed=20)
         params = E.init_params(cfg)
         mats = [rng.normal(scale=4.0, size=(int(t), 13)) for t in rng.integers(1, 30, size=35)]
+        mats = E.pool_frames(mats)
         self.assert_matches_tape_mlp(monkeypatch, mats[:20], mats[20:], params)
 
     def test_vector_input(self, monkeypatch):
@@ -308,9 +347,9 @@ class TestDense:
     def test_second_embed_from_arrays_rebinds_and_fails(self):
         cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)
         params, graph = E.init_params(cfg), fresh_graph()
-        E.embed_batch([np.ones(3)], params, graph)
+        embed_frames([np.ones(3)], params, graph)
         with pytest.raises(ad.GraphError, match="input 'mlp.0.w' already bound"):
-            E.embed_batch([np.ones(3)], params, graph)
+            embed_frames([np.ones(3)], params, graph)
 
     def test_bound_weights_from_another_graph_rejected(self):
         cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8,), feature_dim=3, vector_input=True)
@@ -322,7 +361,7 @@ class TestDense:
     def test_one_node_per_layer(self):
         cfg = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=3, vector_input=True)
         graph = fresh_graph()
-        E.embed_batch([np.ones(3)] * 4, E.init_params(cfg), graph)
+        embed_frames([np.ones(3)] * 4, E.init_params(cfg), graph)
         assert [t.op for t in graph._nodes] == ["input"] * 6 + ["const"] + ["dense"] * 3
 
     def test_infinite_pre_activation_rejected(self):
@@ -333,7 +372,7 @@ class TestDense:
         with np.errstate(over="ignore"), pytest.raises(
             ad.GraphError, match="non-finite value produced by op 'dense'"
         ):
-            E.embed_batch([np.full(2, 1e308)], params, fresh_graph())
+            embed_frames([np.full(2, 1e308)], params, fresh_graph())
 
     def test_shape_mismatch_rejected(self):
         graph = fresh_graph()
@@ -351,12 +390,12 @@ class TestGradients:
         vector_input = inputs == "vector-input"
         cfg = E.EncoderConfig(5, (6,), 4, vector_input, seed=4)
         params = E.init_params(cfg)
-        mats = [rng.normal(size=4 if vector_input else (5, 4)) for _ in range(3)]
+        rows = E.pool_frames([rng.normal(size=4 if vector_input else (5, 4)) for _ in range(3)])
         w = rng.normal(size=(3, 5))
 
         def builder(graph, t):
             enc = {k: t[k] for k in params}
-            out = E.embed_batch(mats, enc, graph)
+            out = E.embed_batch(rows, enc, graph)
             return ad.sum_reduce(ad.mul(out, graph.constant(w)))
 
         assert ad.grad_check(builder, dict(params), step=1e-5) <= 1e-4

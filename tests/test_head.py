@@ -763,7 +763,9 @@ class TestFusedLogits:
         prior = H.PriorParams(0.0, -800.0)
         with pytest.raises(ad.GraphError, match="log: non-positive argument"):
             _loss_and_grads(_tape_episode_loss, prior, support, np.ones((3, 3)), 3)
-        with pytest.raises(ad.GraphError, match=r"^student_t_logits: non-positive scale\^2$"):
+        with pytest.raises(
+            ad.GraphError, match=r"^student_t_logits: scale\^2 below 1e-200 at rho_beta = -800\.0$"
+        ):
             _loss_and_grads(H.episode_loss, prior, support, np.ones((3, 3)), 3)
 
     def test_overflowing_rho_alpha_fails_before_the_lgamma_steps(self):
@@ -773,9 +775,26 @@ class TestFusedLogits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                ad.GraphError, match=r"^student_t_logits: exp\(rho_alpha = 1000\.0\) overflows$"
+                ad.GraphError, match=r"^student_t_logits: alpha above 1e100 at rho_alpha = 1000\.0$"
             ):
                 _loss_and_grads(H.episode_loss, H.PriorParams(1000.0, 0.0), support, query, 3)
+
+    @pytest.mark.parametrize(
+        "rho_alpha, rho_beta",
+        [(355.0, 0.0), (400.0, 0.0), (709.0, 0.0), (0.0, -709.0), (0.0, -720.0), (0.0, -745.0)],
+    )
+    def test_finite_rho_past_the_bounds_fails_in_the_forward(self, rho_alpha, rho_beta):
+        # e^rho_alpha is finite but alpha's Lanczos digamma squares it past
+        # the float64 maximum; or beta_0 = e^rho_beta is positive but so
+        # small that 1 / (nu scale^2) of a zero-variance class overflows
+        support = np.repeat(np.eye(3), 2, axis=0)  # classes of 2 identical shots
+        query = np.random.default_rng(8).normal(scale=3.0, size=(6, 3))
+        prior = H.PriorParams(rho_alpha, rho_beta)
+        bound = r"alpha above 1e100" if rho_alpha else r"scale\^2 below 1e-200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.GraphError, match=rf"^student_t_logits: {bound} at rho_"):
+                _loss_and_grads(H.episode_loss, prior, support, query, 3)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ad.GraphError, match="differ in width"):
@@ -796,8 +815,9 @@ def _loop_episode_loss(rho, support_z, query_z, n_classes):
     )
     scale_factor = ad.mul(ad.reciprocal(alpha), (n + 1.0) / n)
     cols = []
+    pick = np.eye(support_z.shape[0])
     for j in range(n_classes):
-        block = ad.rows(support_z, int(j * n), int((j + 1) * n))
+        block = ad.matmul(pick[int(j * n) : int((j + 1) * n)], support_z)  # class j's rows
         mu = ad.mean_reduce(block, axis=0)
         var = ad.sub(ad.mean_reduce(ad.mul(block, block), axis=0), ad.mul(mu, mu))
         scale2 = ad.mul(ad.add(ad.exp(rb), ad.mul(var, 0.5 * n)), scale_factor)
