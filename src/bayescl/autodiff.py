@@ -12,6 +12,11 @@ weights in an episode's support and query embeddings) is passed on.
 place that rejects a parent that is not a Tensor or lives on another
 graph, naming the op; no op checks it again.
 
+``DiffGraph(tape=False)`` runs every op, check and message the same way
+and numbers its nodes the same, but keeps no node, parent or vjp, so an
+evaluation forward (``encoder.embed_batch_values``) frees each layer's
+intermediates as it moves on; ``backward`` on it raises ``GraphError``.
+
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
 ``encoder.dense`` (one MLP layer: matmul, add and softplus) and
@@ -73,15 +78,17 @@ class DiffGraph:
     Leaves are bound once: ``input`` raises ``GraphError`` for a name
     already bound on this graph, and ``_register`` for a parent that is
     not a Tensor or lives on another graph. Single-threaded by contract;
-    distinct graphs may be used concurrently.
+    distinct graphs may be used concurrently. With ``tape`` false the graph
+    only counts its nodes: it keeps none, so it has no ``backward``.
     """
 
-    def __init__(self):
-        self._nodes = []
+    def __init__(self, tape=True):
+        self._nodes = [] if tape else None
+        self._count = 0
         self._inputs = {}
 
     def __len__(self):
-        return len(self._nodes)
+        return self._count
 
     def _register(self, data, parents, vjp, op, name=None):
         for p in parents:
@@ -94,11 +101,13 @@ class DiffGraph:
                 )
         data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(data).all():
-            raise GraphError(
-                f"non-finite value produced by op {op!r} at node {len(self._nodes)}"
-            )
-        t = Tensor(self, len(self._nodes), data, parents, vjp, op, name)
-        self._nodes.append(t)
+            raise GraphError(f"non-finite value produced by op {op!r} at node {self._count}")
+        if self._nodes is None:
+            t = Tensor(self, self._count, data, (), None, op, name)
+        else:
+            t = Tensor(self, self._count, data, parents, vjp, op, name)
+            self._nodes.append(t)
+        self._count += 1
         return t
 
     def input(self, name, data):
@@ -121,7 +130,8 @@ class DiffGraph:
         a throwaway graph frees its intermediates as soon as the caller
         drops the tensors it still holds.
         """
-        self._nodes = []
+        self._nodes = None if self._nodes is None else []
+        self._count = 0
         self._inputs = {}
 
     def backward(self, output, seed=None):
@@ -131,6 +141,8 @@ class DiffGraph:
         Each call starts from a clean adjoint state; nothing is retained.
         Two gradients may share memory, so copy one before writing to it.
         """
+        if self._nodes is None:
+            raise GraphError("backward on a graph that keeps no tape")
         if output.graph is not self:
             raise GraphError("output tensor belongs to a different graph")
         if seed is None:

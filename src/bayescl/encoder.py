@@ -191,10 +191,12 @@ def embed_batch_values(rows, params):
     """Plain-ndarray embeddings of pooled ``rows`` via a throwaway graph
     (evaluation path), which binds the weight arrays ``params`` once.
 
-    The graph is released before returning, so its intermediates are
-    freed at once instead of waiting for the cyclic garbage collector.
+    The graph keeps no tape (``DiffGraph(tape=False)``), so each layer's
+    intermediates are freed as the forward moves on, under the same checks
+    as a training forward. It is released before returning, so its bound
+    weights do not wait for the cyclic garbage collector.
     """
-    graph = DiffGraph()
+    graph = DiffGraph(tape=False)
     try:
         bound = {k: graph.input(k, v) for k, v in params.items()}
         return embed_batch(rows, bound, graph).data

@@ -13,21 +13,24 @@ element-wise,
 so a class is fully described by the sufficient statistics
 (n, sum_z, sum_z2), and updating one class never touches another.
 ``HeadState`` keeps one row of them per class, and
-``HeadState.normal_gamma`` stacks every class's posterior. The posterior
-predictive of a new observation is an independent Student's t per
-dimension:
+``HeadState.normal_gamma`` stacks the posteriors of a range of rows,
+every class by default. The posterior predictive of a new observation
+is an independent Student's t per dimension:
 
     nu = 2 alpha_n,  location mu_n,  scale^2 = beta_n (kappa_n + 1) / (alpha_n kappa_n)
 
 ``class_scores`` is the one place a head's classes are scored: it
-derives these parameters for all classes at once and walks the classes
-in blocks that fill a reused buffer of 2**16 elements (one class per
-block when a class needs more), byte-identical to evaluating the density
-one class at a time. Threads take the blocks in turn, each thread with
-its own buffer, each block into its own columns of the output, so the
-bytes do not depend on the thread count: one thread per CPU the process
-may run on, no more than there are blocks, one in a ``multiprocessing``
-child. The threads run numpy alone. ``episode_loss`` scores an
+derives these parameters for all classes at once, or for a range of rows
+(the protocol scores each checkpoint's new classes alone), rejects a
+prior whose alpha_n or scale^2 leaves the bounds ``_student_t_logits``
+keeps, and walks the classes in blocks that fill a reused buffer of
+2**16 elements (one class per block when a class needs more),
+byte-identical to evaluating the density one class at a time. Threads
+take the blocks in turn, each thread with its own buffer, each block
+into its own columns of the output, so the bytes do not depend on the
+thread count: one thread per CPU the process may run on, no more than
+there are blocks, one in a ``multiprocessing`` child. The threads run
+numpy alone. ``episode_loss`` scores an
 episode's queries against all its classes in one tape node,
 ``_student_t_logits``, so its tape does not grow with the number of
 ways. That node keeps the arithmetic order of the generic-op tape it
@@ -144,12 +147,13 @@ class HeadState:
         self.sum_z[r] = self.sum_z[r] + z
         self.sum_z2[r] = self.sum_z2[r] + z * z
 
-    def normal_gamma(self):
-        """Posterior of every class, stacked by row: (C, 1) kappa_n and
-        alpha_n, (C, d) mu_n and beta_n."""
-        kappa = np.array(self.n, dtype=np.float64)[:, None]
-        mu = np.stack(self.sum_z) / kappa
-        gbar = np.stack(self.sum_z2) / kappa
+    def normal_gamma(self, rows=slice(None)):
+        """Posterior of the classes in the slice ``rows`` (default every
+        class), stacked by row: (C, 1) kappa_n and alpha_n, (C, d) mu_n and
+        beta_n. Each row's values do not depend on which others are stacked."""
+        kappa = np.array(self.n[rows], dtype=np.float64)[:, None]
+        mu = np.stack(self.sum_z[rows]) / kappa
+        gbar = np.stack(self.sum_z2[rows]) / kappa
         # variance clamped at zero to absorb rounding; beta stays >= beta_0
         beta = self.prior.beta0 + 0.5 * kappa * np.maximum(gbar - mu * mu, 0.0)
         return kappa, mu, self.prior.alpha0 + 0.5 * kappa, beta
@@ -319,10 +323,11 @@ def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock):
         np.subtract(const[c0:c1], s, out=scores[:, c0:c1])
 
 
-def class_scores(head, Z):
-    """(M, C) matrix of log predictive densities, classes in insertion order.
+def class_scores(head, Z, rows=slice(None)):
+    """(M, C) matrix of log predictive densities of the classes in the
+    slice ``rows`` (default every class), in insertion order.
 
-    The one scorer of a head's classes. From ``head.normal_gamma()`` it
+    The one scorer of a head's classes. From ``head.normal_gamma(rows)`` it
     takes nu = 2 alpha_n, scale^2 = beta_n (kappa_n + 1) / (alpha_n
     kappa_n) and the constants of ``_log_t_const``, then walks the
     classes B at a time, in place on a reused (M, B, d) buffer,
@@ -330,7 +335,13 @@ def class_scores(head, Z):
     no reciprocal and uses no float32, so each column is byte-identical
     to the density evaluated for its class alone, step by step in the
     same order, on ``np.ascontiguousarray(Z, dtype=np.float64)``,
-    whatever the layout or dtype of ``Z``.
+    whatever the layout or dtype of ``Z`` and whichever rows are scored
+    with it: a range of rows gives those columns of the full matrix.
+
+    Before any block it checks the tape node's bounds, alpha_n at most
+    1e100 and scale^2 at least 1e-200, and raises one ``ValueError``
+    naming the prior's rho otherwise: within them, as in the tape node, no
+    step overflows for deviations below 1e50, so every score is finite.
 
     Threads take the blocks in turn, each into its own buffer and the
     block's own columns, so the bytes do not depend on the thread count
@@ -348,9 +359,14 @@ def class_scores(head, Z):
     if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError(f"queries have shape {Z.shape}, the head's classes have width {d}")
     M = Z.shape[0]
-    kappa, mean, alpha, beta = head.normal_gamma()
+    kappa, mean, alpha, beta = head.normal_gamma(rows)
+    prior = head.prior
+    if not (alpha <= 1e100).all():
+        raise ValueError(f"class_scores: alpha_n above 1e100 at rho_alpha = {prior.rho_alpha!r}")
     nu = 2.0 * alpha
     scale2 = beta * (kappa + 1.0) / (alpha * kappa)
+    if not (scale2 >= 1e-200).all():
+        raise ValueError(f"class_scores: scale^2 below 1e-200 at rho_beta = {prior.rho_beta!r}")
     half_nu1, const = _log_t_const(nu[:, 0], scale2, float(d))
     den = nu * scale2
     C = len(const)

@@ -11,19 +11,24 @@ same order and the same support and query picks.
 
 A class density is fixed once its support shots are added, and the
 query shots are drawn up front, so a query's score against a class does
-not depend on the checkpoint. Each episode therefore computes one
-(max_classes * query_shots, max_classes) score matrix. The accuracy at
-checkpoint n is the argmax over the first n columns of the rows of the
-first n words. argmax takes the first maximum, so ties go to the
-earliest-inserted class, and a query that goes wrong can never recover:
-its competitors only grow while the existing scores stay fixed.
+not depend on the checkpoint. Each checkpoint therefore scores every
+query of the episode against only the ``increment`` classes it adds
+(``class_scores`` on that range of head rows) and folds that block into
+each query's running (max, argmax) with a strict ``>``. So the guess at
+checkpoint n is ``np.argmax`` over the first n classes, which takes the
+first maximum: ties go to the earliest-inserted class, and a query that
+goes wrong can never recover, since its competitors only grow while the
+existing scores stay fixed. No episode holds more than one block of
+(max_classes * query_shots, increment) scores.
 
 ``EvalReport.runtime`` sums over episodes (and worker processes):
 ``support_ingest_s`` (drawing, embedding and ``add_class``),
-``query_eval_s`` (everything after), and within it ``score_s``
-(``class_scores``) and ``argmax_s`` (the checkpoint argmax loop); and
-``total_s``, the whole run. ``EvalReport.scoring_threads`` is the number
-of threads ``class_scores`` ran on (``head.scoring_threads``).
+``query_eval_s`` (everything after), and within it ``score_s`` (the
+``class_scores`` calls, one per checkpoint) and ``argmax_s`` (the rest of
+the checkpoint loop: folding each block into the running argmax and
+marking each query right or wrong); and ``total_s``, the whole run.
+``EvalReport.scoring_threads`` is the number of threads ``class_scores``
+ran on for a checkpoint's block (``head.scoring_threads``).
 """
 
 import csv
@@ -122,6 +127,19 @@ class EvalReport:
     scoring_threads: int
 
 
+def _merge_block(best, guess, block, c0):
+    """Fold ``block``, the scores of classes c0, c0 + 1, ..., into each
+    query's running maximum ``best`` and its class ``guess``, in place.
+
+    A strict ``>`` keeps the earlier class on a tie, so after every block
+    ``guess`` is ``np.argmax`` over all the columns merged so far."""
+    idx = np.argmax(block, axis=1)
+    top = np.take_along_axis(block, idx[:, None], axis=1)[:, 0]
+    better = top > best
+    best[better] = top[better]
+    guess[better] = idx[better] + c0
+
+
 def _run_episode(params, prior, registry, cfg, episode_seed):
     rng = np.random.default_rng(episode_seed)
     q = cfg.query_shots
@@ -132,22 +150,27 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     head, query_z = episode_head(params, prior, episode)
     t1 = time.perf_counter()
 
-    # row w*q + j is query j of word w; column w is word w's class
-    scores = class_scores(head, query_z)
-    t2 = time.perf_counter()
+    # row w*q + j is query j of word w; head row w is word w's class
     truth = np.repeat(np.arange(cfg.max_classes), q)
+    best = np.full(len(truth), -np.inf)
+    guess = np.zeros(len(truth), dtype=np.intp)
     checkpoints = cfg.checkpoints
     correct = np.full((cfg.max_classes, len(checkpoints), q), -1, dtype=np.int8)
+    score_s = 0.0
     for t, n in enumerate(checkpoints):
-        hits = np.argmax(scores[: n * q, :n], axis=1) == truth[: n * q]
-        correct[:n, t] = hits.reshape(n, q)
+        c0 = n - cfg.increment
+        t2 = time.perf_counter()
+        block = class_scores(head, query_z, slice(c0, n))
+        score_s += time.perf_counter() - t2
+        _merge_block(best, guess, block, c0)
+        correct[:n, t] = (guess[: n * q] == truth[: n * q]).reshape(n, q)
     t3 = time.perf_counter()
     acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct.mean(axis=2), np.nan)
     introduced_at = np.repeat(checkpoints, cfg.increment)
     t4 = time.perf_counter()
     runtime = {"support_ingest_s": t1 - t0, "query_eval_s": t4 - t1,
-               "score_s": t2 - t1, "argmax_s": t3 - t2}
-    threads = scoring_threads(*scores.shape, query_z.shape[1])
+               "score_s": score_s, "argmax_s": t3 - t1 - score_s}
+    threads = scoring_threads(len(truth), cfg.increment, query_z.shape[1])
     return EpisodeTrace(episode.class_ids, introduced_at, acc, correct), runtime, threads
 
 

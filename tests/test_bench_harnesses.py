@@ -1,5 +1,6 @@
 """The harnesses behind the committed ``BENCH_*.json`` rows
-(``scripts/bench_workers.py``, ``scripts/bench_class_scores.py``) reach
+(``scripts/bench_workers.py``, ``scripts/bench_class_scores.py``,
+``scripts/bench_eval_memory.py``) reach
 into the package by name and by CLI flag. A refactor that drops one fails
 the harness only when someone reruns it, so each is checked here, without
 timing anything."""
@@ -31,6 +32,11 @@ def bench_class_scores():
     return load_script("bench_class_scores")
 
 
+@pytest.fixture(scope="module")
+def bench_eval_memory():
+    return load_script("bench_eval_memory")
+
+
 def test_bench_workers_reaches_existing_names(bench_workers):
     assert callable(bench_workers._numpy_build)  # protocol._numpy_build
     assert callable(bench_workers.corpus.write_corpus)
@@ -51,3 +57,15 @@ def test_bench_workers_flags_parse(bench_workers):
                        *bench_workers.PROTOCOL])
     parser.parse_args(["prepare", "--manifest", "m.jsonl", "--audio-root", "w",
                        "--features-dir", "f", "--workers", "2"])
+
+
+def test_bench_eval_memory_reaches_existing_names(bench_eval_memory):
+    assert callable(bench_eval_memory._numpy_build)
+    assert len(bench_eval_memory.BLAS_VARS) == 5
+
+
+def test_bench_eval_memory_flags_parse(bench_eval_memory):
+    parser = build_parser()
+    parser.parse_args([*bench_eval_memory.TRAIN, "--out", "m.ckpt"])
+    for argv in bench_eval_memory.SIZES.values():
+        parser.parse_args(["synth-eval", "--ckpt", "m.ckpt", "--out", "r", *argv])

@@ -186,8 +186,8 @@ class TestEmbed:
         graphs = []
 
         class RecordedGraph(ad.DiffGraph):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, tape=True):
+                super().__init__(tape)
                 graphs.append(weakref.ref(self))
 
         monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
@@ -380,6 +380,69 @@ class TestDense:
         w, b = graph.input("w", np.ones((4, 5))), graph.input("b", np.zeros(5))
         with pytest.raises(ad.GraphError, match="dense: cannot apply"):
             E.dense(x, w, b, activate=True)
+
+
+class TestNoTape:
+    """``DiffGraph(tape=False)``, the graph ``embed_batch_values`` embeds
+    on, must run the forward of a recording graph bit for bit and check for
+    check, and keep none of it."""
+
+    CFG = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 7), feature_dim=4, vector_input=True,
+                          seed=3)
+
+    def forward(self, tape, rows, params):
+        graph = ad.DiffGraph(tape=tape)
+        return graph, E.embed_batch(rows, bind(params, graph), graph)
+
+    def test_embeddings_are_the_recording_graph_bits(self):
+        rng = np.random.default_rng(30)
+        params = E.init_params(self.CFG)
+        rows = list(rng.normal(scale=5.0, size=(40, 4)))
+        graph, out = self.forward(False, rows, params)
+        ref_graph, ref = self.forward(True, rows, params)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert E.embed_batch_values(rows, params).tobytes() == ref.data.tobytes()
+        assert len(graph) == len(ref_graph) == 10  # 6 weights, the rows, 3 layers
+        assert out.index == ref.index == 9
+
+    @pytest.mark.parametrize("layer", [0, 2], ids=["hidden", "output"])
+    def test_non_finite_values_fail_at_the_same_node(self, layer):
+        # a hidden layer fails in dense's pre-activation check, the output
+        # layer in the tape's guard; both name the node either graph numbers
+        params = E.init_params(self.CFG)
+        params[f"mlp.{layer}.w"] = np.full_like(params[f"mlp.{layer}.w"], 1e308)
+        messages = []
+        for tape in (True, False):
+            with np.errstate(over="ignore"), pytest.raises(ad.GraphError) as err:
+                self.forward(tape, [np.ones(4)] * 3, params)
+            messages.append(str(err.value))
+        assert messages == [f"non-finite value produced by op 'dense' at node {7 + layer}"] * 2
+
+    def test_stores_no_node_and_rejects_backward(self):
+        graph, out = self.forward(False, [np.ones(4)] * 3, E.init_params(self.CFG))
+        assert graph._nodes is None
+        assert (out.parents, out.vjp) == ((), None)
+        with pytest.raises(ad.GraphError, match=r"^backward on a graph that keeps no tape$"):
+            graph.backward(out)
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_hidden_layers_are_freed_as_the_forward_moves_on(self, monkeypatch, tape):
+        layers = []
+        dense = E.dense
+
+        def record(*args, **kwargs):
+            out = dense(*args, **kwargs)
+            layers.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(E, "dense", record)
+        gc.disable()
+        try:
+            graph, out = self.forward(tape, [np.ones(4)] * 3, E.init_params(self.CFG))
+            alive = [ref() is not None for ref in layers]
+        finally:
+            gc.enable()
+        assert alive == [tape, tape, True]
 
 
 class TestGradients:

@@ -385,6 +385,67 @@ class TestClassScores:
             H.class_scores(head, np.zeros(shape))
 
 
+class TestClassScoresRows:
+    """A range of head rows, as the protocol scores each checkpoint's new
+    classes, gives those columns of the full matrix bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, None], ids=["1", "default"])
+    @pytest.mark.parametrize(
+        "m, n_classes, d, block",
+        # criterion 8's shape (B = 1); 4 blocks, the last partial, of
+        # B = 8; one block of the whole head; a head that is one kernel
+        # block (B = 900) scored 400 rows at a time
+        [(1000, 200, 64, 25), (1000, 37, 8, 10), (50, 47, 64, 47), (5, 900, 4, 400)],
+    )
+    def test_blocks_are_the_columns_of_the_full_matrix(
+            self, monkeypatch, threads, m, n_classes, d, block):
+        monkeypatch.setattr(H, "_THREADS", threads)
+        rng = np.random.default_rng(23)
+        head = random_head(rng, n_classes, d)
+        Z = rng.normal(0, 2, size=(m, d))
+        full = H.class_scores(head, Z)
+        stacked = head.normal_gamma()
+        for c0 in range(0, n_classes, block):
+            rows = slice(c0, min(c0 + block, n_classes))
+            got = H.class_scores(head, Z, rows)
+            assert got.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
+            for a, b in zip(head.normal_gamma(rows), stacked):
+                assert a.tobytes() == np.ascontiguousarray(b[rows]).tobytes()
+
+    @staticmethod
+    def zero_variance_head(prior):
+        head = H.HeadState(prior)
+        for c, row in enumerate(np.eye(3)):
+            head.add_class(c, np.stack([row, row]))  # 2 identical shots
+        return head
+
+    @pytest.mark.parametrize(
+        "rho_alpha, rho_beta",
+        [(355.0, 0.0), (400.0, 0.0), (709.0, 0.0), (0.0, -709.0), (0.0, -720.0), (0.0, -745.0)],
+    )
+    def test_rho_past_the_tape_bounds_fails_before_scoring(self, rho_alpha, rho_beta):
+        # the bounds of _student_t_logits: past them, nu * scale^2 overflows
+        # (rho_alpha 709) or 1 / (nu * scale^2) of a zero-variance class does
+        head = self.zero_variance_head(H.PriorParams(rho_alpha, rho_beta))
+        query = np.random.default_rng(8).normal(scale=3.0, size=(6, 3))
+        if rho_alpha:
+            message = rf"^class_scores: alpha_n above 1e100 at rho_alpha = {rho_alpha!r}$"
+        else:
+            message = rf"^class_scores: scale\^2 below 1e-200 at rho_beta = {rho_beta!r}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                H.class_scores(head, query)
+
+    @pytest.mark.parametrize("rho_alpha, rho_beta", [(200.0, 0.0), (0.0, -400.0)])
+    def test_rho_within_the_bounds_scores_finitely(self, rho_alpha, rho_beta):
+        head = self.zero_variance_head(H.PriorParams(rho_alpha, rho_beta))
+        query = np.random.default_rng(8).normal(scale=3.0, size=(6, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(H.class_scores(head, query)).all()
+
+
 class TestScoringThreads:
     """class_scores' threads take its class blocks in turn; the bytes must
     not depend on the thread count."""

@@ -286,6 +286,80 @@ class TestScoreMatrix:
             np.testing.assert_array_equal(tr.acc, [[100.0, 100.0], [np.nan, 0.0]])
 
 
+def prefix_argmax_episode(params, prior, registry, cfg, episode_seed):
+    """The episode's ``correct`` as the protocol once computed it, kept as
+    the oracle of the streamed argmax: one (M, C) score matrix, then
+    ``np.argmax`` over the first n columns at each checkpoint n."""
+    rng = np.random.default_rng(episode_seed)
+    q = cfg.query_shots
+    episode = Ep.sample_episode(registry, Ep.EpisodeSpec(cfg.max_classes, cfg.shots, q), rng)
+    head, query_z = T.episode_head(params, prior, episode)
+    scores = class_scores(head, query_z)
+    truth = np.repeat(np.arange(cfg.max_classes), q)
+    correct = np.full((cfg.max_classes, len(cfg.checkpoints), q), -1, dtype=np.int8)
+    for t, n in enumerate(cfg.checkpoints):
+        hits = np.argmax(scores[: n * q, :n], axis=1) == truth[: n * q]
+        correct[:n, t] = hits.reshape(n, q)
+    return episode.class_ids, correct
+
+
+def registry_with_copies(n_plain, n_copied, per_class=10):
+    """``n_plain`` classes as ``tiny_registry`` draws them, and ``n_copied``
+    classes each of one repeated sample, beside a copy of itself: whatever
+    shots an episode picks, a class and its copy have equal densities, so
+    every query of either ties exactly between the two."""
+    reg = tiny_registry(n_plain + n_copied, per_class=per_class, sep=2.0)
+    out = Ep.SampleRegistry()
+    for i, (cid, refs) in enumerate(reg.classes.items()):
+        if i < n_plain:
+            out.classes[cid] = refs
+        else:
+            out.classes[cid] = [refs[0]] * per_class
+            out.classes[f"{cid}-copy"] = [refs[0]] * per_class
+    return out
+
+
+class TestStreamedArgmax:
+    """Each checkpoint folds its new class block into a running per-query
+    (max, argmax); that must be the prefix argmax of the full matrix."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 20])
+    def test_merge_is_the_prefix_argmax(self, block):
+        rng = np.random.default_rng(40)
+        # four distinct values: exact ties within and across blocks
+        scores = rng.integers(0, 4, size=(300, 20)).astype(np.float64) - 10.0
+        scores[:, 13] = scores[:, 2]  # a duplicate column in a later block
+        scores[:5] = -np.inf  # rows with nothing above the starting maximum
+        best, guess = np.full(300, -np.inf), np.zeros(300, dtype=np.intp)
+        for c0 in range(0, 20, block):
+            c1 = min(c0 + block, 20)
+            P._merge_block(best, guess, scores[:, c0:c1], c0)
+            np.testing.assert_array_equal(guess, np.argmax(scores[:, :c1], axis=1))
+            assert best.tobytes() == scores[:, :c1].max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("increment", [1, 5, 20])
+    def test_episodes_equal_the_prefix_argmax_and_copies_lose_their_ties(self, increment):
+        params, prior = tiny_model()
+        reg = registry_with_copies(n_plain=20, n_copied=10)
+        cfg = P.ProtocolConfig(increment=increment, max_classes=40, shots=3, query_shots=3,
+                               episodes=3, seed=5)
+        matrix, _ = P.run_protocol(params, prior, reg, cfg)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
+        inputs = T.encoder_inputs(reg)
+        tied = 0
+        for tr, seed in zip(matrix.episodes, seeds):
+            words, correct = prefix_argmax_episode(params, prior, inputs, cfg, seed)
+            assert tr.words == words
+            assert tr.correct.tobytes() == correct.tobytes()
+            for j, word in enumerate(words):
+                if word.endswith("-copy") and word.removesuffix("-copy") in words:
+                    pair = sorted((words.index(word.removesuffix("-copy")), j))
+                    later = tr.correct[pair[1]]
+                    assert (later[later >= 0] == 0).all()  # the earlier class wins each tie
+                    tied += tr.introduced_at[pair[1]] > tr.introduced_at[pair[0]]
+        assert tied  # some pair straddles two blocks
+
+
 def matrix_from_rows(rows_by_episode, checkpoints, query_shots=5):
     episodes = []
     for rows in rows_by_episode:
@@ -439,7 +513,7 @@ class TestScoringThreadsInTheProtocol:
         cfg = P.ProtocolConfig(increment=25, max_classes=200, shots=5, query_shots=5,
                                episodes=10, seed=2)
         default, report = self._csvs(tmp_path / "default", cfg)
-        assert report.scoring_threads == H.scoring_threads(1000, 200, 8)
+        assert report.scoring_threads == H.scoring_threads(1000, 25, 8)  # one block
         workers, report = self._csvs(tmp_path / "workers", dataclasses.replace(cfg, workers=2))
         assert report.scoring_threads == 1
         monkeypatch.setattr(H, "_THREADS", 1)
