@@ -1,4 +1,4 @@
-"""Peak RSS and wall time of ``synth-eval`` at the criterion-8 size and at 1,000 classes.
+"""Peak RSS, minor faults and wall time of ``synth-eval`` at the criterion-8 size and at 1,000 classes.
 
     PYTHONPATH=src python scripts/bench_eval_memory.py [--tree NAME=DIR ...] [--repeats N]
         [--out BENCH_eval_memory.json]
@@ -6,7 +6,8 @@
 Every run is the CLI of one source tree (``python -m bayescl.cli`` with
 ``PYTHONPATH=DIR/src``) in a fresh interpreter, so its peak RSS is that
 one process's high-water mark, read from ``os.wait4`` (``ru_maxrss``),
-and its wall time includes interpreter start-up and imports. Give
+as are its minor page faults (``ru_minflt``), and its wall time includes
+interpreter start-up and imports. Give
 ``--tree`` twice, say a checkout of the parent commit and the working
 tree, to measure both with the same harness; without it the tree this
 script sits in runs alone.
@@ -24,9 +25,11 @@ perfbench pins it; ``class_scores`` keeps its default threads. Sizes:
 - ``criterion-8``: 200 test classes, increment 25, 5+5 shots, 10 episodes;
 - ``1000-classes``: 1,000 test classes, increment 100, 5+5 shots, 2 episodes.
 
-Each row gives the median, minimum and maximum peak RSS, the median and
-quartiles of the wall times, and the sha256 of ``per_word.csv``, which
-must agree across trees and repeats.
+Each row gives the median, minimum and maximum peak RSS, the median
+minor faults, the median and quartiles of the wall times, the medians of
+the run's own ``support_ingest_s`` and ``score_s`` (from its
+``summary.json``, summed over episodes), and the sha256 of
+``per_word.csv``, which must agree across trees and repeats.
 """
 
 import argparse
@@ -63,7 +66,8 @@ SIZES = {
 
 
 def run_cli(tree, argv):
-    """(wall s, peak RSS MB) of one CLI run of ``tree``; a failing run stops the bench."""
+    """(wall s, peak RSS MB, minor faults) of one CLI run of ``tree``; a failing run
+    stops the bench."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(dict.fromkeys(BLAS_VARS, "1"), PYTHONPATH=f"{tree}/src")
     t0 = time.perf_counter()
@@ -76,7 +80,7 @@ def run_cli(tree, argv):
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise SystemExit(f"{tree}: {argv[0]} exited {proc.returncode}: {stderr.strip()}")
-    return wall, usage.ru_maxrss / 1024.0  # KB on Linux
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt  # ru_maxrss: KB on Linux
 
 
 def bench(trees, repeats, work):
@@ -86,30 +90,35 @@ def bench(trees, repeats, work):
 
     def synth_eval(tree, size):
         shutil.rmtree(report, ignore_errors=True)
-        wall, rss = run_cli(tree, ["synth-eval", "--ckpt", str(ckpt), "--out", str(report),
-                                   *SIZES[size]])
-        return wall, rss, hashlib.sha256((report / "per_word.csv").read_bytes()).hexdigest()
+        wall, rss, faults = run_cli(tree, ["synth-eval", "--ckpt", str(ckpt), "--out",
+                                           str(report), *SIZES[size]])
+        runtime = json.loads((report / "summary.json").read_text())["runtime"]
+        sha = hashlib.sha256((report / "per_word.csv").read_bytes()).hexdigest()
+        return (wall, rss, faults, runtime["support_ingest_s"], runtime["score_s"]), sha
 
     rows = []
     for size in SIZES:
         names = list(trees)
         runs = {name: [] for name in names}
-        digests = {synth_eval(trees[name], size)[2] for name in names}  # warm-up
+        digests = {synth_eval(trees[name], size)[1] for name in names}  # warm-up
         for r in range(repeats):
             for name in names[::-1] if r % 2 else names:
-                wall, rss, sha = synth_eval(trees[name], size)
-                runs[name].append((wall, rss))
+                run, sha = synth_eval(trees[name], size)
+                runs[name].append(run)
                 digests.add(sha)
         if len(digests) != 1:
             raise SystemExit(f"{size}: per_word.csv differs between runs: {sorted(digests)}")
         for name in names:
-            walls, rss = zip(*runs[name])
+            walls, rss, faults, ingest, score = zip(*runs[name])
             q1, med, q3 = statistics.quantiles(walls, n=4)
             rows.append({"size": size, "tree": name, "runs": repeats,
                          "argv": ["synth-eval", *SIZES[size]],
                          "peak_rss_mb": statistics.median(rss),
                          "peak_rss_mb_min": min(rss), "peak_rss_mb_max": max(rss),
+                         "minor_faults": statistics.median(faults),
                          "median_s": med, "q1_s": q1, "q3_s": q3,
+                         "support_ingest_s": statistics.median(ingest),
+                         "score_s": statistics.median(score),
                          "per_word_sha256": next(iter(digests))})
     return rows
 
@@ -129,7 +138,9 @@ def main():
     for row in rows:
         print(f"{row['size']} {row['tree']}: {row['peak_rss_mb']:.1f} MB peak RSS "
               f"({row['peak_rss_mb_min']:.1f}-{row['peak_rss_mb_max']:.1f}), "
-              f"{row['median_s']:.3f} s (q1 {row['q1_s']:.3f}, q3 {row['q3_s']:.3f})")
+              f"{row['minor_faults']:.0f} minor faults, "
+              f"{row['median_s']:.3f} s (q1 {row['q1_s']:.3f}, q3 {row['q3_s']:.3f}), "
+              f"support_ingest_s {row['support_ingest_s']:.3f}, score_s {row['score_s']:.3f}")
     result = {
         "harness": "scripts/bench_eval_memory.py",
         "machine": {

@@ -16,6 +16,10 @@ graph, naming the op; no op checks it again.
 and numbers its nodes the same, but keeps no node, parent or vjp, so an
 evaluation forward (``encoder.embed_batch_values``) frees each layer's
 intermediates as it moves on; ``backward`` on it raises ``GraphError``.
+Given a ``buffers`` dict, it also lends its ops the arrays they write
+into (``DiffGraph.borrow``) and takes them back on ``release``, so the
+tape-free graphs that share one dict (an episode's support and query
+forwards, ``training.episode_head``) allocate their layer arrays once.
 
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
@@ -79,16 +83,51 @@ class DiffGraph:
     already bound on this graph, and ``_register`` for a parent that is
     not a Tensor or lives on another graph. Single-threaded by contract;
     distinct graphs may be used concurrently. With ``tape`` false the graph
-    only counts its nodes: it keeps none, so it has no ``backward``.
+    only counts its nodes: it keeps none, so it has no ``backward``, and
+    it lends ``borrow``'s arrays from ``buffers`` (shape -> free arrays)
+    when that dict is given.
     """
 
-    def __init__(self, tape=True):
+    def __init__(self, tape=True, buffers=None):
         self._nodes = [] if tape else None
         self._count = 0
         self._inputs = {}
+        self._free = None if tape else buffers
+        self._lent = {}  # id -> array, until ``give_back`` or ``release``
 
     def __len__(self):
         return self._count
+
+    @property
+    def keeps_tape(self):
+        return self._nodes is not None
+
+    def borrow(self, shape):
+        """An uninitialised float64 array of ``shape`` for an op to write into.
+
+        Without ``buffers`` it is a new array. A tape-free graph with
+        ``buffers`` lends a free array of that shape, or a new one after
+        dropping the free arrays of other row counts (so the dict holds one
+        batch size's arrays), and takes it back on ``give_back`` or
+        ``release``: a value written into it stays good until then.
+        """
+        if self._free is None:
+            return np.empty(shape)
+        free = self._free.get(shape)
+        if free:
+            buf = free.pop()
+        else:
+            for other in [s for s in self._free if s[0] != shape[0]]:
+                del self._free[other]
+            buf = np.empty(shape)
+        self._lent[id(buf)] = buf
+        return buf
+
+    def give_back(self, buf):
+        """End the loan of ``buf`` (from ``borrow``) before ``release``: no
+        value of the graph lives in it any more."""
+        if self._free is not None:
+            self._free.setdefault(buf.shape, []).append(self._lent.pop(id(buf)))
 
     def _register(self, data, parents, vjp, op, name=None):
         for p in parents:
@@ -128,11 +167,14 @@ class DiffGraph:
         Each Tensor points back at its graph, so a tape is a reference
         cycle that only the cyclic garbage collector would free. Releasing
         a throwaway graph frees its intermediates as soon as the caller
-        drops the tensors it still holds.
+        drops the tensors it still holds. Borrowed arrays go back to
+        ``buffers``, for the next graph that shares the dict to write over.
         """
         self._nodes = None if self._nodes is None else []
         self._count = 0
         self._inputs = {}
+        for buf in list(self._lent.values()):
+            self.give_back(buf)
 
     def backward(self, output, seed=None):
         """Accumulate adjoints from ``output`` back to every named input.

@@ -94,16 +94,38 @@ def dense(x, w, b, activate):
     their bits (``tests/test_encoder.py`` keeps those nodes as the
     oracle). The pre-activation gets the finiteness check its own node
     had. A ``const`` input gets no adjoint.
+
+    On a tape-free graph no vjp reads ``pre`` or ``e``, so an activated
+    layer writes both into arrays the graph lends (``DiffGraph.borrow``),
+    the value over ``pre`` once ``e`` is computed, and gives ``e`` back at
+    once: a forward holds one array per hidden layer and one scratch. The
+    ufuncs and their order are those of a recording graph, so the bits are
+    too. A recording graph's layers and the output layer allocate their
+    values.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise GraphError(f"dense: cannot apply {wd.shape} weights to {xd.shape} input")
-    pre = xd @ wd + b.data
+    graph = x.graph
+    lend = activate and not graph.keeps_tape
+    if lend:
+        pre = np.matmul(xd, wd, out=graph.borrow((xd.shape[0], wd.shape[1])))
+        pre += b.data
+    else:
+        pre = xd @ wd + b.data
     if activate:
         if not np.isfinite(pre).all():
-            raise GraphError(f"non-finite value produced by op 'dense' at node {len(x.graph)}")
-        e = np.exp(-np.abs(pre))
-        out = np.maximum(pre, 0.0) + np.log1p(e)
+            raise GraphError(f"non-finite value produced by op 'dense' at node {len(graph)}")
+        if lend:
+            e = np.abs(pre, out=graph.borrow(pre.shape))
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            out = np.maximum(pre, 0.0, out=pre)
+            out += np.log1p(e, out=e)
+            graph.give_back(e)
+        else:
+            e = np.exp(-np.abs(pre))
+            out = np.maximum(pre, 0.0) + np.log1p(e)
     else:
         out = pre
 
@@ -117,7 +139,7 @@ def dense(x, w, b, activate):
         gx = None if x.op == "const" else g @ wd.T
         return gx, xd.T @ g, _unbroadcast(g, b.data.shape)
 
-    return x.graph._register(out, (x, w, b), vjp, "dense")
+    return graph._register(out, (x, w, b), vjp, "dense")
 
 
 def _mlp(x, bound, n_layers):
@@ -187,16 +209,20 @@ def embed(features, bound, graph):
     return embed_batch(pool_frames([features]), bound, graph)
 
 
-def embed_batch_values(rows, params):
+def embed_batch_values(rows, params, buffers=None):
     """Plain-ndarray embeddings of pooled ``rows`` via a throwaway graph
     (evaluation path), which binds the weight arrays ``params`` once.
 
-    The graph keeps no tape (``DiffGraph(tape=False)``), so each layer's
-    intermediates are freed as the forward moves on, under the same checks
-    as a training forward. It is released before returning, so its bound
-    weights do not wait for the cyclic garbage collector.
+    The graph keeps no tape (``DiffGraph(tape=False)``), so it runs the
+    checks of a training forward and stores nothing, and its hidden layers
+    write into arrays lent from ``buffers``: pass one dict to consecutive
+    calls and they reuse one set (about three (rows, width) arrays), which
+    a new dict per call gives that call alone. The returned embeddings are
+    a new array. The graph is released before returning, so its bound
+    weights do not wait for the cyclic garbage collector and its arrays go
+    back to ``buffers``.
     """
-    graph = DiffGraph(tape=False)
+    graph = DiffGraph(tape=False, buffers={} if buffers is None else buffers)
     try:
         bound = {k: graph.input(k, v) for k, v in params.items()}
         return embed_batch(rows, bound, graph).data

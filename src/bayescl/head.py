@@ -30,7 +30,9 @@ take the blocks in turn, each thread with its own buffer, each block
 into its own columns of the output, so the bytes do not depend on the
 thread count: one thread per CPU the process may run on, no more than
 there are blocks, one in a ``multiprocessing`` child. The threads run
-numpy alone. ``episode_loss`` scores an
+numpy alone. A ``ScoringPool`` keeps the threads and their buffers
+across calls (a protocol episode opens one for its checkpoints); a call
+without one starts and joins its own. ``episode_loss`` scores an
 episode's queries against all its classes in one tape node,
 ``_student_t_logits``, so its tape does not grow with the number of
 ways. That node keeps the arithmetic order of the generic-op tape it
@@ -46,7 +48,7 @@ import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +65,7 @@ from .autodiff import (
 __all__ = [
     "PriorParams",
     "HeadState",
+    "ScoringPool",
     "class_scores",
     "scoring_threads",
     "predict",
@@ -299,12 +302,12 @@ def scoring_threads(n_queries, n_classes, width):
     return _plan(n_queries, n_classes, width)[1]
 
 
-def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock):
-    # each thread claims the next block start under ``lock``; numpy only:
-    # threads run this, and it must stay out of ``__all__`` (perfbench's
-    # tracer wraps public functions on one span stack)
+def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock, buf):
+    # each thread claims the next block start under ``lock`` and scores it
+    # in its own ``buf``; numpy only: threads run this, and it must stay
+    # out of ``__all__`` (perfbench's tracer wraps public functions on one
+    # span stack)
     M, d = Z.shape
-    buf = np.empty(M * B * d)
     while True:
         with lock:
             c0 = next(starts, None)
@@ -323,7 +326,45 @@ def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock):
         np.subtract(const[c0:c1], s, out=scores[:, c0:c1])
 
 
-def class_scores(head, Z, rows=slice(None)):
+class ScoringPool:
+    """The threads and block buffers that consecutive ``class_scores``
+    calls share, as a protocol episode's checkpoints do.
+
+    ``threads`` counts the calling thread, which scores blocks too, so the
+    pool runs up to ``threads - 1`` threads of its own, and each of the
+    ``threads`` keeps its block buffer from call to call. Leaving the
+    ``with`` block joins the pool's threads.
+    """
+
+    def __init__(self, threads):
+        self.threads = threads
+        self._executor = ThreadPoolExecutor(threads - 1) if threads > 1 else None
+        self._buffers = [np.empty(0)] * threads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def _run(self, threads, size, args):
+        # _score_blocks on ``threads`` threads, the caller's first, each
+        # with a buffer of at least ``size``; returns once all have ended
+        for i in range(threads):
+            if self._buffers[i].size < size:
+                self._buffers[i] = np.empty(size)
+        rest = [self._executor.submit(_score_blocks, *args, buf)
+                for buf in self._buffers[1:threads]]
+        try:
+            _score_blocks(*args, self._buffers[0])
+        finally:
+            wait(rest)
+        for future in rest:
+            future.result()
+
+
+def class_scores(head, Z, rows=slice(None), pool=None):
     """(M, C) matrix of log predictive densities of the classes in the
     slice ``rows`` (default every class), in insertion order.
 
@@ -346,9 +387,11 @@ def class_scores(head, Z, rows=slice(None)):
     Threads take the blocks in turn, each into its own buffer and the
     block's own columns, so the bytes do not depend on the thread count
     (``scoring_threads``): one per CPU this process may run on, at most
-    one per block, and one in a ``multiprocessing`` child, where
-    ``run_protocol --workers`` already uses the cores. A thread that the
-    host deschedules holds up one block, not a fixed share. The constants
+    one per block and at most ``pool.threads``, and one in a
+    ``multiprocessing`` child, where ``run_protocol --workers`` already
+    uses the cores. A thread that the host deschedules holds up one block,
+    not a fixed share. The threads and their buffers are ``pool``'s, or
+    without one a ``ScoringPool`` for this call alone. The constants
     (``_log_t_const`` calls ``lgamma_value``) are computed here, so the
     threads run numpy alone.
     """
@@ -373,14 +416,11 @@ def class_scores(head, Z, rows=slice(None)):
     scores = np.empty((M, C))
     B, threads = _plan(M, C, d)
     args = (Z, mean, den, half_nu1, const, scores, B, iter(range(0, C, B)), threading.Lock())
-    if threads == 1:
-        _score_blocks(*args)
-        return scores
-    with ThreadPoolExecutor(threads - 1) as pool:
-        rest = [pool.submit(_score_blocks, *args) for _ in range(threads - 1)]
-        _score_blocks(*args)
-    for future in rest:
-        future.result()
+    if pool is not None:
+        pool._run(min(threads, pool.threads), M * B * d, args)
+    else:
+        with ScoringPool(threads) as own:
+            own._run(threads, M * B * d, args)
     return scores
 
 

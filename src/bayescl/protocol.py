@@ -7,7 +7,8 @@ query shots are classified against all classes seen so far.
 An episode is drawn by ``episodes.sample_episode`` and its head built
 by ``training.episode_head``, as in validation during training, so any
 method that draws from the same episode seed sees the same words in the
-same order and the same support and query picks.
+same order and the same support and query picks. Its support and query
+forwards share one set of layer arrays.
 
 A class density is fixed once its support shots are added, and the
 query shots are drawn up front, so a query's score against a class does
@@ -19,16 +20,20 @@ checkpoint n is ``np.argmax`` over the first n classes, which takes the
 first maximum: ties go to the earliest-inserted class, and a query that
 goes wrong can never recover, since its competitors only grow while the
 existing scores stay fixed. No episode holds more than one block of
-(max_classes * query_shots, increment) scores.
+(max_classes * query_shots, increment) scores. The checkpoints' calls
+share one ``head.ScoringPool``, opened for the episode (in the worker
+process with ``--workers`` > 1) and joined before it returns.
 
 ``EvalReport.runtime`` sums over episodes (and worker processes):
-``support_ingest_s`` (drawing, embedding and ``add_class``),
-``query_eval_s`` (everything after), and within it ``score_s`` (the
-``class_scores`` calls, one per checkpoint) and ``argmax_s`` (the rest of
-the checkpoint loop: folding each block into the running argmax and
-marking each query right or wrong); and ``total_s``, the whole run.
-``EvalReport.scoring_threads`` is the number of threads ``class_scores``
-ran on for a checkpoint's block (``head.scoring_threads``).
+``support_ingest_s`` (drawing, embedding and ``add_class``), and within
+it ``draw_s`` (``sample_episode``), ``embed_s`` (the support and query
+forwards) and ``add_class_s`` (building the head); ``query_eval_s``
+(everything after), and within it ``score_s`` (the ``class_scores``
+calls, one per checkpoint) and ``argmax_s`` (the rest of the checkpoint
+loop: opening and joining the scoring pool, folding each block into the
+running argmax and marking each query right or wrong); and ``total_s``,
+the whole run. ``EvalReport.scoring_threads`` is the number of threads
+``class_scores`` ran on for a checkpoint's block (``head.scoring_threads``).
 """
 
 import csv
@@ -41,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import EpisodeSpec, sample_episode
-from .head import class_scores, scoring_threads
+from .head import ScoringPool, class_scores, scoring_threads
 from .pool import spawn_map
 from .training import encoder_inputs, episode_head
 
@@ -146,9 +151,11 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
 
     t0 = time.perf_counter()
     episode = sample_episode(registry, EpisodeSpec(cfg.max_classes, cfg.shots, q), rng)
-    # arrays: run_protocol passes encoder_inputs
-    head, query_z = episode_head(params, prior, episode)
     t1 = time.perf_counter()
+    runtime = {"draw_s": t1 - t0}
+    # arrays: run_protocol passes encoder_inputs
+    head, query_z = episode_head(params, prior, episode, runtime)
+    t2 = time.perf_counter()
 
     # row w*q + j is query j of word w; head row w is word w's class
     truth = np.repeat(np.arange(cfg.max_classes), q)
@@ -156,21 +163,22 @@ def _run_episode(params, prior, registry, cfg, episode_seed):
     guess = np.zeros(len(truth), dtype=np.intp)
     checkpoints = cfg.checkpoints
     correct = np.full((cfg.max_classes, len(checkpoints), q), -1, dtype=np.int8)
+    threads = scoring_threads(len(truth), cfg.increment, query_z.shape[1])
     score_s = 0.0
-    for t, n in enumerate(checkpoints):
-        c0 = n - cfg.increment
-        t2 = time.perf_counter()
-        block = class_scores(head, query_z, slice(c0, n))
-        score_s += time.perf_counter() - t2
-        _merge_block(best, guess, block, c0)
-        correct[:n, t] = (guess[: n * q] == truth[: n * q]).reshape(n, q)
-    t3 = time.perf_counter()
+    with ScoringPool(threads) as pool:
+        for t, n in enumerate(checkpoints):
+            c0 = n - cfg.increment
+            t3 = time.perf_counter()
+            block = class_scores(head, query_z, slice(c0, n), pool)
+            score_s += time.perf_counter() - t3
+            _merge_block(best, guess, block, c0)
+            correct[:n, t] = (guess[: n * q] == truth[: n * q]).reshape(n, q)
+    t4 = time.perf_counter()
     acc = np.where(correct[:, :, 0] >= 0, 100.0 * correct.mean(axis=2), np.nan)
     introduced_at = np.repeat(checkpoints, cfg.increment)
-    t4 = time.perf_counter()
-    runtime = {"support_ingest_s": t1 - t0, "query_eval_s": t4 - t1,
-               "score_s": score_s, "argmax_s": t3 - t1 - score_s}
-    threads = scoring_threads(len(truth), cfg.increment, query_z.shape[1])
+    t5 = time.perf_counter()
+    runtime.update(support_ingest_s=t2 - t0, query_eval_s=t5 - t2,
+                   score_s=score_s, argmax_s=t4 - t2 - score_s)
     return EpisodeTrace(episode.class_ids, introduced_at, acc, correct), runtime, threads
 
 

@@ -11,6 +11,7 @@ built from an episode: validation and ``protocol`` both score through it.
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,21 +165,30 @@ def _batch_gradients(meta, episodes_batch):
     return total_loss / n, {k: g / n for k, g in grad_sum.items()}
 
 
-def episode_head(params, prior, episode):
+def episode_head(params, prior, episode, times=None):
     """The head an episode's support shots build, and its embedded queries.
 
     Returns ``(head, query_z)``: the head holds ``episode.class_ids`` in
     order, each class added from its K class-major support rows, and
     ``query_z`` is (N*Q, d) in the episode's query order. The episode's
-    references must be arrays, as ``encoder_inputs`` leaves them.
+    references must be arrays, as ``encoder_inputs`` leaves them. The two
+    forwards write their hidden layers into one set of arrays
+    (``embed_batch_values``' ``buffers``), dropped on return. With a dict
+    ``times``, sets ``times["embed_s"]`` to the seconds of the forwards and
+    ``times["add_class_s"]`` to those of building the head.
     """
+    t0 = time.perf_counter()
     enc = encoder_params(params)
-    support_z = embed_batch_values(episode.support, enc)
-    query_z = embed_batch_values(episode.query, enc)
+    buffers = {}
+    support_z = embed_batch_values(episode.support, enc, buffers)
+    query_z = embed_batch_values(episode.query, enc, buffers)
+    t1 = time.perf_counter()
     head = HeadState(prior)
     k = len(episode.support) // len(episode.class_ids)
     for w, cid in enumerate(episode.class_ids):
         head.add_class(cid, support_z[w * k : (w + 1) * k])
+    if times is not None:
+        times["embed_s"], times["add_class_s"] = t1 - t0, time.perf_counter() - t1
     return head, query_z
 
 

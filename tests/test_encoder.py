@@ -186,8 +186,8 @@ class TestEmbed:
         graphs = []
 
         class RecordedGraph(ad.DiffGraph):
-            def __init__(self, tape=True):
-                super().__init__(tape)
+            def __init__(self, tape=True, buffers=None):
+                super().__init__(tape, buffers)
                 graphs.append(weakref.ref(self))
 
         monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
@@ -443,6 +443,75 @@ class TestNoTape:
         finally:
             gc.enable()
         assert alive == [tape, tape, True]
+
+
+class TestSharedBuffers:
+    """An episode's support and query forwards (``training.episode_head``)
+    share one ``buffers`` dict: their hidden layers write into one set of
+    arrays, and what each call returns is its own array."""
+
+    CFG = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 8), feature_dim=4, vector_input=True,
+                          seed=4)
+
+    def recorded(self, rows, params):
+        graph = fresh_graph()
+        return E.embed_batch(rows, bind(params, graph), graph).data
+
+    @staticmethod
+    def held(buffers):
+        return [a for arrays in buffers.values() for a in arrays]
+
+    def test_support_keeps_its_bytes_and_both_are_the_recording_graph_bits(self):
+        rng = np.random.default_rng(40)
+        params = E.init_params(self.CFG)
+        support, query = (list(rng.normal(scale=3.0, size=(50, 4))) for _ in range(2))
+        buffers = {}
+        s = E.embed_batch_values(support, params, buffers)
+        kept = s.tobytes()
+        first = sorted(id(a) for a in self.held(buffers))
+        q = E.embed_batch_values(query, params, buffers)
+        assert s.tobytes() == kept == self.recorded(support, params).tobytes()
+        assert q.tobytes() == self.recorded(query, params).tobytes()
+        # one array per hidden layer and one scratch, lent again to the query forward
+        assert len(first) == 3 and sorted(id(a) for a in self.held(buffers)) == first
+        assert not any(np.shares_memory(out, a) for out in (s, q) for a in self.held(buffers))
+
+    def test_a_new_batch_size_drops_the_last_ones_arrays(self):
+        rng = np.random.default_rng(41)
+        params = E.init_params(self.CFG)
+        buffers = {}
+        for rows in (50, 30):
+            E.embed_batch_values(list(rng.normal(size=(rows, 4))), params, buffers)
+            assert {s: len(a) for s, a in buffers.items()} == {(rows, 8): 3}
+
+    def test_each_call_embeds_through_embed_batch_on_one_released_graph(self, monkeypatch):
+        # perfbench's tracer times embed_batch_values and its nested
+        # embed_batch span, and counts the rows of its first argument
+        graphs, calls = [], []
+        embed_batch = E.embed_batch
+
+        class RecordedGraph(ad.DiffGraph):
+            def __init__(self, tape=True, buffers=None):
+                super().__init__(tape, buffers)
+                graphs.append(weakref.ref(self))
+
+        def record(rows, bound, graph):
+            calls.append((len(rows), graph is graphs[-1](), graph.keeps_tape))
+            return embed_batch(rows, bound, graph)
+
+        monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
+        monkeypatch.setattr(E, "embed_batch", record)
+        rng = np.random.default_rng(42)
+        params = E.init_params(self.CFG)
+        buffers = {}
+        gc.disable()
+        try:
+            for n in (20, 20):
+                E.embed_batch_values(list(rng.normal(size=(n, 4))), params, buffers)
+                assert graphs[-1]() is None
+        finally:
+            gc.enable()
+        assert len(graphs) == 2 and calls == [(20, True, False)] * 2
 
 
 class TestGradients:

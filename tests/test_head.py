@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -500,8 +501,10 @@ class TestScoringThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                assert H.class_scores(head, Z).tobytes() == expected
+            with H.ScoringPool(12) as shared:  # and 12 threads kept across calls
+                for _ in range(5):
+                    assert H.class_scores(head, Z).tobytes() == expected
+                    assert H.class_scores(head, Z, slice(None), shared).tobytes() == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -526,6 +529,61 @@ class TestScoringThreads:
 
     def test_one_thread_inside_a_worker_process(self):
         assert pool.spawn_map(H.scoring_threads, (1000, 200), [64, 64], 2) == [1, 1]
+
+
+class TestScoringPool:
+    """A protocol episode's checkpoints score their class ranges on one
+    ``ScoringPool``: its threads and their block buffers serve every call."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_ranges_on_one_pool_give_the_bytes_of_separate_calls(self, monkeypatch, threads):
+        # 1,000 queries x 20 classes x 8 dimensions: 3 blocks of up to 8 classes
+        monkeypatch.setattr(H, "_THREADS", threads)
+        rng = np.random.default_rng(24)
+        head, Z = random_head(rng, 60, 8), rng.normal(0, 2, size=(1000, 8))
+        buffers = []
+        score_blocks = H._score_blocks
+
+        def record(*a):
+            buffers.append(a[-1])
+            score_blocks(*a)
+
+        monkeypatch.setattr(H, "_score_blocks", record)
+        before = threading.active_count()
+        ranges = [slice(c, c + 20) for c in (0, 20, 40)]
+        with H.ScoringPool(H.scoring_threads(1000, 20, 8)) as shared:
+            on_pool = [H.class_scores(head, Z, rows, shared) for rows in ranges]
+        assert threading.active_count() == before
+        assert len({id(b) for b in buffers}) == min(threads, 3)  # one buffer per thread
+        with H.ScoringPool(1) as serial:
+            on_one = [H.class_scores(head, Z, rows, serial) for rows in ranges]
+        separate = [H.class_scores(head, Z, rows) for rows in ranges]
+        assert ([a.tobytes() for a in on_pool] == [a.tobytes() for a in on_one]
+                == [a.tobytes() for a in separate])
+
+    def test_the_caller_waits_for_the_pool_threads_when_it_fails(self, monkeypatch):
+        # a pool outlives the call, so a failing call must not leave a
+        # thread writing into its buffers or output
+        monkeypatch.setattr(H, "_THREADS", 2)
+        score_blocks = H._score_blocks
+        raised, finished = threading.Event(), []
+
+        def fail_on_the_calling_thread(*a):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise FloatingPointError("calling thread")
+            raised.wait(timeout=10)
+            time.sleep(0.05)  # still scoring after the caller has failed
+            score_blocks(*a)
+            finished.append(True)
+
+        monkeypatch.setattr(H, "_score_blocks", fail_on_the_calling_thread)
+        rng = np.random.default_rng(25)
+        head, Z = random_head(rng, 10, 64), rng.normal(size=(1000, 64))
+        with H.ScoringPool(2) as shared:
+            with pytest.raises(FloatingPointError, match="calling thread"):
+                H.class_scores(head, Z, slice(None), shared)
+            assert finished == [True]
 
 
 def test_prototypical_network_limit():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -476,9 +477,11 @@ class TestEmitReport:
         out, _, report = self._run(tmp_path)
         summary = json.loads((out / "summary.json").read_text())
         runtime = summary["runtime"]
-        assert set(runtime) == {"support_ingest_s", "query_eval_s", "score_s", "argmax_s",
-                                "total_s"}
+        assert set(runtime) == {"support_ingest_s", "draw_s", "embed_s", "add_class_s",
+                                "query_eval_s", "score_s", "argmax_s", "total_s"}
         assert runtime["score_s"] + runtime["argmax_s"] <= runtime["query_eval_s"]
+        parts = runtime["draw_s"] + runtime["embed_s"] + runtime["add_class_s"]
+        assert parts <= runtime["support_ingest_s"]
         # 100 queries x 20 classes x 8 dimensions is one block
         assert summary["scoring_threads"] == report.scoring_threads == 1
         assert summary["numpy"]["version"] == np.__version__
@@ -520,3 +523,42 @@ class TestScoringThreadsInTheProtocol:
         serial, report = self._csvs(tmp_path / "serial", cfg)
         assert report.scoring_threads == 1
         assert serial == default == workers
+
+
+class TestOneScoringPoolPerEpisode:
+    """Each episode opens one scoring pool for its checkpoints and joins it
+    before it returns, also when the episode fails part-way."""
+
+    CFG = P.ProtocolConfig(increment=25, max_classes=200, shots=5, query_shots=5, episodes=2,
+                           seed=2)
+
+    def run(self, monkeypatch, fail_at=None):
+        # 1,000 queries x 25 classes x 8 dimensions: 4 blocks, so 2 threads
+        from bayescl import head as H
+
+        monkeypatch.setattr(H, "_THREADS", 2)
+        counts = []
+        merge = P._merge_block
+
+        def record(*a):
+            counts.append(threading.active_count())
+            if len(counts) == fail_at:
+                raise RuntimeError("part-way")
+            merge(*a)
+
+        monkeypatch.setattr(P, "_merge_block", record)
+        params, prior = tiny_model()
+        P.run_protocol(params, prior, tiny_registry(200, per_class=10, sep=2.0), self.CFG)
+        return counts
+
+    def test_the_pool_thread_lives_for_the_checkpoints_and_not_after(self, monkeypatch):
+        before = threading.active_count()
+        counts = self.run(monkeypatch)
+        assert counts == [before + 1] * 16  # 8 checkpoints in each of 2 episodes
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_episode_that_raises(self, monkeypatch):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="part-way"):
+            self.run(monkeypatch, fail_at=3)
+        assert threading.active_count() == before
