@@ -16,10 +16,12 @@ graph, naming the op; no op checks it again.
 and numbers its nodes the same, but keeps no node, parent or vjp, so an
 evaluation forward (``encoder.embed_batch_values``) frees each layer's
 intermediates as it moves on; ``backward`` on it raises ``GraphError``.
-Given a ``buffers`` dict, it also lends its ops the arrays they write
-into (``DiffGraph.borrow``) and takes them back on ``release``, so the
-tape-free graphs that share one dict (an episode's support and query
-forwards, ``training.episode_head``) allocate their layer arrays once.
+Given a ``buffers`` dict, a graph of either kind lends its ops the arrays
+they write into (``DiffGraph.borrow``) and takes them back on
+``release``, so the graphs that share one dict allocate their arrays
+once: the episode graphs and validation forwards of one
+``training.train`` call, and an episode's support and query forwards
+(``training.episode_head``).
 
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
@@ -83,16 +85,16 @@ class DiffGraph:
     already bound on this graph, and ``_register`` for a parent that is
     not a Tensor or lives on another graph. Single-threaded by contract;
     distinct graphs may be used concurrently. With ``tape`` false the graph
-    only counts its nodes: it keeps none, so it has no ``backward``, and
-    it lends ``borrow``'s arrays from ``buffers`` (shape -> free arrays)
-    when that dict is given.
+    only counts its nodes: it keeps none, so it has no ``backward``. Given
+    ``buffers`` (shape -> free arrays), it lends ``borrow``'s arrays from
+    that dict, which the graphs that share it must use from one thread.
     """
 
     def __init__(self, tape=True, buffers=None):
         self._nodes = [] if tape else None
         self._count = 0
         self._inputs = {}
-        self._free = None if tape else buffers
+        self._free = buffers
         self._lent = {}  # id -> array, until ``give_back`` or ``release``
 
     def __len__(self):
@@ -105,21 +107,22 @@ class DiffGraph:
     def borrow(self, shape):
         """An uninitialised float64 array of ``shape`` for an op to write into.
 
-        Without ``buffers`` it is a new array. A tape-free graph with
-        ``buffers`` lends a free array of that shape, or a new one after
-        dropping the free arrays of other row counts (so the dict holds one
-        batch size's arrays), and takes it back on ``give_back`` or
-        ``release``: a value written into it stays good until then.
+        Without ``buffers`` it is a new array. With ``buffers`` the graph
+        lends a free array of that shape, or a new one, and takes it back
+        on ``give_back`` or ``release``: a value written into it stays good
+        until then. When a graph with nothing on loan needs a new array,
+        the dict first drops its free arrays of other row counts: a graph
+        that starts on a new batch size does not keep the last one's
+        arrays, while every array one graph holds at once (an episode's
+        support, query and Student-t arrays) stays in the dict.
         """
         if self._free is None:
             return np.empty(shape)
         free = self._free.get(shape)
-        if free:
-            buf = free.pop()
-        else:
+        if not free and not self._lent:
             for other in [s for s in self._free if s[0] != shape[0]]:
                 del self._free[other]
-            buf = np.empty(shape)
+        buf = free.pop() if free else np.empty(shape)
         self._lent[id(buf)] = buf
         return buf
 

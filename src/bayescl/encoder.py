@@ -95,47 +95,41 @@ def dense(x, w, b, activate):
     oracle). The pre-activation gets the finiteness check its own node
     had. A ``const`` input gets no adjoint.
 
-    On a tape-free graph no vjp reads ``pre`` or ``e``, so an activated
-    layer writes both into arrays the graph lends (``DiffGraph.borrow``),
-    the value over ``pre`` once ``e`` is computed, and gives ``e`` back at
-    once: a forward holds one array per hidden layer and one scratch. The
-    ufuncs and their order are those of a recording graph, so the bits are
-    too. A recording graph's layers and the output layer allocate their
-    values.
+    The layer writes into arrays its graph lends (``DiffGraph.borrow``).
+    A recording graph keeps ``pre``, ``e`` and the value for the vjp until
+    ``release``, and gives back the temporary that ``log1p(e)`` goes to. On a
+    tape-free graph no vjp reads ``pre`` or ``e``, so an activated layer
+    writes its value over ``pre`` and gives ``e`` back at once: a forward
+    holds one array per hidden layer and one temporary. Its output layer
+    allocates the value, which outlives the graph. The ufuncs and their
+    order are the same on both graphs, so the bits are too.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise GraphError(f"dense: cannot apply {wd.shape} weights to {xd.shape} input")
     graph = x.graph
-    lend = activate and not graph.keeps_tape
-    if lend:
-        pre = np.matmul(xd, wd, out=graph.borrow((xd.shape[0], wd.shape[1])))
-        pre += b.data
-    else:
-        pre = xd @ wd + b.data
+    tape = graph.keeps_tape
+    lend = activate or tape  # a tape-free graph's output outlives the graph
+    pre = np.matmul(xd, wd, out=graph.borrow((xd.shape[0], wd.shape[1])) if lend else None)
+    pre += b.data
     if activate:
         if not np.isfinite(pre).all():
             raise GraphError(f"non-finite value produced by op 'dense' at node {len(graph)}")
-        if lend:
-            e = np.abs(pre, out=graph.borrow(pre.shape))
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            out = np.maximum(pre, 0.0, out=pre)
-            out += np.log1p(e, out=e)
-            graph.give_back(e)
-        else:
-            e = np.exp(-np.abs(pre))
-            out = np.maximum(pre, 0.0) + np.log1p(e)
+        e = np.abs(pre, out=graph.borrow(pre.shape))
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # softplus = max(pre, 0) + log1p(e)
+        out = np.maximum(pre, 0.0, out=graph.borrow(pre.shape) if tape else pre)
+        log1p_e = np.log1p(e, out=graph.borrow(pre.shape) if tape else e)
+        out += log1p_e
+        graph.give_back(log1p_e)
     else:
         out = pre
 
     def vjp(g):
         if activate:
             # the logistic sigmoid, stably: e / (1 + e), or 1 / (1 + e) where pre >= 0
-            one_e = 1.0 + e
-            sig = e / one_e
-            np.divide(1.0, one_e, out=sig, where=pre >= 0)
-            g = g * sig
+            g = g * (np.where(pre >= 0, 1.0, e) / (1.0 + e))
         gx = None if x.op == "const" else g @ wd.T
         return gx, xd.T @ g, _unbroadcast(g, b.data.shape)
 

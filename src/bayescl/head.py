@@ -201,6 +201,12 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     1e100 and scale^2 below 1e-200, zero included (alpha >= 1/2, so every
     other log, reciprocal and lgamma argument is positive). The tape's
     finiteness guard covers the logits.
+
+    Its (M, N, d) arrays are lent by the graph (``DiffGraph.borrow``):
+    ``dev``, ``dev2`` and ``opq`` stay lent for the vjp until ``release``,
+    and the log's temporary and the vjp's two go back as soon as
+    they are summed. The vjp writes nothing else, so a second call gives
+    the same bytes.
     """
     ra, rb = rho
     S, Q = support_z.data, query_z.data
@@ -231,12 +237,17 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     pi_nu = nu * math.pi
     shared = (lg1 - lg2) * float(d) - np.log(pi_nu) * (0.5 * d)
     const = shared - np.log(scale2).sum(axis=-1) * 0.5
-    dev = Q.reshape((M, 1, d)) - mu
-    dev2 = dev * dev
+    graph = support_z.graph
+    mnd = (M, n_classes, d)
+    dev = np.subtract(Q.reshape((M, 1, d)), mu, out=graph.borrow(mnd))
+    dev2 = np.multiply(dev, dev, out=graph.borrow(mnd))
     den = nu * scale2
     r_den = 1.0 / den
-    opq = dev2 * r_den + 1.0
-    tail = np.log(opq).sum(axis=-1)
+    opq = np.multiply(dev2, r_den, out=graph.borrow(mnd))
+    opq += 1.0
+    log_opq = np.log(opq, out=graph.borrow(mnd))
+    tail = log_opq.sum(axis=-1)
+    graph.give_back(log_opq)
     logits = const - half_nu1 * tail
 
     def vjp(g):
@@ -244,12 +255,21 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
         g_const, g_hs = _unbroadcast(g, const.shape), -g
         g_half_nu1 = _unbroadcast(g_hs * tail, ())
         # tail = sum(log(dev2 * r_den + 1)), r_den = 1 / (nu * scale2)
-        g_opq = np.expand_dims(g_hs * half_nu1, -1) / opq
-        g_den = -_unbroadcast(g_opq * dev2, den.shape) * r_den * r_den
+        g_opq = np.divide(np.expand_dims(g_hs * half_nu1, -1), opq, out=graph.borrow(mnd))
+        prod = np.multiply(g_opq, dev2, out=graph.borrow(mnd))
+        g_den = -_unbroadcast(prod, den.shape) * r_den * r_den
+        graph.give_back(prod)
         g_nu = _unbroadcast(g_den * scale2, ())
         g_scale2 = g_den * nu
-        c = (g_opq * r_den) * dev  # dev * dev: one adjoint per factor
-        g_dev = c + c
+        # dev * dev: one adjoint c per factor, so g_dev = c + c; doubling
+        # and negation commute with rounding, so g_dev's sums are c's doubled
+        c = np.multiply(g_opq, r_den, out=g_opq)
+        c *= dev
+        g_q = _unbroadcast(c, (M, 1, d))
+        g_q = (g_q + g_q).reshape(Q.shape)
+        g_mu = _unbroadcast(c, mu.shape)
+        g_mu = -(g_mu + g_mu)
+        graph.give_back(g_opq)
         # const = shared - sum(log(scale2)) * 0.5,
         # shared = (lg1 - lg2) * d - log(pi_nu) * (0.5 * d)
         g_shared = _unbroadcast(g_const, ())
@@ -263,11 +283,10 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
         g_alpha = g_nu * 2.0 + -_unbroadcast(g_scale2 * bs, ()) * r_alpha * r_alpha
         g_bsum = (g_scale2 * r_alpha) * ((n + 1.0) / n)
         g_ra, g_rb = g_alpha * ea, _unbroadcast(g_bsum, ()) * eb
-        g_q = _unbroadcast(g_dev, (M, 1, d)).reshape(Q.shape)
         # var = mean(pc * pc) - mu * mu, mu = mean(pc)
         g_var = g_bsum * (0.5 * n)
         c = -g_var * mu
-        g_mu = (_unbroadcast(-g_dev, mu.shape) + c) + c
+        g_mu = (g_mu + c) + c
         c = (np.expand_dims(g_var, 1) / K) * pc
         g_pc = (c + c) + np.expand_dims(g_mu, 1) / K
         return g_pc.reshape(S.shape), g_q, g_ra, g_rb

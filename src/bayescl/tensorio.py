@@ -59,7 +59,8 @@ def write_tensors(path, config, tensors):
 def read_tensors(path):
     """Read a container, verifying version and per-tensor checksums.
 
-    Returns (config, dict name -> ndarray).
+    Returns (config, dict name -> ndarray). A directory that names one
+    tensor twice raises ``ContainerError``.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -82,6 +83,8 @@ def read_tensors(path):
     tensors = {}
     for entry in header["tensors"]:
         name, shape, start, nbytes, crc = _directory_entry(path, entry)
+        if name in tensors:
+            raise ContainerError(f"{path}: tensor {name!r} named twice in the directory")
         if start + nbytes > len(payload):
             raise ContainerError(f"{path}: truncated payload for tensor {name!r}")
         raw = payload[start : start + nbytes]

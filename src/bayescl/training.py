@@ -134,17 +134,20 @@ def encoder_inputs(registry):
     )
 
 
-def _batch_gradients(meta, episodes_batch):
+def _batch_gradients(meta, episodes_batch, buffers=None):
     """Mean loss and mean gradients over a batch, one graph per episode.
 
     Each episode's graph binds every entry of ``meta`` once, in ``meta``
     order, and both embeddings and the loss take those Tensors. The
     episodes' references must be arrays, as ``encoder_inputs`` leaves them.
+    The graphs lend their layer and Student-t arrays from ``buffers``
+    (``DiffGraph.borrow``), one episode after another; ``train`` passes one
+    dict for all its steps.
     """
     total_loss = 0.0
     grad_sum = None
     for episode in episodes_batch:
-        graph = DiffGraph()
+        graph = DiffGraph(buffers=buffers)
         try:
             bound = {k: graph.input(k, v) for k, v in meta.items()}
             enc = encoder_params(bound)
@@ -165,21 +168,22 @@ def _batch_gradients(meta, episodes_batch):
     return total_loss / n, {k: g / n for k, g in grad_sum.items()}
 
 
-def episode_head(params, prior, episode, times=None):
+def episode_head(params, prior, episode, times=None, buffers=None):
     """The head an episode's support shots build, and its embedded queries.
 
     Returns ``(head, query_z)``: the head holds ``episode.class_ids`` in
     order, each class added from its K class-major support rows, and
     ``query_z`` is (N*Q, d) in the episode's query order. The episode's
     references must be arrays, as ``encoder_inputs`` leaves them. The two
-    forwards write their hidden layers into one set of arrays
-    (``embed_batch_values``' ``buffers``), dropped on return. With a dict
-    ``times``, sets ``times["embed_s"]`` to the seconds of the forwards and
+    forwards write their hidden layers into arrays lent from ``buffers``
+    (``embed_batch_values``), a dict that consecutive episodes share, or
+    one of this call's own. With a dict ``times``, sets
+    ``times["embed_s"]`` to the seconds of the forwards and
     ``times["add_class_s"]`` to those of building the head.
     """
     t0 = time.perf_counter()
     enc = encoder_params(params)
-    buffers = {}
+    buffers = {} if buffers is None else buffers
     support_z = embed_batch_values(episode.support, enc, buffers)
     query_z = embed_batch_values(episode.query, enc, buffers)
     t1 = time.perf_counter()
@@ -192,9 +196,10 @@ def episode_head(params, prior, episode, times=None):
     return head, query_z
 
 
-def episode_accuracy(params, prior, episode):
-    """Query accuracy of one episode under frozen parameters."""
-    head, query_z = episode_head(params, prior, episode)
+def episode_accuracy(params, prior, episode, buffers=None):
+    """Query accuracy of one episode under frozen parameters; ``buffers``
+    as in ``episode_head``."""
+    head, query_z = episode_head(params, prior, episode, None, buffers)
     truth = np.repeat(np.arange(len(episode.class_ids)), len(query_z) // len(episode.class_ids))
     return float(np.mean(np.argmax(class_scores(head, query_z), axis=1) == truth))
 
@@ -210,7 +215,9 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     point so the accuracy curve is comparable across steps. Both
     registries go through ``encoder_inputs`` up front, so every file is
     read and every clip pooled once, and a malformed file fails before
-    the first step.
+    the first step. Every episode graph and validation forward of the
+    call lends its arrays from one dict (``DiffGraph.borrow``), which
+    holds each array shape an episode uses and is dropped on return.
     """
     registry.require(cfg.spec.ways, cfg.spec.samples_per_class)
     meta = dict(init_params(encoder_cfg))
@@ -225,6 +232,7 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
 
     state = OptState.for_params(meta)
     history = TrainHistory()
+    buffers = {}
 
     val_episodes = []
     if val_registry is not None and cfg.validation_episodes > 0:
@@ -237,7 +245,7 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
             for _ in range(cfg.batch_episodes)
         ]
         try:
-            loss, grads = _batch_gradients(meta, batch)
+            loss, grads = _batch_gradients(meta, batch, buffers)
         except Exception as exc:
             raise TrainingError(f"step {step}: {exc}") from exc
         if not np.isfinite(loss):
@@ -248,7 +256,7 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
         if val_episodes and (step % cfg.validation_every == 0 or step == cfg.steps):
             prior = PriorParams(float(meta["rho_alpha"]), float(meta["rho_beta"]))
             acc = float(
-                np.mean([episode_accuracy(meta, prior, ep) for ep in val_episodes])
+                np.mean([episode_accuracy(meta, prior, ep, buffers) for ep in val_episodes])
             )
             history.val_steps.append(step)
             history.val_accuracy.append(acc)

@@ -1,6 +1,6 @@
 """The harnesses behind the committed ``BENCH_*.json`` rows
 (``scripts/bench_workers.py``, ``scripts/bench_class_scores.py``,
-``scripts/bench_eval_memory.py``) reach
+``scripts/bench_eval_memory.py``, ``scripts/bench_train_memory.py``) reach
 into the package by name and by CLI flag. A refactor that drops one fails
 the harness only when someone reruns it, so each is checked here, without
 timing anything."""
@@ -37,6 +37,11 @@ def bench_eval_memory():
     return load_script("bench_eval_memory")
 
 
+@pytest.fixture(scope="module")
+def bench_train_memory():
+    return load_script("bench_train_memory")
+
+
 def test_bench_workers_reaches_existing_names(bench_workers):
     assert callable(bench_workers._numpy_build)  # protocol._numpy_build
     assert callable(bench_workers.corpus.write_corpus)
@@ -69,3 +74,16 @@ def test_bench_eval_memory_flags_parse(bench_eval_memory):
     parser.parse_args([*bench_eval_memory.TRAIN, "--out", "m.ckpt"])
     for argv in bench_eval_memory.SIZES.values():
         parser.parse_args(["synth-eval", "--ckpt", "m.ckpt", "--out", "r", *argv])
+
+
+def test_bench_train_memory_reaches_existing_names(bench_train_memory):
+    assert callable(bench_train_memory._numpy_build)
+    assert len(bench_train_memory.BLAS_VARS) == 5
+
+
+def test_bench_train_memory_flags_parse(bench_train_memory):
+    parser = build_parser()
+    for steps, argv in bench_train_memory.SIZES.values():
+        for n in (steps, 1):  # each run and its one-step twin
+            args = parser.parse_args([*argv, "--steps", str(n), "--out", "m.ckpt"])
+            assert args.batch_episodes == bench_train_memory.BATCH_EPISODES

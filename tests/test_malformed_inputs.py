@@ -120,11 +120,32 @@ def test_a_bool_is_never_a_count_in_a_head_snapshot(tmp_path):
         H.load_head(path)
 
 
+def hand_built_container(path, shapes):
+    """A container whose directory lists ``shapes``' (name, shape) pairs as
+    they are, each over 8 payload bytes of 1.0: what ``write_tensors``,
+    which takes a dict of arrays, cannot write."""
+    entries, payload = [], b""
+    for name, shape in shapes:
+        raw = np.ones(1).astype("<f8").tobytes()
+        entries.append({"name": name, "shape": shape, "offset": len(payload), "nbytes": 8,
+                        "crc32": zlib.crc32(raw)})
+        payload += raw
+    header = json.dumps({"config": {}, "tensors": entries}).encode("ascii")
+    path.write_bytes(b"BCLT" + struct.pack("<II", 1, len(header)) + header + payload)
+
+
 def test_a_bool_is_never_a_count_in_a_tensor_directory(tmp_path):
     path = tmp_path / "t.bin"
-    raw = np.ones(1).astype("<f8").tobytes()
-    entry = {"name": "t", "shape": [True], "offset": 0, "nbytes": 8, "crc32": zlib.crc32(raw)}
-    header = json.dumps({"config": {}, "tensors": [entry]}).encode("ascii")
-    path.write_bytes(b"BCLT" + struct.pack("<II", 1, len(header)) + header + raw)
+    hand_built_container(path, [("t", [True])])
     with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: malformed tensor directory"):
+        read_tensors(path)
+
+
+def test_a_tensor_named_twice_in_a_directory_is_rejected(tmp_path):
+    # the last copy would silently win
+    path = tmp_path / "t.bin"
+    hand_built_container(path, [("t", [1]), ("u", [1]), ("t", [1])])
+    with pytest.raises(
+        ContainerError, match=rf"^{re.escape(str(path))}: tensor 't' named twice in the directory$"
+    ):
         read_tensors(path)

@@ -8,6 +8,7 @@ import pytest
 from bayescl import autodiff as ad
 from bayescl import encoder as E
 from bayescl import episodes as Ep
+from bayescl import head as H
 from bayescl import training as T
 from bayescl.head import PriorParams
 from bayescl.tensorio import ContainerError, write_tensors
@@ -208,8 +209,8 @@ class TestTrain:
         graphs = []
 
         class RecordedGraph(ad.DiffGraph):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
                 graphs.append(weakref.ref(self))
 
         monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
@@ -289,6 +290,105 @@ class TestTrain:
         log = (tmp_path / "ck.log.csv").read_text().splitlines()
         assert log[0] == "step,loss,val_accuracy"
         assert len(log) == 21
+
+
+class TestEpisodeWorkspace:
+    """``train`` lends every episode graph its arrays from one dict
+    (``DiffGraph.borrow``): a step's episodes, and every step, write over
+    the arrays the last episode gave back. Support and query row counts
+    differ (4-way 3+2-shot), so the dict holds both sets."""
+
+    SPEC = Ep.EpisodeSpec(4, 3, 2)
+    ENC = E.EncoderConfig(embed_dim=6, hidden_dims=(8, 8), feature_dim=8, vector_input=True,
+                          seed=31)
+
+    def setup(self, episodes=3):
+        reg, _ = synth_setup(class_sep=2.0)
+        rng = np.random.default_rng(31)
+        batch = [Ep.sample_episode(reg, self.SPEC, rng) for _ in range(episodes)]
+        meta = dict(E.init_params(self.ENC), rho_alpha=np.asarray(0.3), rho_beta=np.asarray(-0.2))
+        return meta, batch
+
+    @staticmethod
+    def held(buffers):
+        return sorted(id(a) for arrays in buffers.values() for a in arrays)
+
+    def test_a_steps_episodes_sharing_one_dict_give_the_bytes_of_fresh_graphs(self):
+        meta, batch = self.setup()
+        ref_loss, ref_grads = T._batch_gradients(meta, batch)
+        buffers = {}
+        for _ in range(2):  # the second step writes over the first one's arrays
+            loss, grads = T._batch_gradients(meta, batch, buffers)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                assert grads[name].tobytes() == ref.tobytes(), name
+        rows = {shape[0] for shape in buffers}
+        assert {12, 8} <= rows  # support (4 x 3) and query (4 x 2) layer arrays
+        assert (8, 4, 6) in buffers  # the Student-t node's (M, N, d) arrays
+
+    def test_loans_return_on_release(self, monkeypatch):
+        graphs = []
+
+        class RecordedGraph(ad.DiffGraph):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                graphs.append(self)
+
+        monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
+        meta, batch = self.setup()
+        buffers = {}
+        T._batch_gradients(meta, batch, buffers)
+        held = self.held(buffers)
+        assert held and all(g._lent == {} for g in graphs)
+        T._batch_gradients(meta, batch, buffers)  # allocates no array the dict lacks
+        assert self.held(buffers) == held and all(g._lent == {} for g in graphs)
+
+    def test_calling_a_nodes_vjp_twice_gives_the_same_bytes(self):
+        meta, batch = self.setup(episodes=1)
+        buffers = {}
+        T._batch_gradients(meta, batch, buffers)  # fill the dict: its arrays are reused
+        graph = ad.DiffGraph(buffers=buffers)
+        bound = {k: graph.input(k, v) for k, v in meta.items()}
+        enc = T.encoder_params(bound)
+        sz = E.embed_batch(batch[0].support, enc, graph)
+        qz = E.embed_batch(batch[0].query, enc, graph)
+        H.episode_loss((bound["rho_alpha"], bound["rho_beta"]), sz, qz, self.SPEC.ways)
+        rng = np.random.default_rng(32)
+        ops = []
+        for node in graph._nodes:
+            if node.vjp is None:
+                continue
+            ops.append(node.op)
+            g = rng.normal(size=node.shape)
+            first = [None if a is None else a.tobytes() for a in node.vjp(g)]
+            second = [None if a is None else a.tobytes() for a in node.vjp(g)]
+            assert first == second, (node.index, node.op)
+        assert ops == ["dense"] * 6 + ["student_t_logits", "softmax_cross_entropy"]
+        graph.release()
+
+    def test_train_lends_from_one_dict_per_call(self, monkeypatch):
+        dicts = []
+
+        class RecordedGraph(ad.DiffGraph):
+            def __init__(self, tape=True, buffers=None):
+                super().__init__(tape, buffers)
+                dicts.append((tape, buffers))
+
+        monkeypatch.setattr(T, "DiffGraph", RecordedGraph)
+        monkeypatch.setattr(E, "DiffGraph", RecordedGraph)
+        reg, val = synth_setup(class_sep=2.0)
+        cfg = T.TrainConfig(steps=2, batch_episodes=2, spec=self.SPEC, seed=33,
+                            validation_every=2, validation_episodes=2)
+        calls = []
+        for _ in range(2):
+            dicts.clear()
+            T.train(cfg, reg, self.ENC, val)
+            # 2 steps of 2 episode graphs, then 2 validation episodes of 2 forwards
+            assert [tape for tape, _ in dicts] == [True] * 4 + [False] * 4
+            assert len({id(buffers) for _, buffers in dicts}) == 1
+            calls.append(dicts[0][1])
+        assert calls[0] is not calls[1]
 
 
 def test_history_csv_round_trip(tmp_path):
