@@ -10,18 +10,13 @@ and the sha256 of the score bytes, which must agree between the two
 settings. One thread runs the same kernel as before the span split.
 """
 
-import argparse
 import hashlib
-import json
-import os
-import platform
-import statistics
 import time
 
 import numpy as np
 
+import benchlib
 from bayescl import head as H
-from bayescl.protocol import _numpy_build
 
 SHAPES = ((1000, 200, 64, 15), (5000, 1000, 64, 5))  # M, C, d, timed calls per setting
 
@@ -53,7 +48,7 @@ def time_shape(m, c, d, repeats):
     H._THREADS = None
     rows = []
     for name in settings:
-        q1, med, q3 = statistics.quantiles(walls[name], n=4)
+        q1, med, q3 = benchlib.quartiles(walls[name])
         rows.append({
             "queries": m, "classes": c, "dim": d, "threads": threads[name], "setting": name,
             "calls": repeats, "median_ms": 1e3 * med, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3,
@@ -63,27 +58,12 @@ def time_shape(m, c, d, repeats):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_class_scores.json")
-    args = parser.parse_args()
+    args = benchlib.arguments(__doc__, "BENCH_class_scores.json")
     rows = [row for m, c, d, repeats in SHAPES for row in time_shape(m, c, d, repeats)]
     for row in rows:
         print(f"{row['queries']}x{row['classes']}x{row['dim']} threads={row['threads']}: "
               f"{row['median_ms']:.1f} ms (q1 {row['q1_ms']:.1f}, q3 {row['q3_ms']:.1f})")
-    result = {
-        "harness": "scripts/bench_class_scores.py",
-        "machine": {
-            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count(),
-            "processor": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": _numpy_build(),  # as a protocol run's summary.json records it
-        },
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    benchlib.write_result("scripts/bench_class_scores.py", rows, args.out)
 
 
 if __name__ == "__main__":
