@@ -8,10 +8,10 @@ Each run is one ``synth-eval`` of one tree in a fresh interpreter;
 repeats and the paired statistic work.
 
 Set-up, untimed: one ``synth-train`` checkpoint of the criterion-7 model
-(as ``scripts/bench_workers.py`` trains it) but at class separation 1.4,
-as perfbench's synth workloads use, written by the first tree. At the
-default separation of 10 every query is right, so every ``per_word.csv``
-reads 100 and its hash would check little.
+(``scripts/bench_train_memory.py``'s ``criterion-7`` size) but at class
+separation 1.4, as perfbench's synth workloads use, written by the first
+tree. At the default separation of 10 every query is right, so every
+``per_word.csv`` reads 100 and its hash would check little.
 Then each size runs on each tree. BLAS is pinned to one thread per
 process, as perfbench pins it; ``class_scores`` keeps its default threads.
 Sizes:

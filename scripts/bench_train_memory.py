@@ -15,8 +15,8 @@ two is the other steps alone. Sizes:
 - ``perfbench-synth-train``: perfbench's synth-train operation (16-d
   vectors at class separation 1.4, 80 + 20 classes of 20 samples, 10-way
   5+5-shot, 4 episodes per step, 50 steps, 20 validation episodes once);
-- ``criterion-7``: the criterion-7 model as ``scripts/bench_workers.py``
-  trains it (class separation 10, 500 steps, validation every 100).
+- ``criterion-7``: the criterion-7 model (class separation 10, 500 steps,
+  validation every 100).
 
 Each row gives benchlib's wall and memory statistics of the run (not its
 twin), ``steps_per_s`` (the steps after the first over the median of the

@@ -46,7 +46,7 @@ def load_wav(path):
 
     Returns the samples as a float64 array. Integer samples are scaled by
     1/32768, so they lie in [-1, 1); float samples must already be within
-    [-1, 1].
+    [-1, 1], so NaN and infinity are rejected.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
@@ -84,8 +84,8 @@ def load_wav(path):
         if bits != 32:
             raise AudioFormatError(f"{path}: unsupported float bit depth {bits} (expected 32)")
         samples = _samples(path, data, "<f4").astype(np.float64)
-        if samples.size and np.max(np.abs(samples)) > 1.0:
-            raise AudioFormatError(f"{path}: float samples outside [-1, 1]")
+        if not (np.abs(samples) <= 1.0).all():  # false for NaN too
+            raise AudioFormatError(f"{path}: float samples must be finite and within [-1, 1]")
     else:
         raise AudioFormatError(f"{path}: unsupported codec (format tag {codec})")
     return samples
@@ -202,4 +202,7 @@ def read_feature_dump(path):
         raise AudioFormatError(f"{path}: truncated feature dump")
     if len(blob) > expected:
         raise AudioFormatError(f"{path}: {len(blob) - expected} trailing bytes after the frames")
-    return np.frombuffer(blob[16:], dtype="<f8").astype(np.float64).reshape(t, n_ceps)
+    frames = np.frombuffer(blob[16:], dtype="<f8").astype(np.float64).reshape(t, n_ceps)
+    if not np.isfinite(frames).all():
+        raise AudioFormatError(f"{path}: non-finite value in the frames")
+    return frames

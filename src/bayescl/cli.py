@@ -15,7 +15,7 @@ int, an int for a float is read as that float, so file and flag write
 the same bytes, and null is taken only where the default is None.
 
 A command re-run with the same inputs and seed writes the same bytes,
-whatever ``--workers``, on the same machine and numpy build. Across
+whatever ``prepare --workers``, on the same machine and numpy build. Across
 machines the bits can differ: numpy's float64 ``log`` rounds differently
 on its AVX-512 and AVX2/baseline paths.
 """

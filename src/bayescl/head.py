@@ -29,7 +29,7 @@ byte-identical to evaluating the density one class at a time. Threads
 take the blocks in turn, each thread with its own buffer, each block
 into its own columns of the output, so the bytes do not depend on the
 thread count: one thread per CPU the process may run on, no more than
-there are blocks, one in a ``multiprocessing`` child. The threads run
+there are blocks. The threads run
 numpy alone. A ``ScoringPool`` keeps the threads and their buffers
 across calls (a protocol episode opens one for its checkpoints); a call
 without one starts and joins its own. ``episode_loss`` scores an
@@ -45,7 +45,6 @@ unconstrained gradient descent.
 """
 
 import math
-import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -301,8 +300,6 @@ _THREADS = None  # class_scores threads; None: one per usable CPU (``_cpu_thread
 def _cpu_threads():
     if _THREADS is not None:
         return _THREADS
-    if multiprocessing.parent_process() is not None:
-        return 1  # run_protocol --workers already spreads episodes over the cores
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -406,13 +403,11 @@ def class_scores(head, Z, rows=slice(None), pool=None):
     Threads take the blocks in turn, each into its own buffer and the
     block's own columns, so the bytes do not depend on the thread count
     (``scoring_threads``): one per CPU this process may run on, at most
-    one per block and at most ``pool.threads``, and one in a
-    ``multiprocessing`` child, where ``run_protocol --workers`` already
-    uses the cores. A thread that the host deschedules holds up one block,
-    not a fixed share. The threads and their buffers are ``pool``'s, or
-    without one a ``ScoringPool`` for this call alone. The constants
-    (``_log_t_const`` calls ``lgamma_value``) are computed here, so the
-    threads run numpy alone.
+    one per block and at most ``pool.threads``. A thread that the host
+    deschedules holds up one block, not a fixed share. The threads and
+    their buffers are ``pool``'s, or without one a ``ScoringPool`` for
+    this call alone. The constants (``_log_t_const`` calls
+    ``lgamma_value``) are computed here, so the threads run numpy alone.
     """
     if not head.posteriors:
         raise ValueError("head has no classes")

@@ -21,10 +21,10 @@ first maximum: ties go to the earliest-inserted class, and a query that
 goes wrong can never recover, since its competitors only grow while the
 existing scores stay fixed. No episode holds more than one block of
 (max_classes * query_shots, increment) scores. The checkpoints' calls
-share one ``head.ScoringPool``, opened for the episode (in the worker
-process with ``--workers`` > 1) and joined before it returns.
+share one ``head.ScoringPool``, opened for the episode and joined before
+it returns. Episodes run in turn, in the calling process.
 
-``EvalReport.runtime`` sums over episodes (and worker processes):
+``EvalReport.runtime`` sums over episodes:
 ``support_ingest_s`` (drawing, embedding and ``add_class``), and within
 it ``draw_s`` (``sample_episode``), ``embed_s`` (the support and query
 forwards) and ``add_class_s`` (building the head); ``query_eval_s``
@@ -40,14 +40,13 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .episodes import EpisodeSpec, sample_episode
 from .head import ScoringPool, class_scores, scoring_threads
-from .pool import spawn_map
 from .training import encoder_inputs, episode_head
 
 __all__ = [
@@ -76,9 +75,10 @@ class ProtocolConfig:
     query_shots: int = 5
     episodes: int = 10
     seed: int = 0
-    workers: int = 1
+    # init-only: perfbench still passes workers=1; goes when the benchmark drops it
+    workers: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, workers):
         if self.increment < 1 or self.max_classes < self.increment:
             raise ValueError("need 1 <= increment <= max_classes")
         if self.max_classes % self.increment:
@@ -87,8 +87,8 @@ class ProtocolConfig:
             raise ValueError("shots and query_shots must be >= 1")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if workers != 1:
+            raise ValueError(f"workers must be 1, got {workers}")
 
     @property
     def checkpoints(self):
@@ -186,14 +186,12 @@ def run_protocol(params, prior, registry, cfg):
     """Evaluate frozen meta-parameters; returns (AccuracyMatrix, EvalReport).
 
     The registry's files are read, and its clips pooled, once before
-    any episode (``encoder_inputs``). With ``cfg.workers > 1``
-    episodes run in worker processes: each worker gets the model, that
-    registry and its share of the episode seeds in one message.
+    any episode (``encoder_inputs``).
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     t_start = time.perf_counter()
     registry = encoder_inputs(registry)
-    results = spawn_map(_run_episode, (params, prior, registry, cfg), seeds, cfg.workers)
+    results = [_run_episode(params, prior, registry, cfg, s) for s in seeds]
     matrix = AccuracyMatrix(cfg.checkpoints, cfg.query_shots, [r[0] for r in results])
     runtime = {k: sum(r[1][k] for r in results) for k in results[0][1]}
 

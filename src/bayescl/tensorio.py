@@ -59,8 +59,8 @@ def write_tensors(path, config, tensors):
 def read_tensors(path):
     """Read a container, verifying version and per-tensor checksums.
 
-    Returns (config, dict name -> ndarray). A directory that names one
-    tensor twice raises ``ContainerError``.
+    Returns (config, dict name -> ndarray). A tensor named twice in the
+    directory, or holding a NaN or an infinity, raises ``ContainerError``.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -91,6 +91,8 @@ def read_tensors(path):
         if zlib.crc32(raw) != crc:
             raise ContainerError(f"{path}: checksum mismatch for tensor {name!r}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"{path}: non-finite value in tensor {name!r}")
         tensors[name] = arr.reshape(shape)
     return header["config"], tensors
 

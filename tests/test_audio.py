@@ -85,6 +85,17 @@ class TestLoadWav:
         with pytest.raises(audio.AudioFormatError, match=r"\[-1, 1\]"):
             audio.load_wav(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_rejected(self, tmp_path, bad):
+        # one bad sample in a 1,000-sample clip
+        p = tmp_path / "bad.wav"
+        samples = np.zeros(1000, dtype=np.float32)
+        samples[500] = bad
+        write_float32(p, samples)
+        message = re.escape(f"{p}: float samples must be finite")
+        with pytest.raises(audio.AudioFormatError, match=message):
+            audio.load_wav(p)
+
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "trunc.wav"
         write_pcm16(p, np.zeros(1000, dtype=np.int16))
@@ -254,6 +265,15 @@ class TestFeatureDump:
         p = tmp_path / "bad.mfcc"
         p.write_bytes(b"WHAT" + b"\x00" * 32)
         with pytest.raises(audio.AudioFormatError, match="magic"):
+            audio.read_feature_dump(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_value_rejected(self, tmp_path, bad):
+        frames = np.ones((4, 3))
+        frames[2, 1] = bad
+        p = tmp_path / "nan.mfcc"
+        audio.write_feature_dump(p, frames)
+        with pytest.raises(audio.AudioFormatError, match=re.escape(f"{p}: non-finite value")):
             audio.read_feature_dump(p)
 
     def test_truncation_rejected(self, tmp_path):

@@ -65,12 +65,8 @@ def test_bench_class_scores_reaches_existing_names(bench_class_scores):
 
 
 def test_bench_workers_flags_parse(bench_workers):
-    parser = build_parser()
-    parser.parse_args([*bench_workers.TRAIN, "--out", "m.ckpt"])
-    parser.parse_args(["synth-eval", "--ckpt", "m.ckpt", "--out", "r", "--workers", "2",
-                       *bench_workers.PROTOCOL])
-    parser.parse_args(["prepare", "--manifest", "m.jsonl", "--audio-root", "w",
-                       "--features-dir", "f", "--workers", "2"])
+    build_parser().parse_args(["prepare", "--manifest", "m.jsonl", "--audio-root", "w",
+                               "--features-dir", "f", "--workers", "2"])
 
 
 def test_bench_eval_memory_reaches_existing_names(bench_eval_memory):

@@ -1,14 +1,18 @@
 """The benchmark's tracer names ``bayescl`` functions and methods by string
-(``perfbench/tracer.py``). A name the package no longer holds fails every
-traced run, so each one is checked here, without running the benchmark."""
+(``perfbench/tracer.py``), and its workloads build the package's configs
+(``perfbench/workloads.py``). A name or argument the package no longer
+takes fails every benchmark run, so each one is checked here, without
+running the benchmark."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +56,12 @@ def test_importers_hold_the_traced_functions():
     protocol, head = package_module("protocol"), package_module("head")
     assert training.resolve_sample is episodes.resolve_sample
     assert protocol.class_scores is head.class_scores
+
+
+def test_the_synth_protocol_workload_builds_its_configs(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports corpus from its directory
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.SynthProtocol(0, tiny=True)
+    assert [cfg.seed for cfg in workload.pcfgs] == [0, 1]

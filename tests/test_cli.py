@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 import wave
 
 import numpy as np
@@ -10,7 +11,7 @@ from bayescl import __version__, audio
 from bayescl.cli import OPTIONS, main
 from bayescl.episodes import SynthTaskConfig
 from bayescl.protocol import ProtocolConfig
-from bayescl.tensorio import read_tensors
+from bayescl.tensorio import read_tensors, write_tensors
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,27 @@ def test_synth_eval_names_a_checkpoint_whose_data_header_is_damaged(tmp_path, ca
     assert code == 1
     last = err.strip().splitlines()[-1]
     assert last.startswith(f"error: {ckpt}: ") and "latent_dim" in last
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("tensor", ["mlp.0.w", "rho_alpha"])
+def test_synth_eval_names_a_checkpoint_tensor_that_is_not_finite(tmp_path, capsys, tensor):
+    ckpt = tmp_path / "ck"
+    code, _, err = run_cli(
+        capsys, "synth-train", "--steps", "1", "--ways", "4", "--classes", "8", "--val-classes", "4",
+        "--embed-dim", "8", "--out", str(ckpt),
+    )
+    assert code == 0, err
+    config, tensors = read_tensors(ckpt)
+    tensors[tensor] = np.full_like(tensors[tensor], np.nan)
+    write_tensors(ckpt, config, tensors)  # with the CRCs of the NaN payload
+    code, _, err = run_cli(
+        capsys, "synth-eval", "--ckpt", str(ckpt), "--max-classes", "10", "--increment", "5",
+        "--episodes", "1", "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last == f"error: {ckpt}: non-finite value in tensor {tensor!r}"
     assert not (tmp_path / "report").exists()
 
 
@@ -525,6 +547,29 @@ def test_prepare_rejects_clips_that_would_share_a_dump(tmp_path, capsys):
     assert not list(feat.rglob("*.mfcc"))
 
 
+def test_prepare_on_a_nan_wav_names_it_and_removes_what_it_made(tmp_path, capsys):
+    # a 32-bit float clip with one NaN sample, after a good clip of the same word
+    make_tone_wav(tmp_path / "good.wav", 440.0)
+    data = np.full(8000, 0.1, dtype="<f4")
+    data[4000] = np.nan
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", data.nbytes) + data.tobytes()
+    bad = tmp_path / "nan.wav"
+    bad.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps({"word": "cat", "path": name, "split": "train"}) + "\n"
+                                for name in ("good.wav", "nan.wav")))
+    code, _, err = run_cli(
+        capsys, "prepare", "--manifest", str(manifest), "--audio-root", str(tmp_path),
+        "--features-dir", str(tmp_path / "out" / "features"), "--shots", "1", "--query-shots", "1",
+    )
+    assert code == 1
+    last = err.strip().splitlines()[-1]
+    assert last == f"error: {bad}: float samples must be finite and within [-1, 1]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good.wav", "manifest.jsonl", "nan.wav"]
+
+
 def test_prepare_with_no_word_kept_creates_no_features_dir(tmp_path, capsys, wav_dataset):
     root, manifest = wav_dataset
     feat = tmp_path / "features"
@@ -740,11 +785,14 @@ def test_eval_takes_its_split_from_the_checkpoint(capsys):
 
 
 def test_eval_rejects_zero_workers_before_reading_anything(capsys):
-    code, _, err = run_cli(
-        capsys, "eval", "--manifest", "m.jsonl", "--ckpt", "c", "--out", "x", "--workers", "0"
-    )
-    assert code == 1
-    assert err.strip().splitlines()[-1] == "error: workers must be >= 1, got 0"
+    # episodes run in one process: the eval commands take no --workers
+    required = {"eval": ["--manifest", "m.jsonl"], "synth-eval": []}
+    for cmd, args in required.items():
+        for workers in ("0", "2"):
+            code, _, err = run_cli(capsys, cmd, *args, "--ckpt", "c", "--out", "x",
+                                   "--workers", workers)
+            assert code == 2
+            assert "unrecognized arguments: --workers" in err
 
 
 def test_train_on_a_raw_wav_manifest_names_a_wav(tmp_path, capsys, wav_dataset):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayescl import head as H
-from bayescl import pool
 
 import tape_ops as ad
 
@@ -526,9 +525,6 @@ class TestScoringThreads:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert H.scoring_threads(1000, 200, 64) == min(200, cpus)
         assert H.scoring_threads(10, 20, 64) == 1  # one block: every training head
-
-    def test_one_thread_inside_a_worker_process(self):
-        assert pool.spawn_map(H.scoring_threads, (1000, 200), [64, 64], 2) == [1, 1]
 
 
 class TestScoringPool:

@@ -39,8 +39,17 @@ class TestProtocolConfig:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, workers):
-        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+        with pytest.raises(ValueError, match=rf"^workers must be 1, got {workers}$"):
             P.ProtocolConfig(increment=25, max_classes=100, episodes=1, workers=workers)
+
+    def test_workers_is_an_init_only_argument_that_must_be_one(self):
+        # perfbench's synth-protocol set-up passes workers=1
+        cfg = P.ProtocolConfig(increment=25, max_classes=200, shots=5, query_shots=5,
+                               episodes=1, seed=0, workers=1)
+        assert cfg == P.ProtocolConfig(increment=25, max_classes=200, episodes=1)
+        with pytest.raises(ValueError, match=r"^workers must be 1, got 2$"):
+            P.ProtocolConfig(increment=25, max_classes=200, episodes=1, workers=2)
+        assert "workers" not in {f.name for f in dataclasses.fields(P.ProtocolConfig)}
 
     def test_checkpoints_enumerated(self):
         cfg = P.ProtocolConfig(increment=25, max_classes=100, episodes=1)
@@ -87,12 +96,12 @@ class TestRunProtocol:
             vals = tr.acc[~np.isnan(tr.acc)]
             np.testing.assert_array_equal(vals % 20.0, 0.0)
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs(self):
         params, prior = tiny_model()
         reg = tiny_registry(30)
         cfg = P.ProtocolConfig(increment=10, max_classes=30, shots=3, query_shots=3, episodes=2, seed=5)
         m1, _ = P.run_protocol(params, prior, reg, cfg)
-        m2, _ = P.run_protocol(params, prior, reg, dataclasses.replace(cfg, workers=2))
+        m2, _ = P.run_protocol(params, prior, reg, cfg)
         assert len(m1.episodes) == len(m2.episodes) == 2
         for a, b in zip(m1.episodes, m2.episodes):
             assert a.words == b.words
@@ -177,16 +186,8 @@ class TestReadOnce:
         test_reg = dump_registries["test"]
         pcfg = P.ProtocolConfig(increment=2, max_classes=6, shots=3, query_shots=3, episodes=3, seed=4)
         test_paths = sorted(p for refs in test_reg.classes.values() for p in refs)
-        m1, _ = P.run_protocol(params, prior, test_reg, pcfg)
+        P.run_protocol(params, prior, test_reg, pcfg)
         assert sorted(reads) == test_paths
-
-        reads.clear()
-        m2, _ = P.run_protocol(params, prior, test_reg, dataclasses.replace(pcfg, workers=2))
-        assert sorted(reads) == test_paths  # read in this process, before the pool starts
-        for a, b in zip(m1.episodes, m2.episodes, strict=True):
-            assert a.words == b.words
-            assert a.acc.tobytes() == b.acc.tobytes()
-            assert a.correct.tobytes() == b.correct.tobytes()
 
 
 def train_and_evaluate(regs):
@@ -509,20 +510,17 @@ class TestScoringThreadsInTheProtocol:
         names = ("curve.csv", "per_word.csv", "volatility.csv")
         return {name: (tmp_path / name).read_bytes() for name in names}, report
 
-    def test_reports_are_byte_identical_for_any_thread_count_and_workers(
-            self, tmp_path, monkeypatch):
+    def test_reports_are_byte_identical_for_any_thread_count(self, tmp_path, monkeypatch):
         from bayescl import head as H
 
         cfg = P.ProtocolConfig(increment=25, max_classes=200, shots=5, query_shots=5,
                                episodes=10, seed=2)
         default, report = self._csvs(tmp_path / "default", cfg)
         assert report.scoring_threads == H.scoring_threads(1000, 25, 8)  # one block
-        workers, report = self._csvs(tmp_path / "workers", dataclasses.replace(cfg, workers=2))
-        assert report.scoring_threads == 1
         monkeypatch.setattr(H, "_THREADS", 1)
         serial, report = self._csvs(tmp_path / "serial", cfg)
         assert report.scoring_threads == 1
-        assert serial == default == workers
+        assert serial == default
 
 
 class TestOneScoringPoolPerEpisode:

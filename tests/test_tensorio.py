@@ -9,7 +9,7 @@ import pytest
 from bayescl import encoder as E
 from bayescl import head as H
 from bayescl import training as T
-from bayescl.tensorio import MAGIC, VERSION, ContainerError, read_tensors
+from bayescl.tensorio import MAGIC, VERSION, ContainerError, read_tensors, write_tensors
 
 
 def write_raw(path, header, payload=b""):
@@ -96,4 +96,27 @@ def test_header_field_edit_raises_container_error_naming_path(tmp_path, save, lo
     assert blob.count(old) == 1
     path.write_bytes(blob.replace(old, new))
     with pytest.raises(ContainerError, match=re.escape(str(path))):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "save, load, tensor",
+    [
+        (save_checkpoint, T.load_checkpoint, "mlp.0.w"),
+        (save_checkpoint, T.load_checkpoint, "rho_alpha"),
+        (save_head, H.load_head, "class.1.sum_z2"),
+    ],
+    ids=["checkpoint-weight", "checkpoint-prior", "head-statistics"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_raises_container_error_naming_path_and_tensor(
+        tmp_path, save, load, tensor, bad):
+    # rewritten through write_tensors, so the CRCs hold and only the value is wrong
+    path = tmp_path / "file.bclt"
+    save(path)
+    config, tensors = read_tensors(path)
+    tensors[tensor] = np.full_like(tensors[tensor], bad)
+    write_tensors(path, config, tensors)
+    message = f"{path}: non-finite value in tensor {tensor!r}"
+    with pytest.raises(ContainerError, match=f"^{re.escape(message)}$"):
         load(path)
