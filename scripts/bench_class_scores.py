@@ -31,21 +31,20 @@ def make_inputs(m, c, d, seed=0):
 
 def time_shape(m, c, d, repeats):
     head, Z = make_inputs(m, c, d)
-    settings = {"1": 1, "default": None}
-    threads, digests, walls = {}, {}, {name: [] for name in settings}
-    for name, value in settings.items():  # warm-up, and the bytes
-        H._THREADS = value
-        threads[name] = H.scoring_threads(m, c, d)
-        digests[name] = hashlib.sha256(H.class_scores(head, Z).tobytes()).hexdigest()
+    # "1" scores on a one-thread pool (it starts no thread), "default" on
+    # the pool each call opens for itself
+    settings = {"1": H.ScoringPool(1), "default": None}
+    threads = {"1": 1, "default": H.scoring_threads(m, c, d)}
+    digests, walls = {}, {name: [] for name in settings}
+    for name, pool in settings.items():  # warm-up, and the bytes
+        digests[name] = hashlib.sha256(H.class_scores(head, Z, pool=pool).tobytes()).hexdigest()
     if len(set(digests.values())) != 1:
         raise SystemExit(f"{m}x{c}x{d}: scores differ between thread counts: {digests}")
     for _ in range(repeats):
-        for name, value in settings.items():
-            H._THREADS = value
+        for name, pool in settings.items():
             t0 = time.perf_counter()
-            H.class_scores(head, Z)
+            H.class_scores(head, Z, pool=pool)
             walls[name].append(time.perf_counter() - t0)
-    H._THREADS = None
     rows = []
     for name in settings:
         q1, med, q3 = benchlib.quartiles(walls[name])

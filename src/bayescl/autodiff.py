@@ -14,14 +14,14 @@ graph, naming the op; no op checks it again.
 
 ``DiffGraph(tape=False)`` runs every op, check and message the same way
 and numbers its nodes the same, but keeps no node, parent or vjp, so an
-evaluation forward (``encoder.embed_batch_values``) frees each layer's
-intermediates as it moves on; ``backward`` on it raises ``GraphError``.
-Given a ``buffers`` dict, a graph of either kind lends its ops the arrays
-they write into (``DiffGraph.borrow``) and takes them back on
-``release``, so the graphs that share one dict allocate their arrays
-once: the episode graphs and validation forwards of one
-``training.train`` call, and an episode's support and query forwards
-(``training.episode_head``).
+evaluation forward (``encoder.embed_batch_values``) holds one array per
+layer and one temporary; ``backward`` on it raises ``GraphError``.
+A graph of either kind lends its ops the arrays they write into
+(``DiffGraph.borrow``) from one dict and takes them back on ``release``:
+the ``buffers`` dict it is given, or a dict of its own. The graphs that
+share one dict allocate their arrays once: the episode graphs and
+validation forwards of one ``training.train`` call, and an episode's
+support and query forwards (``training.episode_head``).
 
 Most of a training episode's tape is two fused primitives outside this
 module, because per-node work, not arithmetic, dominated an episode:
@@ -85,16 +85,17 @@ class DiffGraph:
     already bound on this graph, and ``_register`` for a parent that is
     not a Tensor or lives on another graph. Single-threaded by contract;
     distinct graphs may be used concurrently. With ``tape`` false the graph
-    only counts its nodes: it keeps none, so it has no ``backward``. Given
-    ``buffers`` (shape -> free arrays), it lends ``borrow``'s arrays from
-    that dict, which the graphs that share it must use from one thread.
+    only counts its nodes: it keeps none, so it has no ``backward``. It
+    lends ``borrow``'s arrays from ``buffers`` (shape -> free arrays), a
+    dict of its own when none is given; the graphs that share one dict must
+    use it from one thread.
     """
 
     def __init__(self, tape=True, buffers=None):
         self._nodes = [] if tape else None
         self._count = 0
         self._inputs = {}
-        self._free = buffers
+        self._free = {} if buffers is None else buffers
         self._lent = {}  # id -> array, until ``give_back`` or ``release``
 
     def __len__(self):
@@ -107,17 +108,15 @@ class DiffGraph:
     def borrow(self, shape):
         """An uninitialised float64 array of ``shape`` for an op to write into.
 
-        Without ``buffers`` it is a new array. With ``buffers`` the graph
-        lends a free array of that shape, or a new one, and takes it back
-        on ``give_back`` or ``release``: a value written into it stays good
-        until then. When a graph with nothing on loan needs a new array,
-        the dict first drops its free arrays of other row counts: a graph
-        that starts on a new batch size does not keep the last one's
-        arrays, while every array one graph holds at once (an episode's
-        support, query and Student-t arrays) stays in the dict.
+        The graph lends a free array of that shape from its dict, or a new
+        one, and takes it back on ``give_back`` or ``release``: a value
+        written into it stays good until then. When a graph with nothing on
+        loan needs a new array, the dict first drops its free arrays of
+        other row counts: a graph that starts on a new batch size does not
+        keep the last one's arrays, while every array one graph holds at
+        once (an episode's support, query and Student-t arrays) stays in
+        the dict.
         """
-        if self._free is None:
-            return np.empty(shape)
         free = self._free.get(shape)
         if not free and not self._lent:
             for other in [s for s in self._free if s[0] != shape[0]]:
@@ -129,8 +128,7 @@ class DiffGraph:
     def give_back(self, buf):
         """End the loan of ``buf`` (from ``borrow``) before ``release``: no
         value of the graph lives in it any more."""
-        if self._free is not None:
-            self._free.setdefault(buf.shape, []).append(self._lent.pop(id(buf)))
+        self._free.setdefault(buf.shape, []).append(self._lent.pop(id(buf)))
 
     def _register(self, data, parents, vjp, op, name=None):
         for p in parents:
@@ -170,8 +168,8 @@ class DiffGraph:
         Each Tensor points back at its graph, so a tape is a reference
         cycle that only the cyclic garbage collector would free. Releasing
         a throwaway graph frees its intermediates as soon as the caller
-        drops the tensors it still holds. Borrowed arrays go back to
-        ``buffers``, for the next graph that shares the dict to write over.
+        drops the tensors it still holds. Borrowed arrays go back to the
+        graph's dict, for the next op or graph that shares it to write over.
         """
         self._nodes = None if self._nodes is None else []
         self._count = 0

@@ -211,12 +211,12 @@ def embed_batch_values(rows, params, buffers=None):
     checks of a training forward and stores nothing, and its hidden layers
     write into arrays lent from ``buffers``: pass one dict to consecutive
     calls and they reuse one set (about three (rows, width) arrays), which
-    a new dict per call gives that call alone. The returned embeddings are
-    a new array. The graph is released before returning, so its bound
-    weights do not wait for the cyclic garbage collector and its arrays go
-    back to ``buffers``.
+    without one the graph's own dict gives that call alone. The returned
+    embeddings are a new array. The graph is released before returning, so
+    its bound weights do not wait for the cyclic garbage collector and its
+    arrays go back to its dict.
     """
-    graph = DiffGraph(tape=False, buffers={} if buffers is None else buffers)
+    graph = DiffGraph(tape=False, buffers=buffers)
     try:
         bound = {k: graph.input(k, v) for k, v in params.items()}
         return embed_batch(rows, bound, graph).data

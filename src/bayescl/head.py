@@ -26,18 +26,15 @@ prior whose alpha_n or scale^2 leaves the bounds ``_student_t_logits``
 keeps, and walks the classes in blocks that fill a reused buffer of
 2**16 elements (one class per block when a class needs more),
 byte-identical to evaluating the density one class at a time. Threads
-take the blocks in turn, each thread with its own buffer, each block
-into its own columns of the output, so the bytes do not depend on the
-thread count: one thread per CPU the process may run on, no more than
-there are blocks. The threads run
-numpy alone. A ``ScoringPool`` keeps the threads and their buffers
-across calls (a protocol episode opens one for its checkpoints); a call
-without one starts and joins its own. ``episode_loss`` scores an
-episode's queries against all its classes in one tape node,
-``_student_t_logits``, so its tape does not grow with the number of
-ways. That node keeps the arithmetic order of the generic-op tape it
-replaced (``x / y`` as ``x * (1 / y)``), so it gives that tape's bits;
-it and ``class_scores`` agree to rounding. ``tests/test_head.py`` holds both references.
+take the blocks in turn, so the bytes do not depend on the thread count;
+``class_scores`` states how many run. A ``ScoringPool`` keeps the
+threads and their buffers across calls (a protocol episode opens one
+for its checkpoints). ``episode_loss`` scores an episode's queries
+against all its classes in one tape node, ``_student_t_logits``, so its
+tape does not grow with the number of ways. That node keeps the
+arithmetic order of the generic-op tape it replaced (``x / y`` as
+``x * (1 / y)``), so it gives that tape's bits; it and ``class_scores``
+agree to rounding. ``tests/test_head.py`` holds both references.
 
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
@@ -48,6 +45,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,12 +292,9 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
 
 
 _BLOCK_ELEMENTS = 2**16  # class_scores buffer per thread: 512 KB of float64
-_THREADS = None  # class_scores threads; None: one per usable CPU (``_cpu_threads``)
 
 
 def _cpu_threads():
-    if _THREADS is not None:
-        return _THREADS
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -307,15 +302,15 @@ def _cpu_threads():
 
 
 def _plan(M, C, d):
-    """Block width B and the number of threads that share the blocks."""
+    """Block width B and the number of blocks of C classes."""
     B = max(1, min(C, _BLOCK_ELEMENTS // max(1, M * d)))
-    blocks = -(-C // B)
-    return B, min(blocks, _cpu_threads()) if blocks > 1 else 1
+    return B, -(-C // B)
 
 
 def scoring_threads(n_queries, n_classes, width):
-    """Threads ``class_scores`` runs on for that shape in this process."""
-    return _plan(n_queries, n_classes, width)[1]
+    """Threads of the pool a ``class_scores`` call without one opens for
+    that shape in this process."""
+    return min(_plan(n_queries, n_classes, width)[1], _cpu_threads())
 
 
 def _score_blocks(Z, mean, den, half_nu1, const, scores, B, starts, lock, buf):
@@ -364,9 +359,11 @@ class ScoringPool:
         if self._executor is not None:
             self._executor.shutdown()
 
-    def _run(self, threads, size, args):
-        # _score_blocks on ``threads`` threads, the caller's first, each
-        # with a buffer of at least ``size``; returns once all have ended
+    def _run(self, blocks, size, args):
+        # _score_blocks on one thread per block, at most ``self.threads``,
+        # the caller's first, each with a buffer of at least ``size``;
+        # returns once all have ended
+        threads = min(blocks, self.threads)
         for i in range(threads):
             if self._buffers[i].size < size:
                 self._buffers[i] = np.empty(size)
@@ -401,13 +398,14 @@ def class_scores(head, Z, rows=slice(None), pool=None):
     step overflows for deviations below 1e50, so every score is finite.
 
     Threads take the blocks in turn, each into its own buffer and the
-    block's own columns, so the bytes do not depend on the thread count
-    (``scoring_threads``): one per CPU this process may run on, at most
-    one per block and at most ``pool.threads``. A thread that the host
-    deschedules holds up one block, not a fixed share. The threads and
-    their buffers are ``pool``'s, or without one a ``ScoringPool`` for
-    this call alone. The constants (``_log_t_const`` calls
-    ``lgamma_value``) are computed here, so the threads run numpy alone.
+    block's own columns, so the bytes do not depend on the thread count.
+    The call runs on ``pool``'s threads, at most one per block. Without a
+    pool it opens a ``ScoringPool`` of ``scoring_threads`` for this call
+    alone: one thread per CPU this process may run on and at most one per
+    block, so a call of one block starts no thread. A thread that the
+    host deschedules holds up one block, not a fixed share. The constants
+    (``_log_t_const`` calls ``lgamma_value``) are computed here, so the
+    threads run numpy alone.
     """
     if not head.posteriors:
         raise ValueError("head has no classes")
@@ -428,13 +426,10 @@ def class_scores(head, Z, rows=slice(None), pool=None):
     den = nu * scale2
     C = len(const)
     scores = np.empty((M, C))
-    B, threads = _plan(M, C, d)
+    B, blocks = _plan(M, C, d)
     args = (Z, mean, den, half_nu1, const, scores, B, iter(range(0, C, B)), threading.Lock())
-    if pool is not None:
-        pool._run(min(threads, pool.threads), M * B * d, args)
-    else:
-        with ScoringPool(threads) as own:
-            own._run(threads, M * B * d, args)
+    with ScoringPool(scoring_threads(M, C, d)) if pool is None else nullcontext(pool) as pool:
+        pool._run(blocks, M * B * d, args)
     return scores
 
 
@@ -483,8 +478,9 @@ def load_head(path):
     """Read a snapshot written by ``save_head``.
 
     A header that does not describe a head (a missing or renamed field,
-    a value of the wrong type, a class without its two tensors or without
-    observations) raises ``ContainerError`` naming ``path``.
+    a value of the wrong type, a prior rho that is not finite, a class
+    without its two tensors or without observations) raises
+    ``ContainerError`` naming ``path``.
     """
     config, tensors = tensorio.read_tensors(path)
     if not isinstance(config, dict) or config.get("kind") != "head-snapshot":
@@ -493,6 +489,9 @@ def load_head(path):
     try:
         prior = config["prior"]
         head = HeadState(PriorParams(float(prior["rho_alpha"]), float(prior["rho_beta"])))
+        # JSON reads NaN and Infinity, which read_tensors' finiteness check does not see
+        if not (math.isfinite(head.prior.rho_alpha) and math.isfinite(head.prior.rho_beta)):
+            raise ValueError(f"prior {head.prior} is not finite")
         for i, rec in enumerate(config["classes"]):
             cid, n = rec["id"], rec["n"]
             sum_z, sum_z2 = tensors[f"class.{i}.sum_z"], tensors[f"class.{i}.sum_z2"]

@@ -4,8 +4,9 @@
 compositions (oracles) in ``test_head.py`` and ``test_encoder.py``, the
 gradient checks of ``test_autodiff.py`` and acceptance criterion 5 need
 more: the ops below, each a node of the same kind as the package's, plus
-``forward_eval`` and ``grad_check``. This module re-exports the package's
-names, so a test imports one namespace (``import tape_ops as ad``).
+``forward_eval``, ``grad_check`` and ``fresh_and_poisoned``. This module
+re-exports the package's names, so a test imports one namespace
+(``import tape_ops as ad``).
 
 ``Tensor`` has no operators at all, because no program path does
 arithmetic on tensors outside a fused node: a test writes ``x + y`` as
@@ -32,6 +33,7 @@ __all__ = [
     *autodiff.__all__,
     "forward_eval",
     "grad_check",
+    "fresh_and_poisoned",
     "add",
     "mul",
     "matmul",
@@ -106,6 +108,28 @@ def grad_check(builder, point, step=1e-5):
             if rel > worst:
                 worst = rel
     return worst
+
+
+def fresh_and_poisoned(run, tape=True):
+    """The bytes of the arrays ``run(graph)`` returns on a new graph, on a
+    graph whose ``buffers`` dict starts with a NaN array for each array the
+    new graph borrowed, and that count of borrowed arrays.
+
+    The second graph must lend only those NaN arrays, so an op that reads a
+    borrowed array before it writes it changes the bytes or fails the
+    finiteness guard, whatever ``np.empty`` would have returned.
+    """
+    fresh = DiffGraph(tape)
+    expected = [a.tobytes() for a in run(fresh)]
+    fresh.release()
+    buffers = {s: [np.full(s, np.nan) for _ in free] for s, free in fresh._free.items()}
+    poison = sorted(id(a) for free in buffers.values() for a in free)
+    graph = DiffGraph(tape, buffers)
+    got = [a.tobytes() for a in run(graph)]
+    graph.release()
+    if sorted(id(a) for free in buffers.values() for a in free) != poison:
+        raise AssertionError("the poisoned graph lent an array its dict did not start with")
+    return expected, got, len(poison)
 
 
 def _lift(x, graph):

@@ -104,6 +104,31 @@ class TestForward:
         assert g.backward(ad.sum_reduce(w))["w"].tolist() == [1.0, 1.0, 1.0]
 
 
+class TestOwnDict:
+    """A graph made without ``buffers`` lends from a dict of its own, the
+    way the graphs that share one dict do."""
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_a_given_back_array_is_lent_again(self, tape):
+        g = ad.DiffGraph(tape)
+        a, b = g.borrow((3, 4)), g.borrow((3, 4))
+        g.give_back(a)
+        assert g.borrow((3, 4)) is a
+        assert g.borrow((3, 4)) is not b
+        assert ad.DiffGraph()._free is not ad.DiffGraph()._free
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_release_returns_every_loan_to_the_dict(self, tape):
+        g = ad.DiffGraph(tape)
+        loans = [g.borrow((2, 5)) for _ in range(3)] + [g.borrow((2, 7))]
+        g.give_back(loans[1])
+        g.release()
+        assert g._lent == {}
+        assert {s: sorted(map(id, f)) for s, f in g._free.items()} == {
+            (2, 5): sorted(map(id, loans[:3])), (2, 7): [id(loans[3])]}
+        assert sorted(id(g.borrow((2, 5))) for _ in range(3)) == sorted(map(id, loans[:3]))
+
+
 class TestBackward:
     def test_square_derivative(self):
         g, out = build_graph(lambda g, t: ad.mul(t["x"], t["x"]), {"x": 3.0})

@@ -59,7 +59,7 @@ def test_bench_workers_reaches_existing_names(bench_workers):
 
 def test_bench_class_scores_reaches_existing_names(bench_class_scores):
     H = bench_class_scores.H
-    assert "_THREADS" in vars(H)  # the thread count it sets per setting
+    assert callable(H.ScoringPool)  # the one-thread setting's pool
     assert callable(H.scoring_threads) and callable(H.class_scores)
     assert callable(bench_class_scores.benchlib._numpy_build)
 

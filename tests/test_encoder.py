@@ -382,6 +382,36 @@ class TestDense:
             E.dense(x, w, b, activate=True)
 
 
+class TestPoisonedBuffers:
+    """Every array ``dense`` borrows is written before it is read: on a
+    graph whose ``buffers`` dict starts with NaN arrays it gives a new
+    graph's bits, forward and, on a recording graph, vjp."""
+
+    @pytest.mark.parametrize(
+        # a recording hidden layer lends pre, e, the value and log1p's
+        # temporary; a tape-free one writes the value over pre and log1p over
+        # e; a tape-free output layer's value is its own array
+        "tape, activate, borrowed",
+        [(True, True, 4), (True, False, 1), (False, True, 2), (False, False, 0)],
+        ids=["tape-hidden", "tape-output", "no-tape-hidden", "no-tape-output"],
+    )
+    def test_dense_gives_the_bits_of_a_new_graph(self, tape, activate, borrowed):
+        rng = np.random.default_rng(50)
+        # pre-activations on both sides of 0
+        inputs = {"x": rng.normal(scale=3.0, size=(6, 5)), "w": rng.normal(size=(5, 4)),
+                  "b": rng.normal(size=4)}
+        cotangent = rng.normal(size=(6, 4))
+
+        def run(graph):
+            out = E.dense(*(graph.input(k, v) for k, v in inputs.items()), activate)
+            if not tape:
+                return [out.data]
+            return [out.data, *graph.backward(out, seed=cotangent).values()]
+
+        expected, got, n = ad.fresh_and_poisoned(run, tape)
+        assert got == expected and n == borrowed
+
+
 class TestNoTape:
     """``DiffGraph(tape=False)``, the graph ``embed_batch_values`` embeds
     on, must run the forward of a recording graph bit for bit and check for
@@ -426,7 +456,10 @@ class TestNoTape:
             graph.backward(out)
 
     @pytest.mark.parametrize("tape", [True, False])
-    def test_hidden_layers_are_freed_as_the_forward_moves_on(self, monkeypatch, tape):
+    def test_layer_values_stay_lent_until_release(self, monkeypatch, tape):
+        # on either graph a hidden layer's value is lent from the graph's own
+        # dict until release, then freed with the graph, without the
+        # collector; a tape-free output layer's value is its own array
         layers = []
         dense = E.dense
 
@@ -439,10 +472,15 @@ class TestNoTape:
         gc.disable()
         try:
             graph, out = self.forward(tape, [np.ones(4)] * 3, E.init_params(self.CFG))
+            lent = [any(a is ref() for a in graph._lent.values()) for ref in layers]
+            graph.release()
+            free = [any(a is ref() for f in graph._free.values() for a in f) for ref in layers]
+            del graph, out
             alive = [ref() is not None for ref in layers]
         finally:
             gc.enable()
-        assert alive == [tape, tape, True]
+        assert lent == free == [True, True, tape]
+        assert alive == [False] * 3
 
 
 class TestSharedBuffers:

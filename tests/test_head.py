@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -27,6 +28,12 @@ def constant_episode_loss(prior, support, query, n):
     """``episode_loss`` on a new graph: ``prior`` bound, the embeddings constants."""
     g = ad.DiffGraph()
     return H.episode_loss(bind_rho(g, prior), g.constant(support), g.constant(query), n)
+
+
+def pool_of(threads):
+    """A ``ScoringPool`` of ``threads`` threads to pass to ``class_scores``,
+    or for None no pool: each call then opens its own."""
+    return contextlib.nullcontext() if threads is None else H.ScoringPool(threads)
 
 
 def one_class_head(rng, d, n=None, prior=PRIOR):
@@ -397,18 +404,17 @@ class TestClassScoresRows:
         # block (B = 900) scored 400 rows at a time
         [(1000, 200, 64, 25), (1000, 37, 8, 10), (50, 47, 64, 47), (5, 900, 4, 400)],
     )
-    def test_blocks_are_the_columns_of_the_full_matrix(
-            self, monkeypatch, threads, m, n_classes, d, block):
-        monkeypatch.setattr(H, "_THREADS", threads)
+    def test_blocks_are_the_columns_of_the_full_matrix(self, threads, m, n_classes, d, block):
         rng = np.random.default_rng(23)
         head = random_head(rng, n_classes, d)
         Z = rng.normal(0, 2, size=(m, d))
-        full = H.class_scores(head, Z)
+        with pool_of(threads) as pool:
+            full = H.class_scores(head, Z, pool=pool)
+            parts = [slice(c0, min(c0 + block, n_classes)) for c0 in range(0, n_classes, block)]
+            got = [H.class_scores(head, Z, rows, pool) for rows in parts]
         stacked = head.normal_gamma()
-        for c0 in range(0, n_classes, block):
-            rows = slice(c0, min(c0 + block, n_classes))
-            got = H.class_scores(head, Z, rows)
-            assert got.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
+        for rows, scores in zip(parts, got):
+            assert scores.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
             for a, b in zip(head.normal_gamma(rows), stacked):
                 assert a.tobytes() == np.ascontiguousarray(b[rows]).tobytes()
 
@@ -456,25 +462,36 @@ class TestScoringThreads:
 
     @pytest.mark.parametrize("threads", [1, 2, 3, None], ids=["1", "2", "3", "default"])
     @pytest.mark.parametrize("m, n_classes, d", SHAPES)
-    def test_any_thread_count_gives_the_loop_bytes(self, monkeypatch, threads, m, n_classes, d):
-        monkeypatch.setattr(H, "_THREADS", threads)
+    def test_any_thread_count_gives_the_loop_bytes(self, threads, m, n_classes, d):
         rng = np.random.default_rng(19)
         head = random_head(rng, n_classes, d)
         Z = rng.normal(0, 2, size=(m, d))
-        got = H.class_scores(head, Z)
+        with pool_of(threads) as pool:
+            got = H.class_scores(head, Z, pool=pool)
         assert got.shape == (m, n_classes)
         assert got.tobytes() == loop_class_scores(head, Z).tobytes()
 
     def test_at_most_one_thread_per_block(self, monkeypatch):
-        monkeypatch.setattr(H, "_THREADS", 3)
-        assert H._plan(1000, 37, 8) == (8, 3)
-        assert H._plan(3000, 2, 16) == (1, 2)
-        assert H._plan(200, 37, 8) == (37, 1)
-        assert H._plan(0, 30, 5) == (30, 1)
+        # (block width, blocks) of each shape, and on 3 CPUs the threads
+        assert [H._plan(*shape) for shape in self.SHAPES] == [
+            (1, 200), (8, 5), (37, 1), (1, 2), (30, 1)]
+        monkeypatch.setattr(H, "_cpu_threads", lambda: 3)
         assert [H.scoring_threads(*shape) for shape in self.SHAPES] == [3, 3, 1, 2, 1]
+        buffers = []
+        score_blocks = H._score_blocks
+
+        def record(*a):
+            buffers.append(a[-1])
+            score_blocks(*a)
+
+        monkeypatch.setattr(H, "_score_blocks", record)
+        rng = np.random.default_rng(26)
+        head, Z = random_head(rng, 2, 16), rng.normal(size=(3000, 16))
+        with H.ScoringPool(3) as pool:  # 2 blocks take 2 of the pool's 3 threads
+            H.class_scores(head, Z, pool=pool)
+        assert len({id(b) for b in buffers}) == 2
 
     def test_the_caller_and_each_pool_thread_take_blocks(self, monkeypatch):
-        monkeypatch.setattr(H, "_THREADS", 3)
         ran = []
         score_blocks = H._score_blocks
 
@@ -485,30 +502,31 @@ class TestScoringThreads:
         monkeypatch.setattr(H, "_score_blocks", record)
         rng = np.random.default_rng(20)
         head, Z = random_head(rng, 37, 8), rng.normal(size=(1000, 8))
-        assert H.class_scores(head, Z).tobytes() == loop_class_scores(head, Z).tobytes()
+        with H.ScoringPool(3) as pool:
+            got = H.class_scores(head, Z, pool=pool)
+        assert got.tobytes() == loop_class_scores(head, Z).tobytes()
         assert sorted(ran) == [False, False, True]
 
-    def test_more_threads_than_cores_with_rapid_switching(self, monkeypatch):
+    def test_more_threads_than_cores_with_rapid_switching(self):
         # 12 threads claiming adjacent column blocks of one output and
         # switching every microsecond: a block lost, done twice or written
         # to the wrong columns changes the bytes
-        monkeypatch.setattr(H, "_THREADS", 12)
         rng = np.random.default_rng(22)
         head, Z = random_head(rng, 60, 16), rng.normal(0, 2, size=(2000, 16))
-        assert H.scoring_threads(2000, 60, 16) == 12
+        assert H._plan(2000, 60, 16) == (2, 30)
         expected = loop_class_scores(head, Z).tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with H.ScoringPool(12) as shared:  # and 12 threads kept across calls
                 for _ in range(5):
-                    assert H.class_scores(head, Z).tobytes() == expected
+                    with H.ScoringPool(12) as own:
+                        assert H.class_scores(head, Z, pool=own).tobytes() == expected
                     assert H.class_scores(head, Z, slice(None), shared).tobytes() == expected
         finally:
             sys.setswitchinterval(interval)
 
     def test_an_error_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(H, "_THREADS", 2)
         score_blocks = H._score_blocks
 
         def fail_off_the_calling_thread(*a):
@@ -518,8 +536,8 @@ class TestScoringThreads:
 
         monkeypatch.setattr(H, "_score_blocks", fail_off_the_calling_thread)
         rng = np.random.default_rng(21)
-        with pytest.raises(FloatingPointError, match="pool thread"):
-            H.class_scores(random_head(rng, 10, 64), rng.normal(size=(1000, 64)))
+        with H.ScoringPool(2) as pool, pytest.raises(FloatingPointError, match="pool thread"):
+            H.class_scores(random_head(rng, 10, 64), rng.normal(size=(1000, 64)), pool=pool)
 
     def test_default_is_one_thread_per_usable_cpu(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -534,7 +552,6 @@ class TestScoringPool:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_ranges_on_one_pool_give_the_bytes_of_separate_calls(self, monkeypatch, threads):
         # 1,000 queries x 20 classes x 8 dimensions: 3 blocks of up to 8 classes
-        monkeypatch.setattr(H, "_THREADS", threads)
         rng = np.random.default_rng(24)
         head, Z = random_head(rng, 60, 8), rng.normal(0, 2, size=(1000, 8))
         buffers = []
@@ -547,7 +564,7 @@ class TestScoringPool:
         monkeypatch.setattr(H, "_score_blocks", record)
         before = threading.active_count()
         ranges = [slice(c, c + 20) for c in (0, 20, 40)]
-        with H.ScoringPool(H.scoring_threads(1000, 20, 8)) as shared:
+        with H.ScoringPool(threads) as shared:
             on_pool = [H.class_scores(head, Z, rows, shared) for rows in ranges]
         assert threading.active_count() == before
         assert len({id(b) for b in buffers}) == min(threads, 3)  # one buffer per thread
@@ -560,7 +577,6 @@ class TestScoringPool:
     def test_the_caller_waits_for_the_pool_threads_when_it_fails(self, monkeypatch):
         # a pool outlives the call, so a failing call must not leave a
         # thread writing into its buffers or output
-        monkeypatch.setattr(H, "_THREADS", 2)
         score_blocks = H._score_blocks
         raised, finished = threading.Event(), []
 
@@ -914,6 +930,21 @@ class TestFusedLogits:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ad.GraphError, match="differ in width"):
             constant_episode_loss(PRIOR, np.zeros((4, 3)), np.zeros((2, 2)), 2)
+
+    def test_every_borrowed_array_is_written_before_it_is_read(self):
+        # the forward lends dev, dev2, opq and the log's temporary, and the
+        # vjp takes that temporary back and one more array: 5 (M, N, d) arrays
+        support, query = _episode(3, 4, 8, 5, seed=5)
+        cotangent = np.random.default_rng(5).normal(size=(8, 3))
+
+        def run(g):
+            rho = bind_rho(g, H.PriorParams(0.3, -0.2))
+            s, q = g.input("support", support), g.input("query", query)
+            logits = H._student_t_logits(rho, s, q, 3)
+            return [logits.data, *g.backward(logits, seed=cotangent).values()]
+
+        expected, got, borrowed = ad.fresh_and_poisoned(run)
+        assert got == expected and borrowed == 5
 
 
 def _loop_episode_loss(rho, support_z, query_z, n_classes):

@@ -517,7 +517,7 @@ class TestScoringThreadsInTheProtocol:
                                episodes=10, seed=2)
         default, report = self._csvs(tmp_path / "default", cfg)
         assert report.scoring_threads == H.scoring_threads(1000, 25, 8)  # one block
-        monkeypatch.setattr(H, "_THREADS", 1)
+        monkeypatch.setattr(H, "_cpu_threads", lambda: 1)
         serial, report = self._csvs(tmp_path / "serial", cfg)
         assert report.scoring_threads == 1
         assert serial == default
@@ -534,7 +534,7 @@ class TestOneScoringPoolPerEpisode:
         # 1,000 queries x 25 classes x 8 dimensions: 4 blocks, so 2 threads
         from bayescl import head as H
 
-        monkeypatch.setattr(H, "_THREADS", 2)
+        monkeypatch.setattr(H, "_cpu_threads", lambda: 2)
         counts = []
         merge = P._merge_block
 

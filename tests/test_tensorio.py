@@ -68,7 +68,7 @@ def save_checkpoint(path):
 
 
 def save_head(path):
-    head = H.HeadState(H.PriorParams(0.25, -0.75))
+    head = H.HeadState(H.PriorParams(0.25, -0.71875))
     head.add_class("alpha", np.ones((2, 3)))
     head.add_class("beta", np.zeros((3, 3)))
     H.save_head(head, path)
@@ -83,17 +83,23 @@ def save_head(path):
         (save_head, H.load_head, b'"rho_alpha"', b'"rho_alphz"'),
         (save_head, H.load_head, b'"classes"', b'"classez"'),
         (save_head, H.load_head, b'"n":2', b'"n":0'),
+        # JSON reads NaN and Infinity
+        (save_head, H.load_head, b'"rho_alpha":0.25', b'"rho_alpha":NaN '),
+        (save_head, H.load_head, b'"rho_beta":-0.71875', b'"rho_beta":Infinity'),
     ],
     ids=["checkpoint-architecture", "checkpoint-embed_dim-key", "checkpoint-encoder-key",
-         "head-rho_alpha-key", "head-classes-key", "head-class-without-observations"],
+         "head-rho_alpha-key", "head-classes-key", "head-class-without-observations",
+         "head-rho_alpha-NaN", "head-rho_beta-Infinity"],
 )
 def test_header_field_edit_raises_container_error_naming_path(tmp_path, save, load, old, new):
-    # the tensor CRCs do not cover the JSON header, so these edits reach the parsers
+    # the tensor CRCs do not cover the JSON header, so these edits reach the
+    # parsers; each keeps the header length the container records, so the
+    # header still parses
     path = tmp_path / "file.bclt"
     save(path)
     load(path)
     blob = path.read_bytes()
-    assert blob.count(old) == 1
+    assert blob.count(old) == 1 and len(old) == len(new)
     path.write_bytes(blob.replace(old, new))
     with pytest.raises(ContainerError, match=re.escape(str(path))):
         load(path)
