@@ -179,9 +179,12 @@ FEATURE_VERSION = 1
 
 
 def write_feature_dump(path, frames):
+    """Write (T, n_ceps) ``frames``; a non-finite one raises before the file opens."""
     frames = np.ascontiguousarray(np.asarray(frames, dtype=np.float64))
     if frames.ndim != 2:
         raise ValueError("feature dump expects a (T, n_ceps) matrix")
+    if not np.isfinite(frames).all():
+        raise AudioFormatError(f"{path}: non-finite value in the frames")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, frames.shape[0], frames.shape[1]))

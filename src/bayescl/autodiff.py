@@ -259,12 +259,10 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def _lgamma_digamma(x, digamma=True):
-    """log Gamma(x) and its derivative for x > 0, from one Lanczos series;
-    log Gamma(x) alone when ``digamma`` is false."""
-    x = np.asarray(x, dtype=np.float64)
-    small = x < 0.5
-    xs = np.where(small, x + 1.0, x)  # recurrence for (0, 0.5)
-    z = xs - 1.0
+    """log Gamma(x) and its derivative for x >= 1/2, from one Lanczos series;
+    log Gamma(x) alone when ``digamma`` is false. The head takes it at alpha
+    and alpha + 1/2, where alpha = e^rho_alpha + K/2 or alpha_0 + n/2."""
+    z = np.asarray(x, dtype=np.float64) - 1.0
     series = np.full_like(z, _LANCZOS[0])
     dseries = np.zeros_like(z)
     for i in range(1, len(_LANCZOS)):
@@ -275,18 +273,17 @@ def _lgamma_digamma(x, digamma=True):
     t = z + _LANCZOS_G + 0.5
     log_t = np.log(t)
     lg = _HALF_LOG_2PI + (z + 0.5) * log_t - t + np.log(series)
-    x_small = np.where(small, x, 1.0)
-    lg = np.where(small, lg - np.log(x_small), lg)
     if not digamma:
         return lg
-    dg = log_t + (z + 0.5) / t - 1.0 + dseries / series
-    return lg, np.where(small, dg - 1.0 / x_small, dg)
+    return lg, log_t + (z + 0.5) / t - 1.0 + dseries / series
 
 
 def lgamma_value(x):
-    """log Gamma(x) for x > 0 on plain arrays; |rel err| well below 1e-12."""
-    if np.any(np.asarray(x) <= 0):
-        raise GraphError("lgamma: argument must be positive")
+    """log Gamma(x) on plain arrays; |rel err| well below 1e-12. Any x below
+    1/2, NaN included, raises ``GraphError``: the head passes alpha and alpha
+    + 1/2, and alpha = e^rho_alpha + K/2 or alpha_0 + n/2 is at least 1/2."""
+    if not np.all(np.asarray(x) >= 0.5):
+        raise GraphError("lgamma: argument must be at least 1/2")
     return _lgamma_digamma(x, digamma=False)
 
 

@@ -278,10 +278,9 @@ def _train_config(v):
 def _train_common(tcfg, encoder_cfg, registry, val_registry, out, data_config):
     params, prior, history = training.train(tcfg, registry, encoder_cfg, val_registry)
     training.save_run(out, params, encoder_cfg, history, extra_config=data_config)
-    best_acc = history.best_accuracy if history.val_accuracy else float("nan")
     _log(
         f"trained {tcfg.steps} steps; final loss {history.losses[-1]:.4f}; "
-        f"best validation accuracy {best_acc:.3f} (step {history.best_step})"
+        f"best validation accuracy {history.best_accuracy:.3f} (step {history.best_step})"
     )
     return 0
 

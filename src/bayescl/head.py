@@ -33,8 +33,9 @@ for its checkpoints). ``episode_loss`` scores an episode's queries
 against all its classes in one tape node, ``_student_t_logits``, so its
 tape does not grow with the number of ways. That node keeps the
 arithmetic order of the generic-op tape it replaced (``x / y`` as
-``x * (1 / y)``), so it gives that tape's bits; it and ``class_scores``
-agree to rounding. ``tests/test_head.py`` holds both references.
+``x * (1 / y)``), so it gives that tape's bits; it takes the constant
+from ``_log_t_const`` too, and agrees with ``class_scores`` to rounding.
+``tests/test_head.py`` holds both references.
 
 alpha_0 and beta_0 stay positive through an exponential
 reparameterization (rho_alpha, rho_beta) so they can be meta-learned by
@@ -161,10 +162,10 @@ class HeadState:
 
 def _log_t_const(nu, scale2, d):
     """(nu + 1) / 2 and the log normalising constant of the Student's t
-    density.
+    density, for ``class_scores`` and ``_student_t_logits`` alike.
 
-    ``scale2`` is summed over its last axis, so (C,) ``nu`` with (C, d)
-    ``scale2`` gives one constant per class.
+    ``scale2`` is summed over its last axis, so (C,) ``nu``, or the tape
+    node's scalar one, with (C, d) ``scale2`` gives one constant per class.
     """
     half_nu1 = 0.5 * (nu + 1.0)
     const = (
@@ -185,18 +186,19 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     ``support_z`` is (N*K, d) with rows grouped by class, ``query_z`` is
     (M, d) and ``rho`` the bound (rho_alpha, rho_beta) pair; the tape
     rejects any of the four that lives on another graph than
-    ``support_z``. The forward repeats, in order, the numpy
-    operations of the generic-op composition this node replaces (class
-    means and variances, alpha = e^rho_alpha + K/2, nu = 2 alpha,
-    scale^2 = (e^rho_beta + K/2 var) (K+1)/K / alpha, then the Student-t
-    density), with every ``x / y`` as ``x * (1 / y)``. The vjp is the
-    adjoint of each of those steps in reverse, and an adjoint with several
-    uses accumulates in the order the composition's tape would. So values
-    and gradients are the composition's bits; ``tests/test_head.py`` keeps
-    the composition as the oracle. Two checks raise ``GraphError`` naming
-    this op before any lgamma step, so no step overflows: alpha above
-    1e100 and scale^2 below 1e-200, zero included (alpha >= 1/2, so every
-    other log, reciprocal and lgamma argument is positive). The tape's
+    ``support_z``. The forward repeats, in order, the numpy operations of
+    the generic-op composition this node replaces (class means and
+    variances, alpha = e^rho_alpha + K/2, nu = 2 alpha, scale^2 =
+    (e^rho_beta + K/2 var) (K+1)/K / alpha, the constant of
+    ``_log_t_const``, then the density's tail), with every ``x / y`` as
+    ``x * (1 / y)``. The vjp is the adjoint of each of those steps in
+    reverse, and an adjoint with several uses accumulates in the order the
+    composition's tape would. So values and gradients are the
+    composition's bits; ``tests/test_head.py`` keeps the composition as
+    the oracle. Two checks raise ``GraphError`` naming this op before any
+    lgamma step, so no step overflows: alpha above 1e100 and scale^2 below
+    1e-200, zero included (alpha >= 1/2, so every other log and reciprocal
+    argument is positive and every lgamma one at least 1/2). The tape's
     finiteness guard covers the logits.
 
     Its (M, N, d) arrays are lent by the graph (``DiffGraph.borrow``):
@@ -228,12 +230,9 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
     if not (scale2 >= 1e-200).all():
         raise GraphError(f"{_LOGITS_OP}: scale^2 below 1e-200 at rho_beta = {float(rb.data)!r}")
     nu = alpha * 2.0
-    half_nu1 = (nu + 1.0) * 0.5
-    lg1, dg1 = _lgamma_digamma(half_nu1)
-    lg2, dg2 = _lgamma_digamma(nu * 0.5)
+    half_nu1, const = _log_t_const(nu, scale2, float(d))
+    dg1, dg2 = _lgamma_digamma(half_nu1)[1], _lgamma_digamma(nu * 0.5)[1]
     pi_nu = nu * math.pi
-    shared = (lg1 - lg2) * float(d) - np.log(pi_nu) * (0.5 * d)
-    const = shared - np.log(scale2).sum(axis=-1) * 0.5
     graph = support_z.graph
     mnd = (M, n_classes, d)
     dev = np.subtract(Q.reshape((M, 1, d)), mu, out=graph.borrow(mnd))
@@ -267,8 +266,8 @@ def _student_t_logits(rho, support_z, query_z, n_classes):
         g_mu = _unbroadcast(c, mu.shape)
         g_mu = -(g_mu + g_mu)
         graph.give_back(g_opq)
-        # const = shared - sum(log(scale2)) * 0.5,
-        # shared = (lg1 - lg2) * d - log(pi_nu) * (0.5 * d)
+        # const = shared - sum(log(scale2)) * 0.5 (``_log_t_const``),
+        # shared = (lgamma(half_nu1) - lgamma(nu * 0.5)) * d - log(pi_nu) * (0.5 * d)
         g_shared = _unbroadcast(g_const, ())
         g_scale2 = g_scale2 + np.expand_dims(-g_const * 0.5, -1) / scale2
         g_nu = g_nu + (-g_shared * (0.5 * d)) / pi_nu * math.pi

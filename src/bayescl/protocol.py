@@ -282,6 +282,7 @@ def emit_report(report, matrix, out_dir):
     numpy build. Across machines the bits can differ: numpy's float64
     ``log`` rounds differently on its AVX-512 and AVX2/baseline paths, so
     summary.json records numpy's version and SIMD dispatch (``_numpy_build``).
+    It is strict JSON: a one-checkpoint run's volatility is null there (nan in the CSV).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,8 +320,8 @@ def emit_report(report, matrix, out_dir):
         "mean_accuracy_first": report.mean_accuracy[0],
         "mean_accuracy_last": report.mean_accuracy[-1],
         "volatility": {
-            "mean": report.volatility_mean,
-            "std": report.volatility_std,
+            "mean": report.volatility_mean if report.n_pairs else None,
+            "std": report.volatility_std if report.n_pairs else None,
             "n_pairs": report.n_pairs,
             "definition": VOLATILITY_DEFINITION,
         },
@@ -329,5 +330,5 @@ def emit_report(report, matrix, out_dir):
         "numpy": _numpy_build(),
     }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -27,12 +27,15 @@ def write_tensors(path, config, tensors):
     """Write ``tensors`` (dict name -> ndarray) with a ``config`` document.
 
     Tensor order follows dict insertion order; identical inputs produce
-    byte-identical files.
+    byte-identical files. A NaN or an infinity raises ``ContainerError``,
+    as ``read_tensors`` would, before the file is opened.
     """
     entries = []
     payload = bytearray()
     for name, arr in tensors.items():
         arr = np.asarray(arr, dtype=np.float64)  # note: tobytes() emits C order
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"{path}: non-finite value in tensor {name!r}")
         raw = arr.astype("<f8", copy=False).tobytes()
         entries.append(
             {

@@ -48,6 +48,8 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """One meta-training run; it always validates, on at least one episode."""
+
     steps: int = 2000
     batch_episodes: int = 4
     spec: EpisodeSpec = field(default_factory=EpisodeSpec)
@@ -65,8 +67,8 @@ class TrainConfig:
             raise ValueError("batch_episodes must be >= 1")
         if self.validation_every < 1:
             raise ValueError("validation_every must be >= 1")
-        if self.validation_episodes < 0:
-            raise ValueError("validation_episodes must be >= 0")
+        if self.validation_episodes < 1:
+            raise ValueError("validation_episodes must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -204,15 +206,15 @@ def episode_accuracy(params, prior, episode, buffers=None):
     return float(np.mean(np.argmax(class_scores(head, query_z), axis=1) == truth))
 
 
-def train(cfg, registry, encoder_cfg, val_registry=None):
+def train(cfg, registry, encoder_cfg, val_registry):
     """Meta-train encoder and prior; returns (params, prior, history).
 
     ``params`` maps names to arrays and includes the 0-d ``rho_alpha``
     and ``rho_beta`` entries; ``history.best_params`` holds the
     parameters of the best validation point. Nothing is written to disk
-    (see ``save_run``). Validation episodes are drawn once from
-    ``val_registry`` (held-out classes) and reused at every validation
-    point so the accuracy curve is comparable across steps. Both
+    (see ``save_run``). Validation always runs: its episodes are drawn
+    once from ``val_registry`` (held-out classes) and reused at every
+    validation point so the accuracy curve is comparable across steps. Both
     registries go through ``encoder_inputs`` up front, so every file is
     read and every clip pooled once, and a malformed file fails before
     the first step. Every episode graph and validation forward of the
@@ -223,9 +225,7 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     meta = dict(init_params(encoder_cfg))
     meta["rho_alpha"] = np.asarray(0.0)
     meta["rho_beta"] = np.asarray(0.0)
-    registry = encoder_inputs(registry)
-    if val_registry is not None:
-        val_registry = encoder_inputs(val_registry)
+    registry, val_registry = encoder_inputs(registry), encoder_inputs(val_registry)
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     episode_rng = np.random.default_rng(seeds[0])
     val_rng = np.random.default_rng(seeds[1])
@@ -234,10 +234,8 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
     history = TrainHistory()
     buffers = {}
 
-    val_episodes = []
-    if val_registry is not None and cfg.validation_episodes > 0:
-        for _ in range(cfg.validation_episodes):
-            val_episodes.append(sample_episode(val_registry, cfg.spec, val_rng))
+    val_episodes = [sample_episode(val_registry, cfg.spec, val_rng)
+                    for _ in range(cfg.validation_episodes)]
 
     for step in range(1, cfg.steps + 1):
         batch = [
@@ -253,7 +251,7 @@ def train(cfg, registry, encoder_cfg, val_registry=None):
         meta, state = adam_step(meta, grads, state, cfg)
         history.losses.append(loss)
 
-        if val_episodes and (step % cfg.validation_every == 0 or step == cfg.steps):
+        if step % cfg.validation_every == 0 or step == cfg.steps:
             prior = PriorParams(float(meta["rho_alpha"]), float(meta["rho_beta"]))
             acc = float(
                 np.mean([episode_accuracy(meta, prior, ep, buffers) for ep in val_episodes])
@@ -273,12 +271,12 @@ def save_run(path, params, encoder_cfg, history, extra_config=None):
     """Write a training run's files.
 
     The final parameters go to ``path``, the best validation parameters
-    to ``<path>.best`` when validation ran, both with ``extra_config`` in
-    their header, and the per-step log to ``<path>.log.csv``.
+    (``train`` always sets them) to ``<path>.best``, both with
+    ``extra_config`` in their header, and the per-step log to
+    ``<path>.log.csv``.
     """
     save_checkpoint(params, encoder_cfg, path, extra_config)
-    if history.best_params is not None:
-        save_checkpoint(history.best_params, encoder_cfg, f"{path}.best", extra_config)
+    save_checkpoint(history.best_params, encoder_cfg, f"{path}.best", extra_config)
     history.write_csv(f"{path}.log.csv")
 
 

@@ -291,8 +291,8 @@ def digamma_value(x):
 def lgamma(x):
     if not isinstance(x, Tensor):
         return lgamma_value(x)
-    if np.any(x.data <= 0):
-        raise GraphError(f"lgamma: non-positive argument at node {x.index}")
+    if not np.all(x.data >= 0.5):
+        raise GraphError(f"lgamma: argument below 1/2 at node {x.index}")
     out = lgamma_value(x.data)
 
     def vjp(g):

@@ -272,9 +272,26 @@ class TestFeatureDump:
         frames = np.ones((4, 3))
         frames[2, 1] = bad
         p = tmp_path / "nan.mfcc"
-        audio.write_feature_dump(p, frames)
+        # by hand: write_feature_dump refuses the value
+        p.write_bytes(b"MFCC" + struct.pack("<III", 1, 4, 3) + frames.astype("<f8").tobytes())
         with pytest.raises(audio.AudioFormatError, match=re.escape(f"{p}: non-finite value")):
             audio.read_feature_dump(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_a_non_finite_value_before_opening_the_file(self, tmp_path, bad):
+        # the reader's own message; no new file, and an old one keeps its bytes
+        frames = np.ones((4, 3))
+        frames[3, 2] = bad
+        new, old = tmp_path / "new.mfcc", tmp_path / "old.mfcc"
+        message = f"{new}: non-finite value in the frames"
+        with pytest.raises(audio.AudioFormatError, match=f"^{re.escape(message)}$"):
+            audio.write_feature_dump(new, frames)
+        assert not new.exists()
+        audio.write_feature_dump(old, np.ones((4, 3)))
+        blob = old.read_bytes()
+        with pytest.raises(audio.AudioFormatError, match="non-finite value in the frames"):
+            audio.write_feature_dump(old, frames)
+        assert old.read_bytes() == blob
 
     def test_truncation_rejected(self, tmp_path):
         p = tmp_path / "t.mfcc"

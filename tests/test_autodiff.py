@@ -320,11 +320,6 @@ class TestLogGamma:
                 assert abs(v - truth) < 1e-10, x
             assert abs(v - truth) <= 1e-12 * max(1.0, abs(truth)), x
 
-    def test_small_argument_recurrence(self):
-        mpmath = pytest.importorskip("mpmath")
-        for x in (0.01, 0.1, 0.3, 0.49):
-            assert abs(float(ad.lgamma_value(x)) - float(mpmath.loggamma(x))) < 1e-10
-
     def test_digamma_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         xs = [0.2, 0.6, 1.0, 2.5, 10.0, 100.0]
@@ -332,17 +327,18 @@ class TestLogGamma:
             assert abs(float(ad.digamma_value(x)) - float(mpmath.digamma(x))) < 1e-12
 
     @pytest.mark.parametrize("shape", [(), (10,), (200,), (1000,)])
-    @pytest.mark.parametrize("lo, hi", [(0.01, 0.5), (0.5, 5.0), (5.0, 1e4)])
+    @pytest.mark.parametrize("lo, hi", [(0.5, 5.0), (5.0, 1e4)])
     def test_value_path_is_the_series_bits(self, lo, hi, shape):
-        # lgamma_value skips the digamma series; (0.01, 0.5) takes the recurrence
+        # lgamma_value skips the digamma series
         x = np.random.default_rng(int(hi)).uniform(lo, hi, size=shape)
         assert ad.lgamma_value(x).tobytes() == _lgamma_digamma(x)[0].tobytes()
 
     def test_domain_errors(self):
-        with pytest.raises(ad.GraphError):
-            ad.lgamma_value(-1.0)
-        with pytest.raises(ad.GraphError):
-            ad.lgamma_value(0.0)
+        # the head's arguments are alpha and alpha + 1/2, alpha >= 1/2
+        for x in (-1.0, 0.0, 0.49, np.nextafter(0.5, 0.0), float("nan"), [1.0, 0.25],
+                  [2.0, float("nan")]):
+            with pytest.raises(ad.GraphError, match="at least 1/2"):
+                ad.lgamma_value(x)
 
 
 def test_sqrt_subgradient_zero_at_zero():

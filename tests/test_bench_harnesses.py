@@ -4,7 +4,9 @@
 ``scripts/benchlib.py``, which they share) reach into the package by name
 and by CLI flag. A refactor that drops one fails the harness only when
 someone reruns it, so each is checked here, without timing anything, and
-so is benchlib's own logic, with a fake run in place of a subprocess."""
+so is benchlib's own logic, with a fake run in place of a subprocess.
+``scripts/program_paths.py``, which CI runs, reaches into perfbench's
+workloads, so it runs here at their tiny sizes."""
 
 import importlib.util
 import sys
@@ -51,6 +53,11 @@ def bench_train_memory():
     return load_script("bench_train_memory")
 
 
+@pytest.fixture(scope="module")
+def program_paths():
+    return load_script("program_paths")
+
+
 def test_bench_workers_reaches_existing_names(bench_workers):
     assert callable(bench_workers.benchlib._numpy_build)  # protocol._numpy_build
     assert callable(bench_workers.corpus.write_corpus)
@@ -92,6 +99,39 @@ def test_bench_train_memory_flags_parse(bench_train_memory):
         for n in (steps, 1):  # each run and its one-step twin
             args = parser.parse_args([*argv, "--steps", str(n), "--out", "m.ckpt"])
             assert args.batch_episodes == bench_train_memory.BATCH_EPISODES
+
+
+def test_program_paths_traces_every_workload_and_reports_each_module(program_paths):
+    # a renamed perfbench name (WORKLOADS, Op, setup, operation, tiny) fails here
+    hits = program_paths.trace(tiny=True)
+    assert set(hits) <= set(program_paths.PACKAGE.glob("*.py"))
+    assert program_paths.PACKAGE / "training.py" in hits
+    lines = program_paths.report(hits)
+    assert lines[0].startswith("src/bayescl function-body statements no perfbench workload ran")
+    modules = [line.split(":")[0] for line in lines[1:] if not line.startswith(" ")]
+    assert modules == sorted(p.name for p in program_paths.PACKAGE.glob("*.py"))
+
+
+MISSED_SOURCE = '''X = 1
+def f(x):
+    """doc"""
+    if x:
+        raise ValueError(x)
+    try:
+        y = g(
+            x)
+    except KeyError:
+        y = 2
+    return y
+'''
+
+
+def test_program_paths_counts_a_statement_run_when_it_or_a_nested_one_ran(program_paths):
+    # the module body, the def and the docstring do not count; the try owns
+    # no line that runs, and line 8 is the only one the call ran
+    total, nodes = program_paths.missed(MISSED_SOURCE, {4, 8, 11})
+    assert total == 6
+    assert [(type(n).__name__, n.lineno) for n in nodes] == [("Raise", 5), ("Assign", 10)]
 
 
 def test_prepare_digest_does_not_depend_on_the_features_dir(bench_workers, tmp_path):

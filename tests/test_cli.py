@@ -11,7 +11,8 @@ from bayescl import __version__, audio
 from bayescl.cli import OPTIONS, main
 from bayescl.episodes import SynthTaskConfig
 from bayescl.protocol import ProtocolConfig
-from bayescl.tensorio import read_tensors, write_tensors
+from bayescl.tensorio import read_tensors
+from test_malformed_inputs import rewrite_tensor
 
 
 def run_cli(capsys, *argv):
@@ -163,9 +164,7 @@ def test_synth_eval_names_a_checkpoint_tensor_that_is_not_finite(tmp_path, capsy
         "--embed-dim", "8", "--out", str(ckpt),
     )
     assert code == 0, err
-    config, tensors = read_tensors(ckpt)
-    tensors[tensor] = np.full_like(tensors[tensor], np.nan)
-    write_tensors(ckpt, config, tensors)  # with the CRCs of the NaN payload
+    rewrite_tensor(ckpt, tensor, np.nan)  # with the CRCs of the NaN payload
     code, _, err = run_cli(
         capsys, "synth-eval", "--ckpt", str(ckpt), "--max-classes", "10", "--increment", "5",
         "--episodes", "1", "--out", str(tmp_path / "report"),

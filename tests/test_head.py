@@ -544,6 +544,16 @@ class TestScoringThreads:
         assert H.scoring_threads(1000, 200, 64) == min(200, cpus)
         assert H.scoring_threads(10, 20, 64) == 1  # one block: every training head
 
+    def test_cpu_count_where_the_affinity_call_is_missing(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert H._cpu_threads() == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert H._cpu_threads() == 5
+        assert H.scoring_threads(1000, 200, 64) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # "undetermined"
+        assert H._cpu_threads() == 1
+
 
 class TestScoringPool:
     """A protocol episode's checkpoints score their class ranges on one

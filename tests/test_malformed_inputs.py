@@ -120,23 +120,32 @@ def test_a_bool_is_never_a_count_in_a_head_snapshot(tmp_path):
         H.load_head(path)
 
 
-def hand_built_container(path, shapes):
-    """A container whose directory lists ``shapes``' (name, shape) pairs as
-    they are, each over 8 payload bytes of 1.0: what ``write_tensors``,
-    which takes a dict of arrays, cannot write."""
+def hand_built_container(path, tensors, config=None):
+    """A container laid out byte by byte from (name, shape, values) triples
+    taken as they are, with CRCs that match: what ``write_tensors``, which
+    takes a dict of arrays and refuses a value that is not finite, cannot
+    write (a bool in a shape, a name twice, a NaN)."""
     entries, payload = [], b""
-    for name, shape in shapes:
-        raw = np.ones(1).astype("<f8").tobytes()
-        entries.append({"name": name, "shape": shape, "offset": len(payload), "nbytes": 8,
-                        "crc32": zlib.crc32(raw)})
+    for name, shape, values in tensors:
+        raw = np.asarray(values, dtype="<f8").tobytes()
+        entries.append({"name": name, "shape": shape, "offset": len(payload),
+                        "nbytes": len(raw), "crc32": zlib.crc32(raw)})
         payload += raw
-    header = json.dumps({"config": {}, "tensors": entries}).encode("ascii")
+    header = json.dumps({"config": config or {}, "tensors": entries}).encode("ascii")
     path.write_bytes(b"BCLT" + struct.pack("<II", 1, len(header)) + header + payload)
+
+
+def rewrite_tensor(path, name, value):
+    """Rewrite the container at ``path`` by hand with every element of
+    tensor ``name`` set to ``value``, the CRCs matching the new payload."""
+    config, tensors = read_tensors(path)
+    tensors[name] = np.full_like(tensors[name], value)
+    hand_built_container(path, [(k, list(v.shape), v) for k, v in tensors.items()], config)
 
 
 def test_a_bool_is_never_a_count_in_a_tensor_directory(tmp_path):
     path = tmp_path / "t.bin"
-    hand_built_container(path, [("t", [True])])
+    hand_built_container(path, [("t", [True], 1.0)])
     with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: malformed tensor directory"):
         read_tensors(path)
 
@@ -144,7 +153,7 @@ def test_a_bool_is_never_a_count_in_a_tensor_directory(tmp_path):
 def test_a_tensor_named_twice_in_a_directory_is_rejected(tmp_path):
     # the last copy would silently win
     path = tmp_path / "t.bin"
-    hand_built_container(path, [("t", [1]), ("u", [1]), ("t", [1])])
+    hand_built_container(path, [("t", [1], 1.0), ("u", [1], 1.0), ("t", [1], 1.0)])
     with pytest.raises(
         ContainerError, match=rf"^{re.escape(str(path))}: tensor 't' named twice in the directory$"
     ):

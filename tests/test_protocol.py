@@ -496,6 +496,22 @@ class TestEmitReport:
         summary = json.loads((out / "summary.json").read_text())
         assert "pooled" in summary["volatility"]["definition"]
 
+    def test_one_checkpoint_summary_is_strict_json(self, tmp_path):
+        # no consecutive pair: null in summary.json, nan in volatility.csv
+        import json
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        params, prior = tiny_model()
+        cfg = P.ProtocolConfig(increment=20, max_classes=20, shots=3, query_shots=5, episodes=1)
+        matrix, report = P.run_protocol(params, prior, tiny_registry(20), cfg)
+        P.emit_report(report, matrix, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=no_constants)
+        assert summary["volatility"]["mean"] is None and summary["volatility"]["std"] is None
+        assert summary["volatility"]["n_pairs"] == report.n_pairs == 0
+        assert (tmp_path / "volatility.csv").read_text().splitlines()[1] == "nan,nan,0"
+
 
 class TestScoringThreadsInTheProtocol:
     """Criterion 8's run (200 classes, increment 25, 5+5 shots, 10 episodes,

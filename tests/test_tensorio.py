@@ -10,6 +10,7 @@ from bayescl import encoder as E
 from bayescl import head as H
 from bayescl import training as T
 from bayescl.tensorio import MAGIC, VERSION, ContainerError, read_tensors, write_tensors
+from test_malformed_inputs import rewrite_tensor
 
 
 def write_raw(path, header, payload=b""):
@@ -117,12 +118,26 @@ def test_header_field_edit_raises_container_error_naming_path(tmp_path, save, lo
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_tensor_raises_container_error_naming_path_and_tensor(
         tmp_path, save, load, tensor, bad):
-    # rewritten through write_tensors, so the CRCs hold and only the value is wrong
+    # rewritten by hand, so the CRCs hold and only the value is wrong
     path = tmp_path / "file.bclt"
     save(path)
-    config, tensors = read_tensors(path)
-    tensors[tensor] = np.full_like(tensors[tensor], bad)
-    write_tensors(path, config, tensors)
+    rewrite_tensor(path, tensor, bad)
     message = f"{path}: non-finite value in tensor {tensor!r}"
     with pytest.raises(ContainerError, match=f"^{re.escape(message)}$"):
         load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_tensors_refuses_a_non_finite_value_before_opening_the_file(tmp_path, bad):
+    # the reader's own message; no new file, and an old one keeps its bytes
+    tensors = {"w": np.ones((2, 3)), "rho": np.asarray(bad), "b": np.ones(3)}
+    message = f"{tmp_path / 'new.bclt'}: non-finite value in tensor 'rho'"
+    with pytest.raises(ContainerError, match=f"^{re.escape(message)}$"):
+        write_tensors(tmp_path / "new.bclt", {}, tensors)
+    assert not (tmp_path / "new.bclt").exists()
+    old = tmp_path / "old.bclt"
+    write_tensors(old, {}, {"w": np.ones((2, 3))})
+    blob = old.read_bytes()
+    with pytest.raises(ContainerError, match="non-finite value in tensor 'rho'"):
+        write_tensors(old, {}, tensors)
+    assert old.read_bytes() == blob

@@ -162,7 +162,10 @@ class TestTrain:
             T.TrainConfig(spec=Ep.EpisodeSpec(1, 5, 5))
 
     def test_no_validation_episodes_accepted(self):
-        assert T.TrainConfig(validation_episodes=0).validation_episodes == 0
+        # validation always runs, so a run without validation episodes is refused
+        with pytest.raises(ValueError, match="^validation_episodes must be >= 1"):
+            T.TrainConfig(validation_episodes=0)
+        assert T.TrainConfig(validation_episodes=1).validation_episodes == 1
 
     def test_step0_loss_near_log_n_on_symmetric_tasks(self):
         # classes indistinguishable at a tiny overall scale: an untrained
@@ -170,16 +173,19 @@ class TestTrain:
         # dominates the predictive scale), so the first loss is ~ln(ways)
         synth = Ep.SynthTaskConfig(latent_dim=8, class_sep=0.01, within_std=0.01)
         reg = Ep.synth_registry(synth, 30, 16, np.random.default_rng(0), "tr")
-        cfg = T.TrainConfig(steps=1, batch_episodes=8, spec=Ep.EpisodeSpec(5, 5, 5), seed=3)
+        val = Ep.synth_registry(synth, 5, 16, np.random.default_rng(1), "va")
+        cfg = T.TrainConfig(steps=1, batch_episodes=8, spec=Ep.EpisodeSpec(5, 5, 5), seed=3,
+                            validation_episodes=1)
         enc = E.EncoderConfig(embed_dim=16, hidden_dims=(16,), feature_dim=8, vector_input=True, seed=3)
-        _, _, hist = T.train(cfg, reg, enc)
+        _, _, hist = T.train(cfg, reg, enc, val)
         assert hist.losses[0] == pytest.approx(np.log(5.0), rel=0.2)
 
     def test_loss_drops_below_step0_within_200_steps(self):
-        reg, _ = synth_setup(class_sep=2.0)
-        cfg = T.TrainConfig(steps=200, batch_episodes=2, spec=Ep.EpisodeSpec(5, 3, 3), seed=4)
+        reg, val = synth_setup(class_sep=2.0)
+        cfg = T.TrainConfig(steps=200, batch_episodes=2, spec=Ep.EpisodeSpec(5, 3, 3), seed=4,
+                            validation_episodes=1)
         enc = E.EncoderConfig(embed_dim=12, hidden_dims=(16,), feature_dim=8, vector_input=True, seed=4)
-        _, _, hist = T.train(cfg, reg, enc)
+        _, _, hist = T.train(cfg, reg, enc, val)
         assert hist.losses[-1] < hist.losses[0]
         assert min(hist.losses[150:]) < hist.losses[0]
 
@@ -195,15 +201,6 @@ class TestTrain:
         assert grads["rho_alpha"] != 0.0
         assert grads["rho_beta"] != 0.0
         assert loss > 0.0
-
-    def test_no_best_checkpoint_without_validation(self, tmp_path):
-        reg, _ = synth_setup(class_sep=2.0)
-        cfg = T.TrainConfig(steps=2, batch_episodes=1, spec=Ep.EpisodeSpec(4, 3, 2), seed=8)
-        enc = E.EncoderConfig(embed_dim=8, hidden_dims=(8,), feature_dim=8, vector_input=True, seed=8)
-        params, _, hist = T.train(cfg, reg, enc)
-        assert hist.best_params is None
-        T.save_run(tmp_path / "ck", params, enc, hist)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck", "ck.log.csv"]
 
     def test_batch_gradients_free_every_tape_without_the_collector(self, monkeypatch):
         graphs = []
